@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .experiments import EXPERIMENT_IDS, default_spec, run_experiment, write_result
-from .greedy import MODES, GammaOutOfRange, run_greedy
+from .greedy import MODES, run_greedy
 from .hybrid import DecomposedProfile, run_hybrid_stream
 from .lp import SolverError
 from .model import ModelError, SystemParams, save_trajectory, total_cost
@@ -36,9 +36,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="horizon override (defaults to profile length)")
     parser.add_argument("--seed", type=int, default=0,
                         help="noise seed where applicable")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="storage price of the one-slot LP oracle "
-                             "(default alpha*beta/2; recorded in metadata)")
     parser.add_argument("--out", type=Path, default=None,
                         help="output CSV path (default: stdout summary only)")
 
@@ -113,7 +110,7 @@ def _cmd_experiment(args) -> int:
         overrides["seeds"] = tuple(int(v) for v in args.seeds.split(","))
     if args.n is not None:
         overrides["n_slots"] = args.n
-    overrides.update(alpha=args.alpha, beta=args.beta, gamma=args.gamma,
+    overrides.update(alpha=args.alpha, beta=args.beta,
                      out_path=str(args.out))
     spec = default_spec(args.id, **overrides)
     workers = 1 if args.serial else args.workers
@@ -177,8 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("experiment requires --out")
     try:
         return args.fn(args)
-    except (ValueError, ModelError, ParseError, GammaOutOfRange,
-            OSError) as exc:
+    except (ValueError, ModelError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverError as exc:

@@ -22,7 +22,7 @@ from .greedy import CASE_TOL, run_greedy
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
 from .offline import EPS_LEX_FACTOR, offline_cost, plan_offline, single_bs_cost
-from .profiles import add_gaussian_noise, sinusoid
+from .profiles import ParseError, add_gaussian_noise, sinusoid
 
 EXPERIMENT_IDS = ("cost-vs-storage", "saving-vs-theta",
                   "greedy-loss-vs-theta", "hybrid-vs-greedy")
@@ -50,7 +50,6 @@ class ExperimentSpec:
     omega: float = DEFAULT_OMEGA
     noise_scale: float = 0.125
     seeds: tuple[int, ...] = ()
-    gamma: float | None = None
     out_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -109,7 +108,6 @@ class ExperimentResult:
 
     def metadata(self) -> list[tuple[str, str]]:
         s = self.spec
-        gamma = s.gamma if s.gamma is not None else s.alpha * s.beta / 2.0
         return [
             ("experiment", s.experiment),
             ("alpha", repr(s.alpha)),
@@ -119,7 +117,6 @@ class ExperimentResult:
             ("amplitude", repr(s.amplitude)),
             ("omega", repr(s.omega)),
             ("noise_scale", repr(s.noise_scale)),
-            ("gamma", repr(gamma)),
             ("eps_lex_factor", repr(EPS_LEX_FACTOR)),
             ("case_tol", repr(CASE_TOL)),
             ("seeds", ",".join(str(v) for v in s.seeds)),
@@ -150,8 +147,9 @@ def read_result_rows(path: str | Path) -> list[ResultRow]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        assert header == ["theta", "s_max", "metric", "value"]
+        header = next(reader, None)
+        if header != ["theta", "s_max", "metric", "value"]:
+            raise ParseError(f"{path}: unrecognized header {header}")
         for theta, s_max, metric, value in reader:
             rows.append(ResultRow(
                 float(theta) if theta else None,

@@ -53,19 +53,6 @@ class DecomposedProfile:
         return NetEnergyProfile(e1=e1, e2=e2)
 
 
-def _residual_energy(params: SystemParams, e1: float, e2: float,
-                     act: ControlAction) -> tuple[float, float]:
-    """Energy left for the greedy layer once the offline action is booked.
-
-    For BS 1 this is e1 + w1d - c1d + alpha*d1d - x12d + beta*x21d: the
-    realized energy plus everything the offline action contributes to the
-    slot's balance.  With zero residual noise it is exactly the offline
-    plan's neutralization slack, and the combined action satisfies the
-    realized-profile balance whenever the greedy layer neutralizes it.
-    """
-    return neutralization_residuals(params, e1, e2, act)
-
-
 def residual_profile(decomposed: DecomposedProfile, offline_traj: Trajectory,
                      params: SystemParams) -> NetEnergyProfile:
     """Per-slot energies the greedy layer must neutralize."""
@@ -75,9 +62,9 @@ def residual_profile(decomposed: DecomposedProfile, offline_traj: Trajectory,
             f"profiles have {decomposed.n_slots}")
     g1, g2 = [], []
     for t in range(decomposed.n_slots):
-        r1, r2 = _residual_energy(params, decomposed.realized.e1[t],
-                                  decomposed.realized.e2[t],
-                                  offline_traj.actions[t])
+        r1, r2 = neutralization_residuals(
+            params, decomposed.realized.e1[t], decomposed.realized.e2[t],
+            offline_traj.actions[t])
         g1.append(r1)
         g2.append(r2)
     return NetEnergyProfile(e1=tuple(g1), e2=tuple(g2))
@@ -137,7 +124,7 @@ def run_hybrid_stream(params: SystemParams,
             raise LengthMismatch(
                 f"realized energies ended at slot {t}, want {n}") from None
         act_d = offline_traj.actions[t]
-        g1, g2 = _residual_energy(params, e1, e2, act_d)
+        g1, g2 = neutralization_residuals(params, e1, e2, act_d)
 
         s_d_next = offline_traj.states[t + 1]
         cap1 = max(0.0, params.s_max - s_d_next.s1)

@@ -1,11 +1,13 @@
 """Bounded-variable linear programs and a certified solve routine.
 
-``LpProblem`` carries a minimization objective, equality rows, upper-bound
-rows and per-variable bounds.  ``lp_solve`` delegates the pivoting to
-scipy's HiGHS backend (tightened to 1e-10 feasibility tolerances) and then
-independently re-checks the returned point against every constraint at
-1e-9; a point that fails the re-check surfaces as ``SolverError`` rather
-than a wrong ``Optimal``.
+``LpProblem`` carries a minimization objective, sparse (CSR) equality and
+upper-bound constraint matrices with their right-hand sides, and
+per-variable bounds.  Only the non-zeros are stored, so a planning program
+takes memory linear in its horizon.  ``lp_solve`` hands the matrices
+straight to scipy's HiGHS backend (tightened to 1e-10 feasibility
+tolerances) and then independently re-checks the returned point against
+every constraint at 1e-9; a point that fails the re-check surfaces as
+``SolverError`` rather than a wrong ``Optimal``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 
 FEAS_TOL = 1e-9
 
@@ -38,38 +40,41 @@ class LpStatus(Enum):
     UNBOUNDED = "Unbounded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """min objective . x  subject to eq rows, ub rows and box bounds.
 
-    ``eq_constraints`` and ``ub_constraints`` are sequences of
-    (coefficient row, rhs); a ub row means row . x <= rhs.  ``bounds`` holds
-    one (lower, upper) pair per variable, upper may be ``math.inf``.
+    ``a_eq`` / ``a_ub`` are CSR matrices with one column per variable and
+    one row per entry of ``b_eq`` / ``b_ub``; a ub row means row . x <= rhs.
+    ``lower`` and ``upper`` bound each variable, upper may be ``math.inf``.
     ``var_labels`` / ``eq_labels`` / ``ub_labels`` are optional debug names.
     """
 
-    objective: tuple[float, ...]
-    eq_constraints: tuple[tuple[tuple[float, ...], float], ...] = ()
-    ub_constraints: tuple[tuple[tuple[float, ...], float], ...] = ()
-    bounds: tuple[tuple[float, float], ...] = ()
+    objective: np.ndarray
+    a_eq: csr_matrix
+    b_eq: np.ndarray
+    a_ub: csr_matrix
+    b_ub: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     var_labels: tuple[str, ...] = ()
     eq_labels: tuple[str, ...] = ()
     ub_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        bounds = self.bounds or tuple((0.0, math.inf) for _ in range(n))
-        object.__setattr__(self, "bounds", bounds)
-        if len(bounds) != n:
-            raise ValueError(f"{len(bounds)} bounds for {n} variables")
-        for lo, hi in bounds:
-            if lo > hi:
-                raise ValueError(f"bound lower {lo} exceeds upper {hi}")
-        for rows in (self.eq_constraints, self.ub_constraints):
-            for row, _ in rows:
-                if len(row) != n:
-                    raise ValueError(
-                        f"constraint row of length {len(row)}, want {n}")
+        if len(self.lower) != n or len(self.upper) != n:
+            raise ValueError(f"{len(self.lower)}/{len(self.upper)} bounds "
+                             f"for {n} variables")
+        bad = np.flatnonzero(~(self.lower <= self.upper))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(f"bound lower {self.lower[j]} exceeds upper "
+                             f"{self.upper[j]}")
+        for a, b in ((self.a_eq, self.b_eq), (self.a_ub, self.b_ub)):
+            if a.shape != (len(b), n):
+                raise ValueError(f"constraint matrix of shape {a.shape}, "
+                                 f"want ({len(b)}, {n})")
 
     @property
     def n_vars(self) -> int:
@@ -78,11 +83,12 @@ class LpProblem:
     def dump(self) -> str:
         """Text rendering, one line per constraint: label, coeffs, sense, rhs."""
         lines = []
-        for kind, sense, rows, labels in (
-                ("eq", "=", self.eq_constraints, self.eq_labels),
-                ("ub", "<=", self.ub_constraints, self.ub_labels)):
-            for i, (row, rhs) in enumerate(rows):
+        for kind, sense, a, b, labels in (
+                ("eq", "=", self.a_eq, self.b_eq, self.eq_labels),
+                ("ub", "<=", self.a_ub, self.b_ub, self.ub_labels)):
+            for i, rhs in enumerate(b):
                 label = labels[i] if i < len(labels) else f"{kind}{i}"
+                row = a[i].toarray()[0]
                 coeffs = " ".join(repr(float(v)) for v in row)
                 lines.append(f"{label}: {coeffs} ({sense}) {float(rhs)!r}")
         return "\n".join(lines)
@@ -96,11 +102,37 @@ class LpSolution:
     iterations: int = 0
 
 
+class _Rows:
+    """COO triplets, right-hand sides and labels of one constraint kind."""
+
+    def __init__(self) -> None:
+        self.i: list[int] = []
+        self.j: list[int] = []
+        self.v: list[float] = []
+        self.rhs: list[float] = []
+        self.labels: list[str] = []
+
+    def add(self, entries: dict[int, float], rhs: float, label: str) -> None:
+        self.i.extend([len(self.rhs)] * len(entries))
+        self.j.extend(entries)
+        self.v.extend(entries.values())
+        self.rhs.append(rhs)
+        self.labels.append(label)
+
+    def matrix(self, n_vars: int) -> csr_matrix:
+        # duplicates are summed; explicit zeros (e.g. alpha = 0) are dropped
+        # so the backend sees only structural non-zeros
+        a = coo_matrix((self.v, (self.i, self.j)),
+                       shape=(len(self.rhs), n_vars)).tocsr()
+        a.eliminate_zeros()
+        return a
+
+
 class _ProblemBuilder:
     """Incremental construction helper used by the planners.
 
-    Rows are accumulated as numpy arrays over a fixed variable space; the
-    result is frozen into an ``LpProblem``.
+    Constraint entries accumulate as COO triplets over a fixed variable
+    space; ``build`` converts them to CSR once.
     """
 
     def __init__(self, n_vars: int, var_labels: Sequence[str] = ()) -> None:
@@ -109,70 +141,44 @@ class _ProblemBuilder:
         self.lower = np.zeros(n_vars)
         self.upper = np.full(n_vars, math.inf)
         self.var_labels = tuple(var_labels)
-        self._eq: list[tuple[np.ndarray, float]] = []
-        self._ub: list[tuple[np.ndarray, float]] = []
-        self._eq_labels: list[str] = []
-        self._ub_labels: list[str] = []
-
-    def row(self, entries: dict[int, float]) -> np.ndarray:
-        r = np.zeros(self.n)
-        for j, v in entries.items():
-            r[j] += v
-        return r
+        self._eq = _Rows()
+        self._ub = _Rows()
 
     def add_eq(self, entries: dict[int, float], rhs: float,
                label: str = "") -> None:
-        self._eq.append((self.row(entries), rhs))
-        self._eq_labels.append(label)
+        self._eq.add(entries, rhs, label)
 
     def add_ub(self, entries: dict[int, float], rhs: float,
                label: str = "") -> None:
-        self._ub.append((self.row(entries), rhs))
-        self._ub_labels.append(label)
+        self._ub.add(entries, rhs, label)
 
     def build(self) -> LpProblem:
-        # rows stay numpy arrays (frozen); converting thousands of long
-        # rows to tuples dominates planning time otherwise
-        for r, _ in self._eq:
-            r.setflags(write=False)
-        for r, _ in self._ub:
-            r.setflags(write=False)
         return LpProblem(
-            objective=tuple(self.objective),
-            eq_constraints=tuple(self._eq),
-            ub_constraints=tuple(self._ub),
-            bounds=tuple(zip(self.lower.tolist(), self.upper.tolist())),
+            objective=self.objective,
+            a_eq=self._eq.matrix(self.n),
+            b_eq=np.asarray(self._eq.rhs, dtype=float),
+            a_ub=self._ub.matrix(self.n),
+            b_ub=np.asarray(self._ub.rhs, dtype=float),
+            lower=self.lower,
+            upper=self.upper,
             var_labels=self.var_labels,
-            eq_labels=tuple(self._eq_labels),
-            ub_labels=tuple(self._ub_labels),
+            eq_labels=tuple(self._eq.labels),
+            ub_labels=tuple(self._ub.labels),
         )
 
 
-def _stack(rows) -> tuple[np.ndarray, np.ndarray]:
-    a = np.vstack([np.asarray(row, dtype=float) for row, _ in rows])
-    b = np.asarray([rhs for _, rhs in rows], dtype=float)
-    return a, b
-
-
-def _certify(problem: LpProblem, x: np.ndarray,
-             a_eq, b_eq, a_ub, b_ub) -> None:
+def _certify(problem: LpProblem, x: np.ndarray) -> None:
     """Raise SolverError unless x is primal feasible within FEAS_TOL."""
-    if a_eq is not None:
-        resid = np.abs(a_eq @ x - b_eq)
-        worst = int(np.argmax(resid))
-        if resid[worst] > FEAS_TOL:
-            raise SolverError(
-                f"eq constraint {worst} violated by {resid[worst]:.3e} "
-                f"after solve")
-    if a_ub is not None:
-        resid = a_ub @ x - b_ub
-        worst = int(np.argmax(resid))
-        if resid[worst] > FEAS_TOL:
-            raise SolverError(
-                f"ub constraint {worst} violated by {resid[worst]:.3e} "
-                f"after solve")
-    lower = np.asarray([lo for lo, _ in problem.bounds])
-    upper = np.asarray([hi for _, hi in problem.bounds])
+    for kind, resid in (
+            ("eq", np.abs(problem.a_eq @ x - problem.b_eq)),
+            ("ub", problem.a_ub @ x - problem.b_ub)):
+        if resid.size:
+            worst = int(np.argmax(resid))
+            if resid[worst] > FEAS_TOL:
+                raise SolverError(
+                    f"{kind} constraint {worst} violated by "
+                    f"{resid[worst]:.3e} after solve")
+    lower, upper = problem.lower, problem.upper
     if np.any(x < lower - FEAS_TOL) or np.any(x > upper + FEAS_TOL):
         j = int(np.argmax(np.maximum(lower - x, x - upper)))
         raise SolverError(
@@ -186,23 +192,11 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     UNBOUNDED.  Any other backend outcome, and any returned point failing
     the 1e-9 feasibility re-check, raises SolverError.
     """
-    c = np.asarray(problem.objective, dtype=float)
-    a_eq = b_eq = a_ub = b_ub = None
-    if problem.eq_constraints:
-        a_eq, b_eq = _stack(problem.eq_constraints)
-    if problem.ub_constraints:
-        a_ub, b_ub = _stack(problem.ub_constraints)
-
-    def backend_matrix(a):
-        # the planning programs are very sparse at this scale
-        if a is not None and a.size > 50_000:
-            return csr_matrix(a)
-        return a
-
-    res = linprog(c, A_ub=backend_matrix(a_ub), b_ub=b_ub,
-                  A_eq=backend_matrix(a_eq), b_eq=b_eq,
-                  bounds=list(problem.bounds), method="highs",
-                  options=_HIGHS_OPTIONS)
+    c = problem.objective
+    res = linprog(c, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                  A_eq=problem.a_eq, b_eq=problem.b_eq,
+                  bounds=np.column_stack((problem.lower, problem.upper)),
+                  method="highs", options=_HIGHS_OPTIONS)
 
     if res.status == 2:
         return LpSolution(LpStatus.INFEASIBLE)
@@ -212,6 +206,6 @@ def lp_solve(problem: LpProblem) -> LpSolution:
         raise SolverError(f"LP backend failed: {res.message}")
 
     x = np.asarray(res.x, dtype=float)
-    _certify(problem, x, a_eq, b_eq, a_ub, b_ub)
+    _certify(problem, x)
     return LpSolution(LpStatus.OPTIMAL, tuple(x.tolist()),
                       float(np.dot(c, x)), int(np.sum(res.nit)))

@@ -246,7 +246,16 @@ def step_state(params: SystemParams, state: StorageState,
 
 def neutralization_residuals(params: SystemParams, e1: float, e2: float,
                              action: ControlAction) -> tuple[float, float]:
-    """Per-BS energy-balance slack; nonnegative means demand is covered."""
+    """Per-BS energy-balance slack; nonnegative means demand is covered.
+
+    For BS 1 this is e1 + w1 - c1 + alpha*d1 - x12 + beta*x21: the net
+    energy plus everything the action contributes to the slot's balance.
+    The hybrid planner books the offline action against the realized
+    energy this way to get the energy left for its greedy layer; with zero
+    residual noise that is exactly the offline plan's slack, and the
+    combined action satisfies the realized-profile balance whenever the
+    greedy layer neutralizes it.
+    """
     a, b = params.alpha, params.beta
     r1 = (e1 + action.w1 - action.c1 + a * action.d1
           - action.x12 + b * action.x21)
@@ -275,7 +284,8 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
     bad: list[Violation] = []
 
     def flag(name: str, slot: int, residual: float) -> None:
-        if residual < -tol:
+        # written so that a NaN residual is flagged too
+        if not residual >= -tol:
             bad.append(Violation(name, slot, residual))
 
     for i, (s0, si) in enumerate(zip(traj.states[0].as_tuple(),

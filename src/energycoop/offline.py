@@ -2,15 +2,26 @@
 
 Stage 1 minimizes total grid energy over the whole horizon; stage 2
 re-solves with the stage-1 cost as a budget and maximizes the terminal
-storage sum, so leftover flexibility is banked for later horizons.  A
-single-BS restriction provides the baseline for savings percentages.
+storage sum, so leftover flexibility is banked for later horizons.  Both
+stages share one sparse constraint system with about 22 non-zeros per
+slot, so building and storing it takes time and memory linear in the
+horizon.  The single-BS baseline for savings percentages is the same pair
+program restricted to one station: BS 2 gets a zero profile and every
+column through which it could act is pinned to zero.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .lp import LpProblem, LpStatus, SolverError, _ProblemBuilder, lp_solve
+from .lp import (
+    LpProblem,
+    LpSolution,
+    LpStatus,
+    SolverError,
+    _ProblemBuilder,
+    lp_solve,
+)
 from .model import (
     ControlAction,
     NetEnergyProfile,
@@ -28,6 +39,7 @@ from .model import (
 EPS_LEX_FACTOR = 1e-9
 
 _N_ACTION = 8  # w1 w2 c1 c2 d1 d2 x12 x21 per slot
+_PINNED_SINGLE_BS = (1, 3, 5, 6, 7)  # w2 c2 d2 x12 x21
 
 
 def eps_lex(v1: float) -> float:
@@ -134,6 +146,13 @@ def _extract_trajectory(params: SystemParams, x: Sequence[float],
     return Trajectory(tuple(actions), tuple(states))
 
 
+def _solve(problem: LpProblem, what: str) -> LpSolution:
+    sol = lp_solve(problem)
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SolverError(f"{what} ended {sol.status.value}")
+    return sol
+
+
 def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
     """Certified minimum total grid draw (the stage-1 optimum).
 
@@ -141,62 +160,39 @@ def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
     second stage may convert into terminal storage; use this routine when
     only the cost is needed, it is both cheaper and exact.
     """
-    sol = lp_solve(build_stage1(params, profile))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"stage 1 ended {sol.status.value}")
-    return sol.objective_value
+    return _solve(build_stage1(params, profile), "stage 1").objective_value
 
 
 def plan_offline(params: SystemParams, profile: NetEnergyProfile,
                  ) -> Trajectory:
     """Two-stage plan: minimal cost, then maximal terminal storage."""
-    sol1 = lp_solve(build_stage1(params, profile))
-    if sol1.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"stage 1 ended {sol1.status.value}")
-    sol2 = lp_solve(build_stage2(params, profile, sol1.objective_value))
+    v1 = offline_cost(params, profile)
+    sol2 = lp_solve(build_stage2(params, profile, v1))
     if sol2.status is not LpStatus.OPTIMAL:
         raise Stage2Infeasible(
-            f"stage 2 ended {sol2.status.value} under budget "
-            f"{sol1.objective_value}")
+            f"stage 2 ended {sol2.status.value} under budget {v1}")
     return _extract_trajectory(params, sol2.x)
 
 
 def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
-    """One-station restriction: no transfer variables, same constraints."""
-    n = params.n_slots
-    if len(e) != n:
-        raise ValueError(f"profile has {len(e)} slots, params say {n}")
-    a = params.alpha
-    labels = []
-    for t in range(n):
-        labels += [f"w[{t}]", f"c[{t}]", f"d[{t}]"]
-    labels += [f"s[{t}]" for t in range(n + 1)]
-    pb = _ProblemBuilder(3 * n + (n + 1), labels)
+    """One-station restriction of the pair program (the savings baseline).
 
-    def sv(t: int) -> int:
-        return 3 * n + t
-
-    for t in range(n + 1):
-        pb.upper[sv(t)] = params.s_max
-    pb.add_eq({sv(0): 1.0}, params.s_init[0], "init_s")
-    for t in range(n):
-        w, c, d = 3 * t, 3 * t + 1, 3 * t + 2
-        pb.objective[w] = 1.0
-        pb.add_eq({sv(t + 1): 1.0, sv(t): -1.0, c: -a, d: 1.0},
-                  0.0, f"dyn[{t}]")
-        pb.add_ub({w: -1.0, c: 1.0, d: -a}, float(e[t]), f"neutral[{t}]")
-        pb.add_ub({d: 1.0, sv(t): -1.0}, 0.0, f"d_le_s[{t}]")
-        if a == 0.0:
-            pb.upper[c] = 0.0
+    BS 2 sees a zero profile and its grid, charge and discharge columns are
+    pinned to zero together with both transfer columns, so only BS 1 can
+    act; the objective is BS 1's grid draw.  HiGHS presolve removes the
+    fixed columns.
+    """
+    pb = _pair_problem(params, NetEnergyProfile(e1=e, e2=(0.0,) * len(e)))
+    for t in range(params.n_slots):
+        pb.objective[_slot_var(t, 0)] = 1.0
+        for k in _PINNED_SINGLE_BS:
+            pb.upper[_slot_var(t, k)] = 0.0
     return pb.build()
 
 
 def single_bs_cost(params: SystemParams, e: Sequence[float]) -> float:
     """Minimum grid draw of one isolated station (the savings denominator)."""
-    sol = lp_solve(build_single_bs(params, e))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"single-BS plan ended {sol.status.value}")
-    return sol.objective_value
+    return _solve(build_single_bs(params, e), "single-BS plan").objective_value
 
 
 def plan_single_bs(params: SystemParams, e: Sequence[float]) -> Trajectory:
@@ -206,16 +202,5 @@ def plan_single_bs(params: SystemParams, e: Sequence[float]) -> Trajectory:
     zero, so the usual feasibility checker applies against the profile
     (e, zeros).  Only stage 1 is solved; the baseline is a cost.
     """
-    sol = lp_solve(build_single_bs(params, e))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"single-BS plan ended {sol.status.value}")
-    n = params.n_slots
-    actions = []
-    states = [StorageState(params.s_init[0], params.s_init[1])]
-    for t in range(n):
-        w, c, d = (max(0.0, sol.x[3 * t + k]) for k in range(3))
-        action = normalize_action(
-            ControlAction(w1=w, c1=c, d1=d), params.alpha)
-        states.append(step_state(params, states[-1], action))
-        actions.append(action)
-    return Trajectory(tuple(actions), tuple(states))
+    sol = _solve(build_single_bs(params, e), "single-BS plan")
+    return _extract_trajectory(params, sol.x)

@@ -1,8 +1,36 @@
-"""Random-instance generators shared across the test modules."""
+"""Random-instance generators and constructors shared across the tests."""
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from energycoop import NetEnergyProfile, StorageState, SystemParams
+from energycoop.lp import LpProblem
+
+
+def make_problem(c, eq=(), ub=(), bounds=(), **labels) -> LpProblem:
+    """Sparse ``LpProblem`` from dense (row, rhs) tuples.
+
+    ``bounds`` holds one (lower, upper) pair per variable and defaults to
+    [0, inf) throughout; ``labels`` passes var/eq/ub label tuples through.
+    """
+    n = len(c)
+
+    def matrix(rows):
+        if not rows:
+            return csr_matrix((0, n)), np.zeros(0)
+        return (csr_matrix(np.array([r for r, _ in rows], dtype=float)),
+                np.array([b for _, b in rows], dtype=float))
+
+    a_eq, b_eq = matrix(eq)
+    a_ub, b_ub = matrix(ub)
+    bounds = np.asarray(bounds or [(0.0, math.inf)] * n, dtype=float)
+    return LpProblem(objective=np.asarray(c, dtype=float),
+                     a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
+                     lower=bounds[:, 0], upper=bounds[:, 1], **labels)
 
 
 def rand_unit_open(rng) -> float:

@@ -25,11 +25,11 @@ from energycoop import (
     sinusoid,
 )
 from energycoop.experiments import default_spec, run_experiment
-from energycoop.lp import LpProblem, LpStatus
+from energycoop.lp import LpStatus
 from energycoop.offline import build_stage1
 from energycoop.profiles import add_gaussian_noise
 
-from helpers import rand_params, rand_profile, rand_state
+from helpers import make_problem, rand_params, rand_profile, rand_state
 from oracles import enumerate_lp_optimum
 
 OMEGA = 2 * math.pi / 24
@@ -413,10 +413,7 @@ def test_c11_lp_engine_matches_vertex_enumeration():
         ub = [(rng.normal(size=n), rng.normal())
               for _ in range(int(rng.integers(0, 4)))]
         bounds = list(zip(lo, hi))
-        prob = LpProblem(objective=tuple(c),
-                         eq_constraints=tuple((tuple(r), b) for r, b in eq),
-                         ub_constraints=tuple((tuple(r), b) for r, b in ub),
-                         bounds=tuple(bounds))
+        prob = make_problem(c, eq, ub, bounds)
         sol = lp_solve(prob)
         status, value = enumerate_lp_optimum(c, eq, ub, bounds)
         statuses[status] += 1

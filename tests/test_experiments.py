@@ -13,6 +13,7 @@ from energycoop.experiments import (
     run_experiment,
     write_result,
 )
+from energycoop.profiles import ParseError
 
 SMALL = dict(n_slots=48, thetas=(0.0, math.pi / 2, math.pi),
              s_max_grid=(0.5, 1.0))
@@ -60,10 +61,9 @@ def test_rows_unique_per_metric(experiment):
 def test_metadata_records_required_keys():
     result = run_experiment(small_spec("saving-vs-theta"), workers=1)
     keys = dict(result.metadata())
-    for want in ("alpha", "beta", "s_max_grid", "n_slots", "gamma",
+    for want in ("alpha", "beta", "s_max_grid", "n_slots",
                  "eps_lex_factor", "seeds", "case_tol", "version"):
         assert want in keys
-    assert keys["gamma"] == repr(0.9 * 0.8 / 2)
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -90,6 +90,15 @@ def test_result_csv_round_trip(tmp_path):
     write_result(result, path)
     rows = read_result_rows(path)
     assert rows == list(result.rows)
+
+
+@pytest.mark.parametrize("text", ["", "# experiment: x\n",
+                                  "theta,s_max,value\n0.0,1.0,2.0\n"])
+def test_result_csv_bad_header(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="header"):
+        read_result_rows(path)
 
 
 def test_cost_vs_storage_orderings():

@@ -5,16 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from energycoop.lp import LpProblem, LpStatus, lp_solve
+from energycoop.lp import LpStatus, lp_solve
 
+from helpers import make_problem
 from oracles import enumerate_lp_optimum
-
-
-def make_problem(c, eq=(), ub=(), bounds=()):
-    return LpProblem(objective=tuple(c),
-                     eq_constraints=tuple((tuple(r), b) for r, b in eq),
-                     ub_constraints=tuple((tuple(r), b) for r, b in ub),
-                     bounds=tuple(bounds))
 
 
 def random_program(rng):
@@ -128,12 +122,8 @@ def test_dump_format():
     prob = make_problem([1.0, 2.0],
                         eq=[(np.array([1.0, 1.0]), 3.0)],
                         ub=[(np.array([0.0, 1.0]), 1.5)],
-                        bounds=[(0.0, math.inf), (0.0, 2.0)])
-    prob = LpProblem(objective=prob.objective,
-                     eq_constraints=prob.eq_constraints,
-                     ub_constraints=prob.ub_constraints,
-                     bounds=prob.bounds,
-                     eq_labels=("sum",), ub_labels=("cap",))
+                        bounds=[(0.0, math.inf), (0.0, 2.0)],
+                        eq_labels=("sum",), ub_labels=("cap",))
     text = prob.dump().splitlines()
     assert text[0] == "sum: 1.0 1.0 (=) 3.0"
     assert text[1] == "cap: 0.0 1.0 (<=) 1.5"

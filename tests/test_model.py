@@ -18,6 +18,7 @@ from energycoop import (
     check_feasible,
     load_trajectory,
     normalize_action,
+    run_greedy,
     save_trajectory,
     step_state,
     total_cost,
@@ -143,6 +144,15 @@ class TestCheckFeasible:
         assert "dynamics_1" in names      # 0.7 != 0 + 0 - 0.5
         assert "dynamics_2" in names      # 1.4 != 1.8
         assert "storage_upper_2" in names
+
+    def test_nan_flagged_inf_headroom_passes(self):
+        params = SystemParams(0.9, 0.8, 1.0, 2)
+        prof = NetEnergyProfile(e1=(1.0, math.nan), e2=(-1.0, 0.5))
+        report = check_feasible(params, prof, run_greedy(params, prof))
+        assert ("neutralization_1", 1) in {
+            (v.constraint, v.slot) for v in report.violations}
+        surplus = NetEnergyProfile(e1=(math.inf, 0.0), e2=(0.0, math.inf))
+        assert check_feasible(params, surplus, zero_traj(params, 2)).ok
 
     def test_wrong_initial_state_flagged(self):
         params = SystemParams(0.9, 0.8, 1.0, 1, (0.5, 0.0))

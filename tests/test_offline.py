@@ -67,6 +67,22 @@ class TestStage1:
             assert lp_cost <= dp_cost + 1e-9
             assert dp_cost - lp_cost <= 0.05
 
+    def test_sparse_at_year_scale(self):
+        # 22 non-zeros per slot (4 + 4 dynamics, 5 + 5 neutralization,
+        # 2 + 2 discharge caps) plus the two initial-state rows
+        omega = 2 * math.pi / 24
+        n = 8760
+        prob = build_stage1(SystemParams(0.9, 0.8, 1.0, n),
+                            sinusoid(3.0, omega, math.pi / 2, n))
+        assert prob.a_eq.nnz + prob.a_ub.nnz == 22 * n + 2
+        # a 24-slot periodic profile: ten 240-slot horizons cost ten times
+        # one, and the long program is solved and certified in one piece
+        day = offline_cost(SystemParams(0.9, 0.8, 1.0, 240),
+                           sinusoid(3.0, omega, math.pi / 2, 240))
+        cost = offline_cost(SystemParams(0.9, 0.8, 1.0, 2400),
+                            sinusoid(3.0, omega, math.pi / 2, 2400))
+        assert cost == pytest.approx(10 * day, rel=1e-9)
+
 
 class TestStage2:
     def test_all_zero_profile(self):
