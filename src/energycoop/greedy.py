@@ -12,7 +12,12 @@ oracle in the tests.
 
 from __future__ import annotations
 
-from .lp import LpStatus, SolverError, _ProblemBuilder, lp_solve
+import math
+
+import numpy as np
+from scipy.sparse import csr_matrix
+
+from .lp import LpProblem, LpStatus, SolverError, lp_solve
 from .model import (
     ControlAction,
     InvalidState,
@@ -280,20 +285,27 @@ def greedy_step_lp(params: SystemParams, state: StorageState,
             and -CASE_TOL <= state.s2 <= params.s_max + CASE_TOL):
         raise InvalidState(f"state {state} outside [0, {params.s_max}]")
 
-    names = ("w1", "w2", "c1", "c2", "d1", "d2", "x12", "x21")
-    pb = _ProblemBuilder(8, names)
-    w1, w2, c1, c2, d1, d2, x12, x21 = range(8)
-    pb.objective[[w1, w2]] = 1.0
-    pb.objective[[c1, c2]] = -gamma * a
-    pb.objective[[d1, d2]] = gamma
-    for bs, (s, c, d) in enumerate(((state.s1, c1, d1), (state.s2, c2, d2))):
-        pb.add_ub({c: a, d: -1.0}, params.s_max - s, f"storage_ub{bs + 1}")
-        pb.add_ub({c: -a, d: 1.0}, s, f"storage_lb{bs + 1}")
-        pb.upper[d] = s
-    pb.add_ub({w1: -1.0, c1: 1.0, d1: -a, x12: 1.0, x21: -b}, e1, "neutral1")
-    pb.add_ub({w2: -1.0, c2: 1.0, d2: -a, x21: 1.0, x12: -b}, e2, "neutral2")
+    s1, s2, s_max, inf = state.s1, state.s2, params.s_max, math.inf
+    # columns w1 w2 c1 c2 d1 d2 x12 x21
+    a_ub = np.array([[0, 0, a, 0, -1, 0, 0, 0],    # storage_ub1
+                     [0, 0, -a, 0, 1, 0, 0, 0],    # storage_lb1
+                     [0, 0, 0, a, 0, -1, 0, 0],    # storage_ub2
+                     [0, 0, 0, -a, 0, 1, 0, 0],    # storage_lb2
+                     [-1, 0, 1, 0, -a, 0, 1, -b],  # neutral1
+                     [0, -1, 0, 1, 0, -a, -b, 1]],  # neutral2
+                    dtype=float)
+    problem = LpProblem(
+        objective=np.array([1.0, 1.0, -gamma * a, -gamma * a,
+                            gamma, gamma, 0.0, 0.0]),
+        a_eq=csr_matrix((0, 8)), b_eq=np.zeros(0),
+        a_ub=csr_matrix(a_ub),
+        b_ub=np.array([s_max - s1, s1, s_max - s2, s2, e1, e2]),
+        lower=np.zeros(8), upper=np.array([inf, inf, inf, inf, s1, s2,
+                                           inf, inf]),
+        ub_labels=("storage_ub1", "storage_lb1", "storage_ub2",
+                   "storage_lb2", "neutral1", "neutral2"))
 
-    sol = lp_solve(pb.build())
+    sol = lp_solve(problem)
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverError(f"one-slot LP ended {sol.status.value}")
     action = normalize_action(

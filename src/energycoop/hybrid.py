@@ -10,6 +10,7 @@ exact field-wise sum of the two components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -123,6 +124,9 @@ def run_hybrid_stream(params: SystemParams,
         except StopIteration:
             raise LengthMismatch(
                 f"realized energies ended at slot {t}, want {n}") from None
+        if not (math.isfinite(e1) and math.isfinite(e2)):
+            raise ValueError(
+                f"realized energies at slot {t} are not finite: ({e1}, {e2})")
         act_d = offline_traj.actions[t]
         g1, g2 = neutralization_residuals(params, e1, e2, act_d)
 

@@ -3,11 +3,12 @@
 ``LpProblem`` carries a minimization objective, sparse (CSR) equality and
 upper-bound constraint matrices with their right-hand sides, and
 per-variable bounds.  Only the non-zeros are stored, so a planning program
-takes memory linear in its horizon.  ``lp_solve`` hands the matrices
-straight to scipy's HiGHS backend (tightened to 1e-10 feasibility
-tolerances) and then independently re-checks the returned point against
-every constraint at 1e-9; a point that fails the re-check surfaces as
-``SolverError`` rather than a wrong ``Optimal``.
+takes memory linear in its horizon; the planners assemble the index and
+value arrays of these matrices with numpy in one pass.  ``lp_solve`` hands
+the matrices straight to scipy's HiGHS backend (tightened to 1e-10
+feasibility tolerances) and then independently re-checks the returned
+point against every constraint at 1e-9; a point that fails the re-check
+surfaces as ``SolverError`` rather than a wrong ``Optimal``.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 FEAS_TOL = 1e-9
 
@@ -47,7 +47,7 @@ class LpProblem:
     ``a_eq`` / ``a_ub`` are CSR matrices with one column per variable and
     one row per entry of ``b_eq`` / ``b_ub``; a ub row means row . x <= rhs.
     ``lower`` and ``upper`` bound each variable, upper may be ``math.inf``.
-    ``var_labels`` / ``eq_labels`` / ``ub_labels`` are optional debug names.
+    ``eq_labels`` / ``ub_labels`` are optional debug names of the rows.
     """
 
     objective: np.ndarray
@@ -57,7 +57,6 @@ class LpProblem:
     b_ub: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    var_labels: tuple[str, ...] = ()
     eq_labels: tuple[str, ...] = ()
     ub_labels: tuple[str, ...] = ()
 
@@ -100,71 +99,6 @@ class LpSolution:
     x: tuple[float, ...] = ()
     objective_value: float = math.nan
     iterations: int = 0
-
-
-class _Rows:
-    """COO triplets, right-hand sides and labels of one constraint kind."""
-
-    def __init__(self) -> None:
-        self.i: list[int] = []
-        self.j: list[int] = []
-        self.v: list[float] = []
-        self.rhs: list[float] = []
-        self.labels: list[str] = []
-
-    def add(self, entries: dict[int, float], rhs: float, label: str) -> None:
-        self.i.extend([len(self.rhs)] * len(entries))
-        self.j.extend(entries)
-        self.v.extend(entries.values())
-        self.rhs.append(rhs)
-        self.labels.append(label)
-
-    def matrix(self, n_vars: int) -> csr_matrix:
-        # duplicates are summed; explicit zeros (e.g. alpha = 0) are dropped
-        # so the backend sees only structural non-zeros
-        a = coo_matrix((self.v, (self.i, self.j)),
-                       shape=(len(self.rhs), n_vars)).tocsr()
-        a.eliminate_zeros()
-        return a
-
-
-class _ProblemBuilder:
-    """Incremental construction helper used by the planners.
-
-    Constraint entries accumulate as COO triplets over a fixed variable
-    space; ``build`` converts them to CSR once.
-    """
-
-    def __init__(self, n_vars: int, var_labels: Sequence[str] = ()) -> None:
-        self.n = n_vars
-        self.objective = np.zeros(n_vars)
-        self.lower = np.zeros(n_vars)
-        self.upper = np.full(n_vars, math.inf)
-        self.var_labels = tuple(var_labels)
-        self._eq = _Rows()
-        self._ub = _Rows()
-
-    def add_eq(self, entries: dict[int, float], rhs: float,
-               label: str = "") -> None:
-        self._eq.add(entries, rhs, label)
-
-    def add_ub(self, entries: dict[int, float], rhs: float,
-               label: str = "") -> None:
-        self._ub.add(entries, rhs, label)
-
-    def build(self) -> LpProblem:
-        return LpProblem(
-            objective=self.objective,
-            a_eq=self._eq.matrix(self.n),
-            b_eq=np.asarray(self._eq.rhs, dtype=float),
-            a_ub=self._ub.matrix(self.n),
-            b_ub=np.asarray(self._ub.rhs, dtype=float),
-            lower=self.lower,
-            upper=self.upper,
-            var_labels=self.var_labels,
-            eq_labels=tuple(self._eq.labels),
-            ub_labels=tuple(self._ub.labels),
-        )
 
 
 def _certify(problem: LpProblem, x: np.ndarray) -> None:

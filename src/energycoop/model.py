@@ -66,7 +66,7 @@ class SystemParams:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.s_max < 0.0:
+        if not self.s_max >= 0.0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")

@@ -4,24 +4,24 @@ Stage 1 minimizes total grid energy over the whole horizon; stage 2
 re-solves with the stage-1 cost as a budget and maximizes the terminal
 storage sum, so leftover flexibility is banked for later horizons.  Both
 stages share one sparse constraint system with about 22 non-zeros per
-slot, so building and storing it takes time and memory linear in the
-horizon.  The single-BS baseline for savings percentages is the same pair
-program restricted to one station: BS 2 gets a zero profile and every
-column through which it could act is pinned to zero.
+slot, assembled in one numpy pass from per-slot index patterns, so
+building and storing it takes time and memory linear in the horizon;
+stage 2 is the stage-1 system plus one ``cost_budget`` row.  The single-BS
+baseline for savings percentages is the same pair program restricted to
+one station: BS 2 gets a zero profile and every column through which it
+could act is pinned to zero.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from typing import Sequence
 
-from .lp import (
-    LpProblem,
-    LpSolution,
-    LpStatus,
-    SolverError,
-    _ProblemBuilder,
-    lp_solve,
-)
+import numpy as np
+from scipy.sparse import csr_matrix, vstack
+
+from .lp import LpProblem, LpSolution, LpStatus, SolverError, lp_solve
 from .model import (
     ControlAction,
     NetEnergyProfile,
@@ -50,86 +50,125 @@ class Stage2Infeasible(SolverError):
     """Stage 2 rejected a budget that stage 1 certified as attainable."""
 
 
-def _slot_var(t: int, k: int) -> int:
-    return _N_ACTION * t + k
+# Column of a constraint entry, counted from slot t's first action column
+# (8t) or from its storage pair (s1[t] at 8N + 2t, s2[t] one further).
+_ACT, _STO = 0, 1
 
 
-def _state_var(n_slots: int, t: int, bs: int) -> int:
-    return _N_ACTION * n_slots + 2 * t + bs
+def _per_slot(n: int, rows: Sequence[tuple[str, tuple]],
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """CSR index arrays and labels of constraint rows repeated every slot.
+
+    ``rows`` lists (name, entries) with entries (base, offset, value) in
+    ascending column order, the order CSR keeps within a row.  Returns
+    indptr (with the end), column indices, values and the labels
+    ``name[t]``, slot-major.
+    """
+    base, offset, value = (np.array(v) for v in zip(
+        *(entry for _, entries in rows for entry in entries)))
+    t = np.arange(n)[:, None]
+    indices = np.where(base == _STO, _N_ACTION * n + 2 * t,
+                       _N_ACTION * t) + offset
+    starts = np.cumsum([0] + [len(entries) for _, entries in rows])
+    indptr = np.append((len(value) * t + starts[:-1]).ravel(),
+                       len(value) * n)
+    labels = [f"{name}[{s}]" for s in range(n) for name, _ in rows]
+    return indptr, indices.ravel(), np.tile(value, n), labels
+
+
+def _csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+         n_vars: int) -> csr_matrix:
+    a = csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_vars))
+    # explicit zeros (alpha = 0, beta = 0) are dropped so the backend sees
+    # only structural non-zeros
+    a.eliminate_zeros()
+    return a
 
 
 def _pair_problem(params: SystemParams, profile: NetEnergyProfile,
-                  ) -> _ProblemBuilder:
-    """Shared constraint system of both planning stages."""
+                  ) -> LpProblem:
+    """Shared constraint system of both planning stages, costed.
+
+    Columns: the actions w1 w2 c1 c2 d1 d2 x12 x21 of slot t at 8t + k,
+    then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
+    Eq rows: init_s1, init_s2, then dyn1[t], dyn2[t] at 2 + 2t + bs.  Ub
+    rows: neutral1[t], neutral2[t], d1_le_s1[t], d2_le_s2[t] at 4t + k.
+    All index arrays are computed at once.  The objective is the total grid
+    draw, the stage-1 cost; the caller owns the returned arrays.
+    """
     n = params.n_slots
     if profile.n_slots != n:
         raise ValueError(
             f"profile has {profile.n_slots} slots, params say {n}")
     a, b = params.alpha, params.beta
+    n_vars = _N_ACTION * n + 2 * (n + 1)
 
-    labels = []
-    for t in range(n):
-        labels += [f"{name}[{t}]" for name in
-                   ("w1", "w2", "c1", "c2", "d1", "d2", "x12", "x21")]
-    for t in range(n + 1):
-        labels += [f"s1[{t}]", f"s2[{t}]"]
+    # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
+    dyn_ptr, dyn_idx, dyn_val, dyn_labels = _per_slot(n, (
+        ("dyn1", ((_ACT, 2, -a), (_ACT, 4, 1.0),
+                  (_STO, 0, -1.0), (_STO, 2, 1.0))),
+        ("dyn2", ((_ACT, 3, -a), (_ACT, 5, 1.0),
+                  (_STO, 1, -1.0), (_STO, 3, 1.0)))))
+    # energy neutralization, written as <= rows; then cannot discharge
+    # more than is stored
+    ub_ptr, ub_idx, ub_val, ub_labels = _per_slot(n, (
+        ("neutral1", ((_ACT, 0, -1.0), (_ACT, 2, 1.0), (_ACT, 4, -a),
+                      (_ACT, 6, 1.0), (_ACT, 7, -b))),
+        ("neutral2", ((_ACT, 1, -1.0), (_ACT, 3, 1.0), (_ACT, 5, -a),
+                      (_ACT, 6, -b), (_ACT, 7, 1.0))),
+        ("d1_le_s1", ((_ACT, 4, 1.0), (_STO, 0, -1.0))),
+        ("d2_le_s2", ((_ACT, 5, 1.0), (_STO, 1, -1.0)))))
 
-    pb = _ProblemBuilder(_N_ACTION * n + 2 * (n + 1), labels)
+    s0 = _N_ACTION * n
+    a_eq = _csr(np.concatenate(([0, 1], 2 + dyn_ptr)),
+                np.concatenate(([s0, s0 + 1], dyn_idx)),
+                np.concatenate(([1.0, 1.0], dyn_val)), n_vars)
+    b_eq = np.zeros(2 + 2 * n)
+    b_eq[:2] = params.s_init
+    b_ub = np.zeros(4 * n)
+    b_ub[0::4] = profile.e1
+    b_ub[1::4] = profile.e2
 
-    for t in range(n + 1):
-        for bs in range(2):
-            pb.upper[_state_var(n, t, bs)] = params.s_max
+    upper = np.full(n_vars, math.inf)
+    upper[s0:] = params.s_max
+    if a == 0.0:
+        # charging stores nothing; pin it to keep solutions clean
+        upper[2:s0:_N_ACTION] = 0.0
+        upper[3:s0:_N_ACTION] = 0.0
 
-    for bs in range(2):
-        pb.add_eq({_state_var(n, 0, bs): 1.0}, params.s_init[bs],
-                  f"init_s{bs + 1}")
-
-    for t in range(n):
-        w1, w2, c1, c2, d1, d2, x12, x21 = (_slot_var(t, k) for k in range(8))
-        s1, s2 = _state_var(n, t, 0), _state_var(n, t, 1)
-        s1n, s2n = _state_var(n, t + 1, 0), _state_var(n, t + 1, 1)
-        # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
-        pb.add_eq({s1n: 1.0, s1: -1.0, c1: -a, d1: 1.0}, 0.0, f"dyn1[{t}]")
-        pb.add_eq({s2n: 1.0, s2: -1.0, c2: -a, d2: 1.0}, 0.0, f"dyn2[{t}]")
-        # energy neutralization, written as <= rows
-        pb.add_ub({w1: -1.0, c1: 1.0, d1: -a, x12: 1.0, x21: -b},
-                  profile.e1[t], f"neutral1[{t}]")
-        pb.add_ub({w2: -1.0, c2: 1.0, d2: -a, x21: 1.0, x12: -b},
-                  profile.e2[t], f"neutral2[{t}]")
-        # cannot discharge more than is stored
-        pb.add_ub({d1: 1.0, s1: -1.0}, 0.0, f"d1_le_s1[{t}]")
-        pb.add_ub({d2: 1.0, s2: -1.0}, 0.0, f"d2_le_s2[{t}]")
-        if a == 0.0:
-            # charging stores nothing; pin it to keep solutions clean
-            pb.upper[c1] = 0.0
-            pb.upper[c2] = 0.0
-
-    return pb
+    objective = np.zeros(n_vars)
+    objective[:s0].reshape(n, _N_ACTION)[:, :2] = 1.0  # w1, w2
+    return LpProblem(
+        objective=objective,
+        a_eq=a_eq, b_eq=b_eq,
+        a_ub=_csr(ub_ptr, ub_idx, ub_val, n_vars), b_ub=b_ub,
+        lower=np.zeros(n_vars), upper=upper,
+        eq_labels=("init_s1", "init_s2", *dyn_labels),
+        ub_labels=tuple(ub_labels))
 
 
 def build_stage1(params: SystemParams, profile: NetEnergyProfile,
                  ) -> LpProblem:
     """Cost-minimizing program: min total grid draw over the horizon."""
-    pb = _pair_problem(params, profile)
-    for t in range(params.n_slots):
-        pb.objective[_slot_var(t, 0)] = 1.0
-        pb.objective[_slot_var(t, 1)] = 1.0
-    return pb.build()
+    return _pair_problem(params, profile)
 
 
 def build_stage2(params: SystemParams, profile: NetEnergyProfile,
                  v1: float) -> LpProblem:
     """Storage-maximizing program under the stage-1 cost budget.
 
-    Maximizes s1(N) + s2(N) subject to total grid draw <= v1 + eps_lex(v1).
+    Maximizes s1(N) + s2(N) subject to total grid draw <= v1 + eps_lex(v1):
+    the stage-1 constraint system plus one ``cost_budget`` row.
     """
-    n = params.n_slots
-    pb = _pair_problem(params, profile)
-    pb.objective[_state_var(n, n, 0)] = -1.0
-    pb.objective[_state_var(n, n, 1)] = -1.0
-    budget = {_slot_var(t, k): 1.0 for t in range(n) for k in (0, 1)}
-    pb.add_ub(budget, v1 + eps_lex(v1), "cost_budget")
-    return pb.build()
+    problem = _pair_problem(params, profile)
+    terminal = np.zeros(problem.n_vars)
+    terminal[-2:] = -1.0  # s1[N], s2[N]
+    budget = csr_matrix(problem.objective)  # the stage-1 cost as a row
+    return replace(
+        problem, objective=terminal,
+        a_ub=vstack((problem.a_ub, budget), format="csr"),
+        b_ub=np.append(problem.b_ub, v1 + eps_lex(v1)),
+        ub_labels=problem.ub_labels + ("cost_budget",))
 
 
 def _extract_trajectory(params: SystemParams, x: Sequence[float],
@@ -139,7 +178,7 @@ def _extract_trajectory(params: SystemParams, x: Sequence[float],
     actions = []
     states = [StorageState(*params.s_init)]
     for t in range(n):
-        raw = [max(0.0, x[_slot_var(t, k)]) for k in range(_N_ACTION)]
+        raw = [max(0.0, v) for v in x[_N_ACTION * t:_N_ACTION * (t + 1)]]
         action = normalize_action(ControlAction(*raw), params.alpha)
         states.append(step_state(params, states[-1], action))
         actions.append(action)
@@ -182,12 +221,13 @@ def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
     act; the objective is BS 1's grid draw.  HiGHS presolve removes the
     fixed columns.
     """
-    pb = _pair_problem(params, NetEnergyProfile(e1=e, e2=(0.0,) * len(e)))
-    for t in range(params.n_slots):
-        pb.objective[_slot_var(t, 0)] = 1.0
-        for k in _PINNED_SINGLE_BS:
-            pb.upper[_slot_var(t, k)] = 0.0
-    return pb.build()
+    n = params.n_slots
+    problem = _pair_problem(params,
+                            NetEnergyProfile(e1=e, e2=(0.0,) * len(e)))
+    problem.objective[1:_N_ACTION * n:_N_ACTION] = 0.0  # w2
+    problem.upper[:_N_ACTION * n].reshape(n, _N_ACTION)[
+        :, _PINNED_SINGLE_BS] = 0.0
+    return problem
 
 
 def single_bs_cost(params: SystemParams, e: Sequence[float]) -> float:

@@ -7,6 +7,7 @@ Profiles are CSV files with header ``t,E1,E2`` (net form) or
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,9 @@ def _parse_rows(rows: list[list[str]], path: str | Path, n_cols: int,
             values = [float(v) for v in row]
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError(
+                f"{path}: line {lineno}: non-finite value in {row}")
         for col, v in zip(columns, values):
             col.append(v)
     if not columns[0]:

@@ -2,8 +2,9 @@
 
 Nothing here may call into the package's solver or planner paths: the
 vertex enumerator checks the LP engine by brute force over basic
-solutions, and the grid DP checks the planners by discretized dynamic
-programming over storage states.
+solutions, the grid DP checks the planners by discretized dynamic
+programming over storage states, and the reference builder spells out the
+planning programs one constraint row at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 VERTEX_TOL = 1e-8
 
@@ -148,3 +150,95 @@ def dp_single_cost(alpha, s_max, e_seq, step, s_init=0.0):
             new_value[i] = (w + value).min()
         value = new_value
     return float(value[min(int(round(s_init / step)), g - 1)])
+
+
+class _RefRows:
+    """COO triplets, right-hand sides and labels of one constraint kind."""
+
+    def __init__(self):
+        self.i, self.j, self.v, self.rhs, self.labels = [], [], [], [], []
+
+    def add(self, entries, rhs, label):
+        self.i.extend([len(self.rhs)] * len(entries))
+        self.j.extend(entries)
+        self.v.extend(entries.values())
+        self.rhs.append(rhs)
+        self.labels.append(label)
+
+    def matrix(self, n_vars):
+        a = coo_matrix((self.v, (self.i, self.j)),
+                       shape=(len(self.rhs), n_vars)).tocsr()
+        a.eliminate_zeros()
+        return a
+
+
+def reference_planning_program(params, e1, e2, kind, v1=None):
+    """The offline planning programs built one dict per constraint row.
+
+    ``kind`` is "stage1" (min total grid draw), "stage2" (max terminal
+    storage under the budget v1 + 1e-9 * max(1, |v1|)) or "single_bs"
+    (BS 1 alone: e2 is replaced by zeros and BS 2's grid, charge and
+    discharge columns and both transfer columns are pinned to zero).
+    Returns a dict with the ``LpProblem`` field names as keys.
+    """
+    n = params.n_slots
+    a, b = params.alpha, params.beta
+    if kind == "single_bs":
+        e2 = [0.0] * n
+
+    def slot(t, k):
+        return 8 * t + k
+
+    def state(t, bs):
+        return 8 * n + 2 * t + bs
+
+    n_vars = 8 * n + 2 * (n + 1)
+    objective = np.zeros(n_vars)
+    upper = np.full(n_vars, math.inf)
+    eq, ub = _RefRows(), _RefRows()
+
+    for t in range(n + 1):
+        for bs in range(2):
+            upper[state(t, bs)] = params.s_max
+    for bs in range(2):
+        eq.add({state(0, bs): 1.0}, params.s_init[bs], f"init_s{bs + 1}")
+    for t in range(n):
+        w1, w2, c1, c2, d1, d2, x12, x21 = (slot(t, k) for k in range(8))
+        s1, s2 = state(t, 0), state(t, 1)
+        s1n, s2n = state(t + 1, 0), state(t + 1, 1)
+        eq.add({s1n: 1.0, s1: -1.0, c1: -a, d1: 1.0}, 0.0, f"dyn1[{t}]")
+        eq.add({s2n: 1.0, s2: -1.0, c2: -a, d2: 1.0}, 0.0, f"dyn2[{t}]")
+        ub.add({w1: -1.0, c1: 1.0, d1: -a, x12: 1.0, x21: -b},
+               e1[t], f"neutral1[{t}]")
+        ub.add({w2: -1.0, c2: 1.0, d2: -a, x21: 1.0, x12: -b},
+               e2[t], f"neutral2[{t}]")
+        ub.add({d1: 1.0, s1: -1.0}, 0.0, f"d1_le_s1[{t}]")
+        ub.add({d2: 1.0, s2: -1.0}, 0.0, f"d2_le_s2[{t}]")
+        if a == 0.0:
+            upper[c1] = 0.0
+            upper[c2] = 0.0
+
+    if kind == "stage1":
+        for t in range(n):
+            objective[slot(t, 0)] = 1.0
+            objective[slot(t, 1)] = 1.0
+    elif kind == "stage2":
+        objective[state(n, 0)] = -1.0
+        objective[state(n, 1)] = -1.0
+        budget = {slot(t, k): 1.0 for t in range(n) for k in (0, 1)}
+        ub.add(budget, v1 + 1e-9 * max(1.0, abs(v1)), "cost_budget")
+    elif kind == "single_bs":
+        for t in range(n):
+            objective[slot(t, 0)] = 1.0
+            for k in (1, 3, 5, 6, 7):
+                upper[slot(t, k)] = 0.0
+    else:
+        raise ValueError(f"unknown program kind {kind!r}")
+
+    return {
+        "objective": objective,
+        "a_eq": eq.matrix(n_vars), "b_eq": np.asarray(eq.rhs, dtype=float),
+        "a_ub": ub.matrix(n_vars), "b_ub": np.asarray(ub.rhs, dtype=float),
+        "lower": np.zeros(n_vars), "upper": upper,
+        "eq_labels": tuple(eq.labels), "ub_labels": tuple(ub.labels),
+    }

@@ -91,6 +91,15 @@ def test_validation_exit_codes(profile_csv, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_non_finite_profile_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"t,E1,E2\n0,-1.0,1.0\n1,{text},1.0\n")
+    assert main(["greedy", "--profile", str(bad), "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "non-finite" in err
+
+
 def test_solver_error_exit_code(profile_csv, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverError("synthetic failure")

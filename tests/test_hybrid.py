@@ -176,6 +176,15 @@ class TestRunHybrid:
             run_hybrid_stream(params, det,
                               iter([(0.0, 0.0)] * 10))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_realized_rejected(self, bad):
+        det = sinusoid(5.0, OMEGA, 1.0, 24)
+        params = SystemParams(0.9, 0.8, 3.5, 24)
+        slots = [(0.0, 0.0)] * 24
+        slots[5] = (1.0, bad)
+        with pytest.raises(ValueError, match="slot 5"):
+            run_hybrid_stream(params, det, iter(slots))
+
     def test_decomposed_validation(self):
         with pytest.raises(LengthMismatch):
             DecomposedProfile(sinusoid(1.0, OMEGA, 0.0, 4),

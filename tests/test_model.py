@@ -49,6 +49,10 @@ class TestParams:
         with pytest.raises(ValueError):
             SystemParams(0.9, 0.8, 1.0, 1, (0.0, 2.0))
 
+    def test_nan_s_max_names_s_max(self):
+        with pytest.raises(ValueError, match="s_max must be"):
+            SystemParams(0.9, 0.8, math.nan, 1)
+
     def test_profile_lengths(self):
         with pytest.raises(LengthMismatch):
             NetEnergyProfile(e1=(1.0,), e2=(1.0, 2.0))

@@ -14,6 +14,7 @@ from energycoop import (
 )
 from energycoop.lp import LpStatus
 from energycoop.offline import (
+    build_single_bs,
     build_stage1,
     build_stage2,
     eps_lex,
@@ -24,7 +25,11 @@ from energycoop.offline import (
 )
 
 from helpers import rand_params, rand_profile
-from oracles import dp_pair_cost, dp_single_cost
+from oracles import (
+    dp_pair_cost,
+    dp_single_cost,
+    reference_planning_program,
+)
 
 
 class TestStage1:
@@ -179,3 +184,43 @@ class TestSingleBs:
         traj = plan_single_bs(p, e)
         prof = NetEnergyProfile(e1=e, e2=(0.0, 0.0, 0.0))
         assert check_feasible(p, prof, traj).ok
+
+
+class TestAssembly:
+    """The vectorized builders emit exactly the row-by-row programs."""
+
+    @staticmethod
+    def assert_same_program(problem, ref):
+        for name in ("a_eq", "a_ub"):
+            got, want = getattr(problem, name), ref[name]
+            assert got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                got_part, want_part = getattr(got, part), getattr(want, part)
+                assert got_part.dtype == want_part.dtype
+                assert np.array_equal(got_part, want_part)
+        for name in ("objective", "b_eq", "b_ub", "lower", "upper"):
+            assert np.array_equal(getattr(problem, name), ref[name]), name
+        assert problem.eq_labels == ref["eq_labels"]
+        assert problem.ub_labels == ref["ub_labels"]
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 240])
+    @pytest.mark.parametrize("efficiencies", [
+        (None, None), (0.0, None), (None, 0.0), (0.0, 0.0), (1.0, 1.0)])
+    def test_matches_reference_builder(self, n, efficiencies):
+        rng = np.random.default_rng(n)
+        alpha, beta = efficiencies
+        s_max = rng.uniform(0.2, 3.0)
+        s_init = (rng.uniform(0.0, s_max), rng.uniform(0.0, s_max))
+        p = rand_params(rng, n, alpha=alpha, beta=beta, s_max=s_max,
+                        s_init=s_init)
+        prof = rand_profile(rng, n)
+        v1 = rng.uniform(0.0, 10.0 * n)
+        self.assert_same_program(
+            build_stage1(p, prof),
+            reference_planning_program(p, prof.e1, prof.e2, "stage1"))
+        self.assert_same_program(
+            build_stage2(p, prof, v1),
+            reference_planning_program(p, prof.e1, prof.e2, "stage2", v1))
+        self.assert_same_program(
+            build_single_bs(p, prof.e1),
+            reference_planning_program(p, prof.e1, prof.e2, "single_bs"))

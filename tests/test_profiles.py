@@ -118,6 +118,13 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             load_profile(path)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_field_names_line(self, tmp_path, text):
+        path = tmp_path / "profile.csv"
+        path.write_text(f"t,E1,E2\n0,1.0,2.0\n1,1.0,{text}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            load_profile(path)
+
     def test_unknown_header(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("a,b\n1,2\n")
