@@ -30,23 +30,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=0.8,
                         help="transfer efficiency in [0, 1]")
     parser.add_argument("--smax", type=float, default=None,
-                        help="per-BS storage capacity (default 1.0; for "
-                             "experiments: a one-point storage grid)")
-    parser.add_argument("--n", type=int, default=None,
-                        help="horizon override (defaults to profile length)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="noise seed where applicable")
+                        help="per-BS storage capacity (default 1.0); for "
+                             "experiment: a one-point --smax-grid")
     parser.add_argument("--out", type=Path, default=None,
                         help="output CSV path (default: stdout summary only)")
 
 
 def _params(args, n_slots: int) -> SystemParams:
-    n = args.n if args.n is not None else n_slots
-    if n != n_slots:
-        raise ValueError(
-            f"--n {n} does not match the profile length {n_slots}")
     s_max = args.smax if args.smax is not None else 1.0
-    return SystemParams(args.alpha, args.beta, s_max, n)
+    return SystemParams(args.alpha, args.beta, s_max, n_slots)
 
 
 def _emit(traj, profile, args, with_cases: bool = False) -> None:
@@ -99,7 +91,7 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _cmd_experiment(args) -> int:
-    overrides: dict = {}
+    overrides: dict = {"alpha": args.alpha, "beta": args.beta}
     if args.thetas:
         overrides["thetas"] = _floats(args.thetas)
     if args.smax_grid:
@@ -110,12 +102,9 @@ def _cmd_experiment(args) -> int:
         overrides["seeds"] = tuple(int(v) for v in args.seeds.split(","))
     if args.n is not None:
         overrides["n_slots"] = args.n
-    overrides.update(alpha=args.alpha, beta=args.beta,
-                     out_path=str(args.out))
     spec = default_spec(args.id, **overrides)
-    workers = 1 if args.serial else args.workers
-    result = run_experiment(spec, workers=workers)
-    write_result(result)
+    result = run_experiment(spec, workers=1 if args.serial else None)
+    write_result(result, args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     return EXIT_OK
 
@@ -146,6 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hyb.add_argument("--realized", type=Path, default=None,
                        help="realized profile CSV (default: add noise)")
     p_hyb.add_argument("--noise-scale", type=float, default=0.125)
+    p_hyb.add_argument("--seed", type=int, default=0,
+                       help="noise seed when --realized is not given")
     p_hyb.add_argument("--debug-components", action="store_true",
                        help="also write the offline and greedy components")
     _add_common(p_hyb)
@@ -159,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated storage grid")
     p_exp.add_argument("--seeds", default=None,
                        help="comma-separated noise seeds")
-    p_exp.add_argument("--workers", type=int, default=None)
+    p_exp.add_argument("--n", type=int, default=None,
+                       help="horizon length (default: the study's)")
     p_exp.add_argument("--serial", action="store_true",
                        help="single-threaded debug mode")
     _add_common(p_exp)

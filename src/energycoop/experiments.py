@@ -1,10 +1,11 @@
 """Experiment sweeps reproducing the four simulation studies, as CSV.
 
-Each experiment maps a (theta, s_max) grid to metrics and serializes the
-result with a metadata block, so a run is reproducible byte for byte from
-its spec.  Grid points are independent and dispatch to a process pool;
-set the ENERGYCOOP_WORKERS environment variable or pass ``workers=1`` to
-run serially.
+One grid runner serves all four studies: each maps every point of its
+theta x s_max grid to metrics through one per-point function and
+serializes the result with a metadata block, so a run is reproducible byte
+for byte from its spec.  Grid points are independent and dispatch to a
+process pool; set the ENERGYCOOP_WORKERS environment variable or pass
+``workers=1`` to run serially.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class ExperimentSpec:
     omega: float = DEFAULT_OMEGA
     noise_scale: float = 0.125
     seeds: tuple[int, ...] = ()
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENT_IDS:
@@ -124,13 +124,8 @@ class ExperimentResult:
         ]
 
 
-def write_result(result: ExperimentResult,
-                 path: str | Path | None = None) -> None:
+def write_result(result: ExperimentResult, path: str | Path) -> None:
     """CSV with a '# key: value' metadata block, then theta,s_max,metric,value."""
-    if path is None:
-        path = result.spec.out_path
-    if path is None:
-        raise ValueError("no output path: pass one or set spec.out_path")
     with open(path, "w", newline="") as fh:
         for key, val in result.metadata():
             fh.write(f"# {key}: {val}\n")
@@ -157,62 +152,26 @@ def read_result_rows(path: str | Path) -> list[ResultRow]:
     return rows
 
 
-def _pool_size(n_tasks: int, workers: int | None) -> int:
+def _run_tasks(fn, tasks, workers: int | None) -> list:
     cap = os.environ.get(WORKERS_ENV)
     limit = workers if workers is not None else (
         int(cap) if cap else (os.cpu_count() or 1))
-    return max(1, min(n_tasks, limit))
-
-
-def _run_tasks(fn, tasks, workers: int | None) -> list:
-    size = _pool_size(len(tasks), workers)
+    size = max(1, min(len(tasks), limit))
     if size == 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, tasks))
 
 
-def _point_cost_vs_storage(task) -> list[ResultRow]:
+def _point_cost(task) -> list[ResultRow]:
     spec, theta, s_max = task
     cost = offline_cost(spec.params(s_max), spec.profile(theta))
     return [ResultRow(theta, s_max, "cost_per_bs", cost / 2.0)]
 
 
-def _point_single_bs(task) -> list[ResultRow]:
+def _single_bs(task) -> float:
     spec, s_max = task
-    profile = spec.profile(0.0)
-    cost = single_bs_cost(spec.params(s_max), profile.e1)
-    return [ResultRow(None, s_max, "single_bs_cost", cost)]
-
-
-def exp_cost_vs_storage(spec: ExperimentSpec,
-                        workers: int | None = None) -> ExperimentResult:
-    """Average per-BS offline cost against storage size, per phase shift."""
-    tasks = [(spec, th, sm) for th in spec.thetas for sm in spec.s_max_grid]
-    rows = _run_tasks(_point_cost_vs_storage, tasks, workers)
-    rows += _run_tasks(_point_single_bs,
-                       [(spec, sm) for sm in spec.s_max_grid], workers)
-    return ExperimentResult(spec, tuple(r for batch in rows for r in batch))
-
-
-def _point_saving(task) -> list[ResultRow]:
-    spec, theta, s_max, single_cost = task
-    pair = offline_cost(spec.params(s_max), spec.profile(theta))
-    saving = 100.0 * (single_cost - pair / 2.0) / single_cost
-    return [ResultRow(theta, s_max, "saving_pct", saving)]
-
-
-def exp_saving_vs_theta(spec: ExperimentSpec,
-                        workers: int | None = None) -> ExperimentResult:
-    """Percentage cost saving of the cooperating pair over a single BS."""
-    s_max = spec.s_max_grid[0]
-    profile = spec.profile(0.0)
-    single = single_bs_cost(spec.params(s_max), profile.e1)
-    tasks = [(spec, th, s_max, single) for th in spec.thetas]
-    rows = _run_tasks(_point_saving, tasks, workers)
-    flat = [r for batch in rows for r in batch]
-    flat.append(ResultRow(None, s_max, "single_bs_cost", single))
-    return ExperimentResult(spec, tuple(flat))
+    return single_bs_cost(spec.params(s_max), spec.profile(0.0).e1)
 
 
 def _point_greedy_loss(task) -> list[ResultRow]:
@@ -226,16 +185,13 @@ def _point_greedy_loss(task) -> list[ResultRow]:
             ResultRow(theta, s_max, "loss_pct", 100.0 * (gre - off) / off)]
 
 
-def exp_greedy_loss_vs_theta(spec: ExperimentSpec,
-                             workers: int | None = None) -> ExperimentResult:
-    """Greedy online cost increase over the offline optimum, per theta."""
-    s_max = spec.s_max_grid[0]
-    tasks = [(spec, th, s_max) for th in spec.thetas]
-    rows = _run_tasks(_point_greedy_loss, tasks, workers)
-    return ExperimentResult(spec, tuple(r for batch in rows for r in batch))
-
-
 def _point_hybrid(task) -> list[ResultRow]:
+    """Greedy vs hybrid loss against the full-knowledge offline optimum.
+
+    Losses are computed per noise seed against the offline plan for that
+    seed's realized profile, then averaged; the same seeds are used at
+    every grid point so the comparison is paired.
+    """
     spec, theta, s_max = task
     params = spec.params(s_max)
     deterministic = spec.profile(theta)
@@ -260,28 +216,32 @@ def _point_hybrid(task) -> list[ResultRow]:
     return rows
 
 
-def exp_hybrid_vs_greedy(spec: ExperimentSpec,
-                         workers: int | None = None) -> ExperimentResult:
-    """Greedy vs hybrid loss against the full-knowledge offline optimum.
-
-    Losses are computed per noise seed against the offline plan for that
-    seed's realized profile, then averaged; the same seeds are used at
-    every theta so the comparison is paired.
-    """
-    s_max = spec.s_max_grid[0]
-    tasks = [(spec, th, s_max) for th in spec.thetas]
-    rows = _run_tasks(_point_hybrid, tasks, workers)
-    return ExperimentResult(spec, tuple(r for batch in rows for r in batch))
-
-
-_RUNNERS = {
-    "cost-vs-storage": exp_cost_vs_storage,
-    "saving-vs-theta": exp_saving_vs_theta,
-    "greedy-loss-vs-theta": exp_greedy_loss_vs_theta,
-    "hybrid-vs-greedy": exp_hybrid_vs_greedy,
+_POINTS = {
+    "cost-vs-storage": _point_cost,
+    "saving-vs-theta": _point_cost,
+    "greedy-loss-vs-theta": _point_greedy_loss,
+    "hybrid-vs-greedy": _point_hybrid,
 }
 
 
 def run_experiment(spec: ExperimentSpec,
                    workers: int | None = None) -> ExperimentResult:
-    return _RUNNERS[spec.experiment](spec, workers=workers)
+    """Run one study over the whole theta x s_max grid.
+
+    Rows come in grid order (theta outer, s_max inner).  The two offline
+    studies also append one ``single_bs_cost`` row per s_max; saving-vs-theta
+    reports each pair cost as its percentage saving over that baseline.
+    """
+    grid = [(spec, th, sm) for th in spec.thetas for sm in spec.s_max_grid]
+    rows = [r for batch in _run_tasks(_POINTS[spec.experiment], grid, workers)
+            for r in batch]
+    if spec.experiment in ("cost-vs-storage", "saving-vs-theta"):
+        singles = _run_tasks(_single_bs,
+                             [(spec, sm) for sm in spec.s_max_grid], workers)
+        if spec.experiment == "saving-vs-theta":
+            rows = [ResultRow(r.theta, r.s_max, "saving_pct",
+                              100.0 * (single - r.value) / single)
+                    for r, single in zip(rows, singles * len(spec.thetas))]
+        rows += [ResultRow(None, sm, "single_bs_cost", single)
+                 for sm, single in zip(spec.s_max_grid, singles)]
+    return ExperimentResult(spec, tuple(rows))

@@ -75,10 +75,6 @@ class SystemParams:
             raise ValueError(
                 f"s_init must lie in [0, s_max]^2, got {self.s_init}")
 
-    def with_horizon(self, n_slots: int) -> "SystemParams":
-        return SystemParams(self.alpha, self.beta, self.s_max,
-                            n_slots, self.s_init)
-
     def with_s_init(self, s1: float, s2: float) -> "SystemParams":
         return SystemParams(self.alpha, self.beta, self.s_max,
                             self.n_slots, (s1, s2))
@@ -333,7 +329,8 @@ def _cancel_charge_discharge(c: float, d: float, alpha: float,
     if alpha <= 0.0:
         return 0.0, d
     if alpha * c >= d:
-        return c - d / alpha, 0.0
+        # d / alpha can round above c; alpha * c < d keeps d - alpha * c > 0
+        return max(0.0, c - d / alpha), 0.0
     return 0.0, d - alpha * c
 
 

@@ -30,6 +30,10 @@ def sinusoid(amplitude: float, omega: float, theta: float, n_slots: int,
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    for name, value in (("amplitude", amplitude), ("omega", omega),
+                        ("theta", theta)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     t = np.arange(t0, t0 + n_slots, dtype=float)
     e1 = amplitude * np.sin(omega * t)
     e2 = amplitude * np.sin(omega * t + theta)

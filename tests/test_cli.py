@@ -73,14 +73,33 @@ def test_experiment_smax_flag_sets_grid(tmp_path):
     assert "# s_max_grid: 2.0\n" in out.read_text()
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_non_finite_theta_exits_2(tmp_path, capsys, theta):
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "saving-vs-theta", "--out", str(out),
+                 "--thetas", f"0.0,{theta}", "--n", "24", "--serial"]) == 2
+    captured = capsys.readouterr()
+    assert "theta must be finite" in captured.err
+    assert "Warning" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["offline", "--seed", "1"], ["greedy", "--n", "48"],
+    ["experiment", "saving-vs-theta", "--workers", "2"]])
+def test_flags_that_did_nothing_are_gone(profile_csv, tmp_path, argv):
+    if argv[0] != "experiment":
+        argv = argv + ["--profile", str(profile_csv)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
 def test_validation_exit_codes(profile_csv, tmp_path, capsys):
     # bad parameter value
     assert main(["offline", "--profile", str(profile_csv),
                  "--alpha", "1.5"]) == 2
     # missing profile file
     assert main(["offline", "--profile", str(tmp_path / "nope.csv")]) == 2
-    # horizon mismatch
-    assert main(["offline", "--profile", str(profile_csv), "--n", "7"]) == 2
     # malformed profile
     bad = tmp_path / "bad.csv"
     bad.write_text("t,E1,E2\n0,x,1\n")
@@ -95,7 +114,7 @@ def test_validation_exit_codes(profile_csv, tmp_path, capsys):
 def test_non_finite_profile_exits_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.csv"
     bad.write_text(f"t,E1,E2\n0,-1.0,1.0\n1,{text},1.0\n")
-    assert main(["greedy", "--profile", str(bad), "--n", "2"]) == 2
+    assert main(["greedy", "--profile", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err and "non-finite" in err
 

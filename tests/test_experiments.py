@@ -66,22 +66,25 @@ def test_metadata_records_required_keys():
         assert want in keys
 
 
-def test_byte_identical_reruns(tmp_path):
-    spec = small_spec("hybrid-vs-greedy")
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_byte_identical_reruns(tmp_path, experiment):
+    spec = small_spec(experiment)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_result(run_experiment(spec, workers=1), a)
     write_result(run_experiment(spec, workers=2), b)
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_out_path_from_spec(tmp_path):
-    out = tmp_path / "spec_out.csv"
-    spec = small_spec("saving-vs-theta", out_path=str(out))
-    write_result(run_experiment(spec, workers=1))
-    assert out.exists()
-    with pytest.raises(ValueError):
-        write_result(run_experiment(small_spec("saving-vs-theta"),
-                                    workers=1))
+@pytest.mark.parametrize("experiment", ["saving-vs-theta",
+                                        "greedy-loss-vs-theta"])
+def test_every_study_sweeps_the_storage_grid(experiment):
+    spec = small_spec(experiment)
+    result = run_experiment(spec, workers=1)
+    swept = {(r.theta, r.s_max) for r in result.rows if r.theta is not None}
+    assert swept == {(th, sm) for th in spec.thetas for sm in spec.s_max_grid}
+    singles = [r.s_max for r in result.rows if r.metric == "single_bs_cost"]
+    assert singles == (list(spec.s_max_grid)
+                       if experiment == "saving-vs-theta" else [])
 
 
 def test_result_csv_round_trip(tmp_path):

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from energycoop import (
@@ -195,10 +195,16 @@ class TestNormalizeAction:
            c1=finite, d1=finite, c2=finite, d2=finite,
            x12=finite, x21=finite)
     @settings(max_examples=300)
+    # d / alpha rounding above c used to leave a negative charge
+    @example(alpha=0.85, beta=1.0, c1=1.43, d1=0.85 * 1.43, c2=0.0, d2=0.0,
+             x12=0.0, x21=0.0)
+    @example(alpha=0.625, beta=0.0, c1=0.0, d1=0.0, c2=5e-324, d2=5e-324,
+             x12=0.0, x21=0.0)
     def test_invariants(self, alpha, beta, c1, d1, c2, d2, x12, x21):
         params = SystemParams(alpha, beta, 10.0, 1)
         before = ControlAction(1.0, 1.0, c1, c2, d1, d2, x12, x21)
         after = normalize_action(before, alpha)
+        assert min(after.as_tuple()) >= 0.0
         # complementarity
         assert after.c1 * after.d1 <= 1e-9
         assert after.c2 * after.d2 <= 1e-9

@@ -38,6 +38,15 @@ def test_t0_offset():
     assert shifted.e2 == base.e2[10:]
 
 
+@pytest.mark.parametrize("name", ["amplitude", "omega", "theta"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_named(name, bad):
+    kw = dict(amplitude=3.0, omega=OMEGA, theta=0.5)
+    kw[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sinusoid(n_slots=24, **kw)
+
+
 @given(theta=st.floats(-10.0, 10.0))
 @settings(max_examples=100)
 def test_periodicity_in_theta(theta):
