@@ -8,6 +8,7 @@ profile CSVs; ``experiment`` regenerates a whole study.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -111,17 +112,18 @@ def _cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="energycoop",
+        prog="energycoop", allow_abbrev=False,
         description="Energy cooperation planners for two base stations")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_off = sub.add_parser("offline", help="full-knowledge two-stage plan")
+    p_off = command("offline", help="full-knowledge two-stage plan")
     p_off.add_argument("--profile", type=Path, required=True,
                        help="net-energy profile CSV")
     _add_common(p_off)
     p_off.set_defaults(fn=_cmd_offline)
 
-    p_gre = sub.add_parser("greedy", help="online greedy rollout")
+    p_gre = command("greedy", help="online greedy rollout")
     p_gre.add_argument("--profile", type=Path, required=True)
     p_gre.add_argument("--mode", choices=MODES, default="standard")
     p_gre.add_argument("--debug-cases", action="store_true",
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_gre)
     p_gre.set_defaults(fn=_cmd_greedy)
 
-    p_hyb = sub.add_parser("hybrid", help="offline plan plus greedy residual")
+    p_hyb = command("hybrid", help="offline plan plus greedy residual")
     p_hyb.add_argument("--det", type=Path, required=True,
                        help="deterministic component CSV")
     p_hyb.add_argument("--realized", type=Path, default=None,
@@ -142,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_hyb)
     p_hyb.set_defaults(fn=_cmd_hybrid)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a study CSV")
+    p_exp = command("experiment", help="regenerate a study CSV")
     p_exp.add_argument("id", choices=EXPERIMENT_IDS)
     p_exp.add_argument("--thetas", default=None,
                        help="comma-separated theta grid (radians)")

@@ -84,11 +84,14 @@ def test_non_finite_theta_exits_2(tmp_path, capsys, theta):
 
 
 @pytest.mark.parametrize("argv", [
-    ["offline", "--seed", "1"], ["greedy", "--n", "48"],
+    ["offline", "--profile", "P", "--seed", "1"],
+    ["greedy", "--profile", "P", "--n", "48"],
+    # Prefixes of --noise-scale and --seeds: must not be taken as those.
+    ["hybrid", "--det", "P", "--n", "48"],
+    ["experiment", "saving-vs-theta", "--seed", "1"],
     ["experiment", "saving-vs-theta", "--workers", "2"]])
 def test_flags_that_did_nothing_are_gone(profile_csv, tmp_path, argv):
-    if argv[0] != "experiment":
-        argv = argv + ["--profile", str(profile_csv)]
+    argv = [str(profile_csv) if a == "P" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
