@@ -96,6 +96,8 @@ def _cmd_experiment(args) -> int:
     if args.thetas:
         overrides["thetas"] = _floats(args.thetas)
     if args.smax_grid:
+        if args.smax is not None:
+            raise ValueError("give --smax or --smax-grid, not both")
         overrides["s_max_grid"] = _floats(args.smax_grid)
     elif args.smax is not None:
         overrides["s_max_grid"] = (args.smax,)

@@ -59,8 +59,9 @@ class ExperimentSpec:
                 f"expected one of {EXPERIMENT_IDS}")
         if not self.thetas or not self.s_max_grid:
             raise ValueError("theta and s_max grids must be non-empty")
-        if self.experiment == "hybrid-vs-greedy" and not self.seeds:
-            raise ValueError("hybrid-vs-greedy needs at least one seed")
+        if bool(self.seeds) != (self.experiment == "hybrid-vs-greedy"):
+            raise ValueError(f"{self.experiment}: only hybrid-vs-greedy "
+                             "takes seeds, and it needs at least one")
 
     def params(self, s_max: float) -> SystemParams:
         return SystemParams(self.alpha, self.beta, s_max, self.n_slots)

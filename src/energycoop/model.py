@@ -11,9 +11,9 @@ far end; both efficiencies live in [0, 1].
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 DEFAULT_TOL = 1e-6
 
@@ -85,16 +85,12 @@ class NetEnergyProfile:
     """Per-slot net energies for both base stations.
 
     ``e_i(t)`` is renewable generation minus demand; positive means surplus,
-    negative means deficit.  The renewable/demand split is optional and kept
-    only when the profile was built from one.
+    negative means deficit.  The planners read nothing else, so a profile
+    holds only the net values; every one must be finite.
     """
 
     e1: tuple[float, ...]
     e2: tuple[float, ...]
-    re1: tuple[float, ...] | None = None
-    de1: tuple[float, ...] | None = None
-    re2: tuple[float, ...] | None = None
-    de2: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "e1", tuple(float(v) for v in self.e1))
@@ -102,30 +98,10 @@ class NetEnergyProfile:
         if len(self.e1) != len(self.e2):
             raise LengthMismatch(
                 f"e1 has {len(self.e1)} slots, e2 has {len(self.e2)}")
-        split = (self.re1, self.de1, self.re2, self.de2)
-        if any(v is not None for v in split):
-            if any(v is None for v in split):
-                raise ValueError("re/de sequences must be given together")
-            for name in ("re1", "de1", "re2", "de2"):
-                seq = tuple(float(v) for v in getattr(self, name))
-                object.__setattr__(self, name, seq)
-                if len(seq) != len(self.e1):
-                    raise LengthMismatch(f"{name} length != profile length")
-                if any(v < 0.0 for v in seq):
-                    raise ValueError(f"{name} must be nonnegative")
-            for t in range(len(self.e1)):
-                if (self.e1[t] != self.re1[t] - self.de1[t]
-                        or self.e2[t] != self.re2[t] - self.de2[t]):
-                    raise ValueError(f"e != re - de at slot {t}")
-
-    @classmethod
-    def from_renewable_demand(cls, re1: Sequence[float], de1: Sequence[float],
-                              re2: Sequence[float], de2: Sequence[float],
-                              ) -> "NetEnergyProfile":
-        e1 = tuple(float(r) - float(d) for r, d in zip(re1, de1, strict=True))
-        e2 = tuple(float(r) - float(d) for r, d in zip(re2, de2, strict=True))
-        return cls(e1=e1, e2=e2, re1=tuple(re1), de1=tuple(de1),
-                   re2=tuple(re2), de2=tuple(de2))
+        for name, seq in (("e1", self.e1), ("e2", self.e2)):
+            for t, v in enumerate(seq):
+                if not math.isfinite(v):
+                    raise ValueError(f"{name}[{t}] is not finite: {v}")
 
     @property
     def n_slots(self) -> int:
@@ -218,14 +194,14 @@ class FeasibilityReport:
 
 
 def step_state(params: SystemParams, state: StorageState,
-               action: ControlAction, tol: float = DEFAULT_TOL,
-               ) -> StorageState:
+               action: ControlAction) -> StorageState:
     """Advance storage one slot: s_i' = s_i + alpha*c_i - d_i.
 
     Raises DischargeExceedsStorage / BoundViolation when the action drives a
-    storage level outside [0, s_max] by more than ``tol``; results inside the
-    tolerance band are clamped onto the bound.
+    storage level outside [0, s_max] by more than ``DEFAULT_TOL``; results
+    inside the tolerance band are clamped onto the bound.
     """
+    tol = DEFAULT_TOL
     if action.d1 > state.s1 + tol or action.d2 > state.s2 + tol:
         raise DischargeExceedsStorage(
             f"discharge ({action.d1}, {action.d2}) exceeds storage "
@@ -261,14 +237,13 @@ def neutralization_residuals(params: SystemParams, e1: float, e2: float,
 
 
 def check_feasible(params: SystemParams, profile: NetEnergyProfile,
-                   traj: Trajectory, tol: float = DEFAULT_TOL,
-                   ) -> FeasibilityReport:
+                   traj: Trajectory) -> FeasibilityReport:
     """Check a trajectory against every model constraint.
 
     The report lists each violated constraint with its slot and residual
     (negative residual = amount of violation).  An empty report certifies,
-    within ``tol``: nonnegative actions, d_i <= s_i, exact storage dynamics,
-    storage bounds, the declared initial state, and both energy
+    within ``DEFAULT_TOL``: nonnegative actions, d_i <= s_i, exact storage
+    dynamics, storage bounds, the declared initial state, and both energy
     neutralization inequalities at every slot.
     """
     n = params.n_slots
@@ -281,7 +256,7 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
 
     def flag(name: str, slot: int, residual: float) -> None:
         # written so that a NaN residual is flagged too
-        if not residual >= -tol:
+        if not residual >= -DEFAULT_TOL:
             bad.append(Violation(name, slot, residual))
 
     for i, (s0, si) in enumerate(zip(traj.states[0].as_tuple(),
@@ -334,19 +309,18 @@ def _cancel_charge_discharge(c: float, d: float, alpha: float,
     return 0.0, d - alpha * c
 
 
-def normalize_action(action: ControlAction, alpha: float,
-                     tol: float = DEFAULT_TOL) -> ControlAction:
+def normalize_action(action: ControlAction, alpha: float) -> ControlAction:
     """Cancel simultaneous charge/discharge and opposing line transfers.
 
     The net storage change alpha*c_i - d_i and the net line flow are kept
     intact, so dynamics are untouched; each energy-balance slack can only
     grow (it is preserved exactly when the relevant efficiency is 1).  Grid
     draws are left unchanged so an optimizer's objective value survives
-    normalization exactly.  Fields below -tol are rejected; solver dust in
-    [-tol, 0) is snapped to zero.
+    normalization exactly.  Fields below -DEFAULT_TOL are rejected; solver
+    dust in [-DEFAULT_TOL, 0) is snapped to zero.
     """
     fields = action.as_tuple()
-    if any(v < -tol for v in fields):
+    if any(v < -DEFAULT_TOL for v in fields):
         raise ValueError(f"cannot normalize a negative action: {action}")
     w1, w2, c1, c2, d1, d2, x12, x21 = (max(0.0, v) for v in fields)
     c1, d1 = _cancel_charge_discharge(c1, d1, alpha)
@@ -356,11 +330,9 @@ def normalize_action(action: ControlAction, alpha: float,
     return ControlAction(w1, w2, c1, c2, d1, d2, x12, x21)
 
 
-def total_cost(traj: Trajectory, from_slot: int = 0) -> float:
-    """Grid energy drawn from ``from_slot`` to the end of the horizon."""
-    if not (0 <= from_slot <= traj.n_slots):
-        raise ValueError(f"from_slot {from_slot} outside [0, {traj.n_slots}]")
-    return sum(a.w1 + a.w2 for a in traj.actions[from_slot:])
+def total_cost(traj: Trajectory) -> float:
+    """Grid energy drawn over the whole horizon."""
+    return sum(a.w1 + a.w2 for a in traj.actions)
 
 
 def save_trajectory(traj: Trajectory, profile: NetEnergyProfile,

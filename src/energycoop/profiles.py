@@ -1,7 +1,8 @@
 """Net-energy profile generation and CSV serialization.
 
-Profiles are CSV files with header ``t,E1,E2`` (net form) or
-``t,RE1,DE1,RE2,DE2`` (renewable/demand form, net = RE - DE).
+Profiles are CSV files with header ``t,E1,E2`` (net form).  The loader
+also reads ``t,RE1,DE1,RE2,DE2`` with non-negative RE and DE, keeping only
+the net energy RE - DE, so profiles are always written in the net form.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ class ParseError(Exception):
     """A profile CSV row could not be parsed; the message names the line."""
 
 
-def sinusoid(amplitude: float, omega: float, theta: float, n_slots: int,
-             t0: int = 0) -> NetEnergyProfile:
+def sinusoid(amplitude: float, omega: float, theta: float,
+             n_slots: int) -> NetEnergyProfile:
     """Phase-shifted sinusoidal pair: e1 = A sin(w t), e2 = A sin(w t + theta).
 
-    Evaluated at the integer slots t0 .. t0 + n_slots - 1.  ``theta``
+    Evaluated at the integer slots 0 .. n_slots - 1.  ``theta``
     controls the correlation between the two stations; theta = pi makes
     them exactly anti-correlated.
     """
@@ -34,7 +35,7 @@ def sinusoid(amplitude: float, omega: float, theta: float, n_slots: int,
                         ("theta", theta)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    t = np.arange(t0, t0 + n_slots, dtype=float)
+    t = np.arange(n_slots, dtype=float)
     e1 = amplitude * np.sin(omega * t)
     e2 = amplitude * np.sin(omega * t + theta)
     return NetEnergyProfile(e1=tuple(e1.tolist()), e2=tuple(e2.tolist()))
@@ -61,13 +62,11 @@ def add_gaussian_noise(profile: NetEnergyProfile, scale: float,
 
     The draw order is pinned (row 0 of the 2 x N normal block perturbs
     e1, row 1 perturbs e2), so a seed identifies one realization exactly.
-    The renewable/demand split, if any, is dropped: noisy net energies no
-    longer decompose.
     """
-    if scale < 0.0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     if scale == 0.0:
-        return NetEnergyProfile(e1=profile.e1, e2=profile.e2)
+        return profile
     z = _standard_normals(seed, (2, profile.n_slots))
     e1 = tuple((np.asarray(profile.e1) + scale * z[0]).tolist())
     e2 = tuple((np.asarray(profile.e2) + scale * z[1]).tolist())
@@ -75,18 +74,12 @@ def add_gaussian_noise(profile: NetEnergyProfile, scale: float,
 
 
 def save_profile(profile: NetEnergyProfile, path: str | Path) -> None:
-    """Write a profile CSV, using the RE/DE form when the split is known."""
+    """Write a profile CSV in the net form ``t,E1,E2``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if profile.re1 is not None:
-            writer.writerow(["t", "RE1", "DE1", "RE2", "DE2"])
-            for t in range(profile.n_slots):
-                writer.writerow([t, repr(profile.re1[t]), repr(profile.de1[t]),
-                                 repr(profile.re2[t]), repr(profile.de2[t])])
-        else:
-            writer.writerow(["t", "E1", "E2"])
-            for t in range(profile.n_slots):
-                writer.writerow([t, repr(profile.e1[t]), repr(profile.e2[t])])
+        writer.writerow(["t", "E1", "E2"])
+        for t in range(profile.n_slots):
+            writer.writerow([t, repr(profile.e1[t]), repr(profile.e2[t])])
 
 
 def load_profile(path: str | Path) -> NetEnergyProfile:
@@ -97,18 +90,24 @@ def load_profile(path: str | Path) -> NetEnergyProfile:
         raise ParseError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
     if header == ["t", "E1", "E2"]:
-        columns = _parse_rows(rows, path, n_cols=3)
-        return NetEnergyProfile(e1=columns[1], e2=columns[2])
-    if header == ["t", "RE1", "DE1", "RE2", "DE2"]:
-        columns = _parse_rows(rows, path, n_cols=5)
-        return NetEnergyProfile.from_renewable_demand(
-            columns[1], columns[2], columns[3], columns[4])
-    raise ParseError(f"{path}: line 1: unrecognized header {header}")
+        net = [(e1, e2) for _, (_, e1, e2) in _parse_rows(rows, path, 3)]
+    elif header == ["t", "RE1", "DE1", "RE2", "DE2"]:
+        net = []
+        for lineno, (_, re1, de1, re2, de2) in _parse_rows(rows, path, 5):
+            if min(re1, de1, re2, de2) < 0.0:
+                raise ParseError(f"{path}: line {lineno}: RE and DE must be "
+                                 f"non-negative, got {rows[lineno - 1]}")
+            net.append((re1 - de1, re2 - de2))
+    else:
+        raise ParseError(f"{path}: line 1: unrecognized header {header}")
+    return NetEnergyProfile(e1=tuple(e1 for e1, _ in net),
+                            e2=tuple(e2 for _, e2 in net))
 
 
 def _parse_rows(rows: list[list[str]], path: str | Path, n_cols: int,
-                ) -> list[tuple[float, ...]]:
-    columns: list[list[float]] = [[] for _ in range(n_cols)]
+                ) -> list[tuple[int, list[float]]]:
+    """(line number, fields) of every non-blank data row, all finite."""
+    parsed = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -123,8 +122,7 @@ def _parse_rows(rows: list[list[str]], path: str | Path, n_cols: int,
         if not all(math.isfinite(v) for v in values):
             raise ParseError(
                 f"{path}: line {lineno}: non-finite value in {row}")
-        for col, v in zip(columns, values):
-            col.append(v)
-    if not columns[0]:
+        parsed.append((lineno, values))
+    if not parsed:
         raise ParseError(f"{path}: no data rows")
-    return [tuple(col) for col in columns]
+    return parsed

@@ -354,7 +354,7 @@ def test_c10_all_trajectories_feasible():
     assert _PRODUCED, "earlier criteria must register their trajectories"
     worst_product = 0.0
     for params, profile, traj, normalized in _PRODUCED:
-        rep = check_feasible(params, profile, traj, tol=1e-6)
+        rep = check_feasible(params, profile, traj)
         assert rep.ok, (
             f"infeasible trajectory: {rep.violations[:3]}")
         if normalized:

@@ -97,6 +97,32 @@ def test_flags_that_did_nothing_are_gone(profile_csv, tmp_path, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta",
+                                        "greedy-loss-vs-theta"])
+def test_seeds_rejected_where_unused(tmp_path, capsys, experiment):
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", experiment, "--seeds", "1", "--thetas", "0.0",
+                 "--n", "24", "--serial", "--out", str(out)]) == 2
+    assert "only hybrid-vs-greedy takes seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smax_with_smax_grid_rejected(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "saving-vs-theta", "--smax", "2.0",
+                 "--smax-grid", "0.5,1.0", "--thetas", "0.0", "--n", "24",
+                 "--serial", "--out", str(out)]) == 2
+    assert "--smax or --smax-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-0.5"])
+def test_bad_noise_scale_named(profile_csv, capsys, scale):
+    assert main(["hybrid", "--det", str(profile_csv),
+                 "--noise-scale", scale]) == 2
+    assert "scale must be finite" in capsys.readouterr().err
+
+
 def test_validation_exit_codes(profile_csv, tmp_path, capsys):
     # bad parameter value
     assert main(["offline", "--profile", str(profile_csv),

@@ -57,14 +57,12 @@ class TestParams:
         with pytest.raises(LengthMismatch):
             NetEnergyProfile(e1=(1.0,), e2=(1.0, 2.0))
 
-    def test_profile_re_de(self):
-        prof = NetEnergyProfile.from_renewable_demand(
-            (1.0, 2.0), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0))
-        assert prof.e1 == (0.5, 1.5)
-        assert prof.e2 == (-1.0, 1.0)
-        with pytest.raises(ValueError):
-            NetEnergyProfile(e1=(0.0,), e2=(0.0,), re1=(1.0,), de1=(0.5,),
-                             re2=(0.0,), de2=(0.0,))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_profile_non_finite_names_slot(self, bad):
+        with pytest.raises(ValueError, match=r"e1\[1\] is not finite"):
+            NetEnergyProfile(e1=(0.0, bad), e2=(0.0, 0.0))
+        with pytest.raises(ValueError, match=r"e2\[0\] is not finite"):
+            NetEnergyProfile(e1=(0.0, 0.0), e2=(bad, 0.0))
 
 
 class TestStepState:
@@ -151,12 +149,13 @@ class TestCheckFeasible:
 
     def test_nan_flagged_inf_headroom_passes(self):
         params = SystemParams(0.9, 0.8, 1.0, 2)
-        prof = NetEnergyProfile(e1=(1.0, math.nan), e2=(-1.0, 0.5))
-        report = check_feasible(params, prof, run_greedy(params, prof))
+        prof = NetEnergyProfile(e1=(1.0, 1.0), e2=(-1.0, 0.5))
+        traj = run_greedy(params, prof)
+        actions = (traj.actions[0], ControlAction(x12=math.nan))
+        broken = Trajectory(actions, traj.states)
+        report = check_feasible(params, prof, broken)
         assert ("neutralization_1", 1) in {
             (v.constraint, v.slot) for v in report.violations}
-        surplus = NetEnergyProfile(e1=(math.inf, 0.0), e2=(0.0, math.inf))
-        assert check_feasible(params, surplus, zero_traj(params, 2)).ok
 
     def test_wrong_initial_state_flagged(self):
         params = SystemParams(0.9, 0.8, 1.0, 1, (0.5, 0.0))
@@ -235,12 +234,6 @@ class TestTotalCost:
         states = tuple(StorageState(0, 0) for _ in range(241))
         traj = Trajectory(actions, states)
         assert total_cost(traj) == pytest.approx(480.0)
-        assert total_cost(traj, from_slot=240) == 0.0
-        assert total_cost(traj, from_slot=239) == pytest.approx(2.0)
-
-    def test_from_slot_bounds(self):
-        with pytest.raises(ValueError):
-            total_cost(zero_traj(P, 1), from_slot=2)
 
 
 class TestTrajectoryCsv:

@@ -31,13 +31,6 @@ def test_reference_value_quarter_period():
     assert prof.e1[18] == pytest.approx(-3.0, abs=1e-12)
 
 
-def test_t0_offset():
-    base = sinusoid(3.0, OMEGA, 0.5, 20, t0=0)
-    shifted = sinusoid(3.0, OMEGA, 0.5, 10, t0=10)
-    assert shifted.e1 == base.e1[10:]
-    assert shifted.e2 == base.e2[10:]
-
-
 @pytest.mark.parametrize("name", ["amplitude", "omega", "theta"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_argument_named(name, bad):
@@ -88,6 +81,10 @@ class TestNoise:
         assert draws.std() == pytest.approx(1.0, abs=0.05)
         assert abs(draws.mean()) <= 0.05
 
+    def test_zero_scale_returns_profile(self):
+        prof = sinusoid(3.0, OMEGA, 1.0, 30)
+        assert add_gaussian_noise(prof, 0.0, seed=5) is prof
+
 
 class TestCsv:
     def test_round_trip_net_form(self, tmp_path):
@@ -97,16 +94,6 @@ class TestCsv:
         again = load_profile(path)
         for a, b in zip(prof.e1 + prof.e2, again.e1 + again.e2):
             assert b == pytest.approx(a, abs=1e-12)
-
-    def test_round_trip_re_de_form(self, tmp_path):
-        prof = NetEnergyProfile.from_renewable_demand(
-            (1.0, 2.5), (0.5, 0.25), (0.0, 1.0), (2.0, 0.125))
-        path = tmp_path / "profile.csv"
-        save_profile(prof, path)
-        again = load_profile(path)
-        assert again.e1 == prof.e1
-        assert again.e2 == prof.e2
-        assert again.re1 == prof.re1
 
     def test_re_de_net_definition(self, tmp_path):
         path = tmp_path / "profile.csv"
@@ -140,7 +127,20 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 1"):
             load_profile(path)
 
-    def test_negative_renewable_rejected(self):
-        with pytest.raises(ValueError, match="re1"):
-            NetEnergyProfile.from_renewable_demand(
-                (-1.0,), (0.0,), (0.0,), (0.0,))
+    def test_negative_renewable_rejected(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        for row in ("1,-1.0,0.0,0.0,0.0", "1,0.0,0.0,0.0,-0.5"):
+            path.write_text(f"t,RE1,DE1,RE2,DE2\n0,2.0,0.5,1.0,3.0\n{row}\n")
+            with pytest.raises(ParseError, match="line 3: RE and DE must be"):
+                load_profile(path)
+
+    def test_re_de_form_saved_as_net(self, tmp_path):
+        src, out = tmp_path / "split.csv", tmp_path / "net.csv"
+        src.write_text("t,RE1,DE1,RE2,DE2\n0,1.0,0.5,0.0,2.0\n"
+                       "1,2.5,0.25,1.0,0.125\n")
+        prof = load_profile(src)
+        save_profile(prof, out)
+        assert out.read_text().splitlines()[0] == "t,E1,E2"
+        again = load_profile(out)
+        assert again.e1 == prof.e1 == (0.5, 2.25)
+        assert again.e2 == prof.e2 == (-2.0, 0.875)
