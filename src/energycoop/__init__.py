@@ -34,18 +34,11 @@ from .offline import (
     plan_offline,
     plan_single_bs,
 )
-from .greedy import (
-    GammaOutOfRange,
-    greedy_step,
-    greedy_step_lp,
-    greedy_step_with_case,
-    run_greedy,
-)
+from .greedy import greedy_step, greedy_step_with_case, run_greedy
 from .hybrid import (
     DecomposedProfile,
     HybridResult,
     residual_profile,
-    run_hybrid,
     run_hybrid_stream,
 )
 from .profiles import (

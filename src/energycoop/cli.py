@@ -14,15 +14,18 @@ from pathlib import Path
 
 from .experiments import EXPERIMENT_IDS, default_spec, run_experiment, write_result
 from .greedy import MODES, run_greedy
-from .hybrid import DecomposedProfile, run_hybrid_stream
+from .hybrid import run_hybrid_stream
 from .lp import SolverError
-from .model import ModelError, SystemParams, save_trajectory, total_cost
+from .model import (LengthMismatch, ModelError, SystemParams,
+                    save_trajectory, total_cost)
 from .offline import plan_offline
 from .profiles import ParseError, add_gaussian_noise, load_profile
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
+
+NOISE_SCALE = 0.125
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -67,15 +70,22 @@ def _cmd_greedy(args) -> int:
 def _cmd_hybrid(args) -> int:
     deterministic = load_profile(args.det)
     if args.realized is not None:
+        if args.noise_scale is not None or args.seed is not None:
+            raise ValueError("--noise-scale and --seed make the noise that "
+                             "--realized replaces; give one or the other")
         realized = load_profile(args.realized)
+        if realized.n_slots != deterministic.n_slots:
+            raise LengthMismatch(
+                f"realized profile has {realized.n_slots} slots, "
+                f"deterministic has {deterministic.n_slots}")
     else:
-        realized = add_gaussian_noise(deterministic, args.noise_scale,
-                                      args.seed)
-    decomposed = DecomposedProfile(deterministic, realized)
+        realized = add_gaussian_noise(
+            deterministic,
+            NOISE_SCALE if args.noise_scale is None else args.noise_scale,
+            0 if args.seed is None else args.seed)
     params = _params(args, deterministic.n_slots)
-    result = run_hybrid_stream(
-        params, deterministic,
-        zip(decomposed.realized.e1, decomposed.realized.e2))
+    result = run_hybrid_stream(params, deterministic,
+                               zip(realized.e1, realized.e2))
     _emit(result.combined, realized, args, with_cases=args.debug_components)
     if args.debug_components and args.out is not None:
         off_path = args.out.with_suffix(".offline.csv")
@@ -138,9 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="deterministic component CSV")
     p_hyb.add_argument("--realized", type=Path, default=None,
                        help="realized profile CSV (default: add noise)")
-    p_hyb.add_argument("--noise-scale", type=float, default=0.125)
-    p_hyb.add_argument("--seed", type=int, default=0,
-                       help="noise seed when --realized is not given")
+    p_hyb.add_argument("--noise-scale", type=float, default=None,
+                       help="noise standard deviation when --realized is "
+                            f"not given (default {NOISE_SCALE})")
+    p_hyb.add_argument("--seed", type=int, default=None,
+                       help="noise seed when --realized is not given "
+                            "(default 0)")
     p_hyb.add_argument("--debug-components", action="store_true",
                        help="also write the offline and greedy components")
     _add_common(p_hyb)

@@ -82,6 +82,17 @@ def default_spec(experiment: str, **overrides) -> ExperimentSpec:
     return ExperimentSpec(**base)
 
 
+# Metadata beyond the spec's grid and system that each study reads: noise
+# and seeds only where noise is added, case_tol where the greedy controller
+# runs, eps_lex_factor where a stage-2 plan is made.
+_STUDY_METADATA = {
+    "cost-vs-storage": (), "saving-vs-theta": (),
+    "greedy-loss-vs-theta": ("case_tol",),
+    "hybrid-vs-greedy": ("noise_scale", "eps_lex_factor", "case_tol",
+                         "seeds"),
+}
+
+
 @dataclass(frozen=True)
 class ResultRow:
     theta: float | None
@@ -108,7 +119,14 @@ class ExperimentResult:
         return hits[0]
 
     def metadata(self) -> list[tuple[str, str]]:
+        """The spec, and the constants of the code the study ran."""
         s = self.spec
+        used = {
+            "noise_scale": repr(s.noise_scale),
+            "eps_lex_factor": repr(EPS_LEX_FACTOR),
+            "case_tol": repr(CASE_TOL),
+            "seeds": ",".join(str(v) for v in s.seeds),
+        }
         return [
             ("experiment", s.experiment),
             ("alpha", repr(s.alpha)),
@@ -117,10 +135,7 @@ class ExperimentResult:
             ("n_slots", str(s.n_slots)),
             ("amplitude", repr(s.amplitude)),
             ("omega", repr(s.omega)),
-            ("noise_scale", repr(s.noise_scale)),
-            ("eps_lex_factor", repr(EPS_LEX_FACTOR)),
-            ("case_tol", repr(CASE_TOL)),
-            ("seeds", ",".join(str(v) for v in s.seeds)),
+            *((key, used[key]) for key in _STUDY_METADATA[s.experiment]),
             ("version", __version__),
         ]
 

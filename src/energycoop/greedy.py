@@ -1,23 +1,14 @@
-"""Closed-form one-step greedy controller and its one-slot LP twin.
+"""Closed-form one-step greedy controller.
 
 Per slot the controller minimizes the grid draw and, among equal-cost
 choices, maximizes the stored-energy sum.  ``greedy_step`` does this with
 closed-form case rules keyed on the signs of the two net energies and on
 whether the line (efficiency beta) beats the charge/discharge round trip
-(alpha squared); ``greedy_step_lp`` reaches the same cost and storage sum
-by solving a single LP whose objective prices terminal storage at a rate
-gamma strictly between 0 and alpha*beta, and serves as the independent
-oracle in the tests.
+(alpha squared).  The tests check it against a one-slot LP oracle.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-from scipy.sparse import csr_matrix
-
-from .lp import LpProblem, LpStatus, SolverError, lp_solve
 from .model import (
     ControlAction,
     InvalidState,
@@ -25,7 +16,6 @@ from .model import (
     StorageState,
     SystemParams,
     Trajectory,
-    normalize_action,
 )
 
 # Net energies within this band of zero are classified as exactly zero so
@@ -33,10 +23,6 @@ from .model import (
 CASE_TOL = 1e-12
 
 MODES = ("standard", "force_case_2a", "no_storage", "no_transfer")
-
-
-class GammaOutOfRange(Exception):
-    """The storage-price gamma is outside the valid open interval (0, alpha*beta)."""
 
 
 def _clean(e: float) -> float:
@@ -258,61 +244,6 @@ def greedy_step(params: SystemParams, state: StorageState,
     """Single closed-form greedy step from ``state`` under (e1, e2)."""
     action, new_state, _ = greedy_step_with_case(params, state, e1, e2)
     return action, new_state
-
-
-def greedy_step_lp(params: SystemParams, state: StorageState,
-                   e1: float, e2: float, gamma: float | None = None,
-                   ) -> tuple[ControlAction, StorageState]:
-    """One-slot LP equivalent of the greedy step.
-
-    Minimizes (w1 + w2) - gamma * (stored energy after the slot); any gamma
-    in the open interval (0, alpha*beta) makes the LP agree with the
-    two-stage greedy on both the grid cost and the storage sum (individual
-    storage levels may differ at ties).  Defaults to the interval midpoint.
-
-    For extreme efficiencies (alpha**2 * beta below roughly 1e-12) the
-    storage reward drops under the backend's dual tolerance and the LP may
-    return an equal-cost action that stores less than the closed-form
-    controller; the grid cost is unaffected.
-    """
-    a, b = params.alpha, params.beta
-    if gamma is None:
-        gamma = a * b / 2.0
-    if not (0.0 < gamma < a * b):
-        raise GammaOutOfRange(
-            f"gamma must be in (0, {a * b}), got {gamma}")
-    if not (-CASE_TOL <= state.s1 <= params.s_max + CASE_TOL
-            and -CASE_TOL <= state.s2 <= params.s_max + CASE_TOL):
-        raise InvalidState(f"state {state} outside [0, {params.s_max}]")
-
-    s1, s2, s_max, inf = state.s1, state.s2, params.s_max, math.inf
-    # columns w1 w2 c1 c2 d1 d2 x12 x21
-    a_ub = np.array([[0, 0, a, 0, -1, 0, 0, 0],    # storage_ub1
-                     [0, 0, -a, 0, 1, 0, 0, 0],    # storage_lb1
-                     [0, 0, 0, a, 0, -1, 0, 0],    # storage_ub2
-                     [0, 0, 0, -a, 0, 1, 0, 0],    # storage_lb2
-                     [-1, 0, 1, 0, -a, 0, 1, -b],  # neutral1
-                     [0, -1, 0, 1, 0, -a, -b, 1]],  # neutral2
-                    dtype=float)
-    problem = LpProblem(
-        objective=np.array([1.0, 1.0, -gamma * a, -gamma * a,
-                            gamma, gamma, 0.0, 0.0]),
-        a_eq=csr_matrix((0, 8)), b_eq=np.zeros(0),
-        a_ub=csr_matrix(a_ub),
-        b_ub=np.array([s_max - s1, s1, s_max - s2, s2, e1, e2]),
-        lower=np.zeros(8), upper=np.array([inf, inf, inf, inf, s1, s2,
-                                           inf, inf]),
-        ub_labels=("storage_ub1", "storage_lb1", "storage_ub2",
-                   "storage_lb2", "neutral1", "neutral2"))
-
-    sol = lp_solve(problem)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"one-slot LP ended {sol.status.value}")
-    action = normalize_action(
-        ControlAction(*(max(0.0, v) for v in sol.x)), a)
-    s1 = min(max(state.s1 + a * action.c1 - action.d1, 0.0), params.s_max)
-    s2 = min(max(state.s2 + a * action.c2 - action.d2, 0.0), params.s_max)
-    return action, StorageState(s1, s2)
 
 
 def run_greedy(params: SystemParams, profile: NetEnergyProfile,

@@ -162,12 +162,3 @@ def run_hybrid_stream(params: SystemParams,
         e1=tuple(g1 for g1, _ in g_energies),
         e2=tuple(g2 for _, g2 in g_energies))
     return HybridResult(combined, offline_traj, greedy_traj, greedy_profile)
-
-
-def run_hybrid(params: SystemParams, decomposed: DecomposedProfile,
-               ) -> Trajectory:
-    """Hybrid policy over a decomposed profile; returns the combined plan."""
-    result = run_hybrid_stream(
-        params, decomposed.deterministic,
-        zip(decomposed.realized.e1, decomposed.realized.e2))
-    return result.combined

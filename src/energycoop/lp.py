@@ -47,7 +47,6 @@ class LpProblem:
     ``a_eq`` / ``a_ub`` are CSR matrices with one column per variable and
     one row per entry of ``b_eq`` / ``b_ub``; a ub row means row . x <= rhs.
     ``lower`` and ``upper`` bound each variable, upper may be ``math.inf``.
-    ``eq_labels`` / ``ub_labels`` are optional debug names of the rows.
     """
 
     objective: np.ndarray
@@ -57,8 +56,6 @@ class LpProblem:
     b_ub: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    eq_labels: tuple[str, ...] = ()
-    ub_labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.objective)
@@ -79,19 +76,6 @@ class LpProblem:
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def dump(self) -> str:
-        """Text rendering, one line per constraint: label, coeffs, sense, rhs."""
-        lines = []
-        for kind, sense, a, b, labels in (
-                ("eq", "=", self.a_eq, self.b_eq, self.eq_labels),
-                ("ub", "<=", self.a_ub, self.b_ub, self.ub_labels)):
-            for i, rhs in enumerate(b):
-                label = labels[i] if i < len(labels) else f"{kind}{i}"
-                row = a[i].toarray()[0]
-                coeffs = " ".join(repr(float(v)) for v in row)
-                lines.append(f"{label}: {coeffs} ({sense}) {float(rhs)!r}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -102,21 +86,22 @@ class LpSolution:
 
 
 def _certify(problem: LpProblem, x: np.ndarray) -> None:
-    """Raise SolverError unless x is primal feasible within FEAS_TOL."""
+    """Raise SolverError unless x is primal feasible within FEAS_TOL.
+
+    ``argmax`` picks the first NaN and ``not ... <= FEAS_TOL`` rejects it,
+    so a point with a NaN entry is never certified.
+    """
+    lower, upper = problem.lower, problem.upper
     for kind, resid in (
-            ("eq", np.abs(problem.a_eq @ x - problem.b_eq)),
-            ("ub", problem.a_ub @ x - problem.b_ub)):
+            ("eq constraint", np.abs(problem.a_eq @ x - problem.b_eq)),
+            ("ub constraint", problem.a_ub @ x - problem.b_ub),
+            ("bound of variable", np.maximum(lower - x, x - upper))):
         if resid.size:
             worst = int(np.argmax(resid))
-            if resid[worst] > FEAS_TOL:
+            if not resid[worst] <= FEAS_TOL:
                 raise SolverError(
-                    f"{kind} constraint {worst} violated by "
-                    f"{resid[worst]:.3e} after solve")
-    lower, upper = problem.lower, problem.upper
-    if np.any(x < lower - FEAS_TOL) or np.any(x > upper + FEAS_TOL):
-        j = int(np.argmax(np.maximum(lower - x, x - upper)))
-        raise SolverError(
-            f"variable {j} = {x[j]} outside bounds after solve")
+                    f"{kind} {worst} violated by {resid[worst]:.3e} "
+                    "after solve")
 
 
 def lp_solve(problem: LpProblem) -> LpSolution:

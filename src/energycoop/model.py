@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 DEFAULT_TOL = 1e-6
@@ -68,16 +69,16 @@ class SystemParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not self.s_max >= 0.0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
-        s1, s2 = self.s_init
-        if not (0.0 <= s1 <= self.s_max and 0.0 <= s2 <= self.s_max):
+        if not (isinstance(self.n_slots, Integral) and self.n_slots >= 1):
             raise ValueError(
-                f"s_init must lie in [0, s_max]^2, got {self.s_init}")
-
-    def with_s_init(self, s1: float, s2: float) -> "SystemParams":
-        return SystemParams(self.alpha, self.beta, self.s_max,
-                            self.n_slots, (s1, s2))
+                f"n_slots must be an integer >= 1, got {self.n_slots}")
+        # s_max may be infinite, the initial storage may not
+        s1, s2 = self.s_init
+        if not all(math.isfinite(s) and 0.0 <= s <= self.s_max
+                   for s in (s1, s2)):
+            raise ValueError(
+                f"s_init must be finite and lie in [0, s_max]^2, "
+                f"got {self.s_init}")
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,6 @@ class Trajectory:
     def n_slots(self) -> int:
         return len(self.actions)
 
-    @property
-    def total_cost(self) -> float:
-        return total_cost(self)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -188,9 +185,6 @@ class FeasibilityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def step_state(params: SystemParams, state: StorageState,
@@ -316,12 +310,13 @@ def normalize_action(action: ControlAction, alpha: float) -> ControlAction:
     intact, so dynamics are untouched; each energy-balance slack can only
     grow (it is preserved exactly when the relevant efficiency is 1).  Grid
     draws are left unchanged so an optimizer's objective value survives
-    normalization exactly.  Fields below -DEFAULT_TOL are rejected; solver
-    dust in [-DEFAULT_TOL, 0) is snapped to zero.
+    normalization exactly.  Fields below -DEFAULT_TOL, and NaN fields, are
+    rejected; solver dust in [-DEFAULT_TOL, 0) is snapped to zero.
     """
     fields = action.as_tuple()
-    if any(v < -DEFAULT_TOL for v in fields):
-        raise ValueError(f"cannot normalize a negative action: {action}")
+    if not all(v >= -DEFAULT_TOL for v in fields):
+        raise ValueError(
+            f"cannot normalize a negative or NaN action: {action}")
     w1, w2, c1, c2, d1, d2, x12, x21 = (max(0.0, v) for v in fields)
     c1, d1 = _cancel_charge_discharge(c1, d1, alpha)
     c2, d2 = _cancel_charge_discharge(c2, d2, alpha)

@@ -55,25 +55,23 @@ class Stage2Infeasible(SolverError):
 _ACT, _STO = 0, 1
 
 
-def _per_slot(n: int, rows: Sequence[tuple[str, tuple]],
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """CSR index arrays and labels of constraint rows repeated every slot.
+def _per_slot(n: int, rows: Sequence[tuple],
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR index arrays of constraint rows repeated every slot.
 
-    ``rows`` lists (name, entries) with entries (base, offset, value) in
-    ascending column order, the order CSR keeps within a row.  Returns
-    indptr (with the end), column indices, values and the labels
-    ``name[t]``, slot-major.
+    ``rows`` lists each row's entries (base, offset, value) in ascending
+    column order, the order CSR keeps within a row.  Returns indptr (with
+    the end), column indices and values, slot-major.
     """
     base, offset, value = (np.array(v) for v in zip(
-        *(entry for _, entries in rows for entry in entries)))
+        *(entry for entries in rows for entry in entries)))
     t = np.arange(n)[:, None]
     indices = np.where(base == _STO, _N_ACTION * n + 2 * t,
                        _N_ACTION * t) + offset
-    starts = np.cumsum([0] + [len(entries) for _, entries in rows])
+    starts = np.cumsum([0] + [len(entries) for entries in rows])
     indptr = np.append((len(value) * t + starts[:-1]).ravel(),
                        len(value) * n)
-    labels = [f"{name}[{s}]" for s in range(n) for name, _ in rows]
-    return indptr, indices.ravel(), np.tile(value, n), labels
+    return indptr, indices.ravel(), np.tile(value, n)
 
 
 def _csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
@@ -104,20 +102,18 @@ def _pair_problem(params: SystemParams, profile: NetEnergyProfile,
     n_vars = _N_ACTION * n + 2 * (n + 1)
 
     # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
-    dyn_ptr, dyn_idx, dyn_val, dyn_labels = _per_slot(n, (
-        ("dyn1", ((_ACT, 2, -a), (_ACT, 4, 1.0),
-                  (_STO, 0, -1.0), (_STO, 2, 1.0))),
-        ("dyn2", ((_ACT, 3, -a), (_ACT, 5, 1.0),
-                  (_STO, 1, -1.0), (_STO, 3, 1.0)))))
+    dyn_ptr, dyn_idx, dyn_val = _per_slot(n, (
+        ((_ACT, 2, -a), (_ACT, 4, 1.0), (_STO, 0, -1.0), (_STO, 2, 1.0)),
+        ((_ACT, 3, -a), (_ACT, 5, 1.0), (_STO, 1, -1.0), (_STO, 3, 1.0))))
     # energy neutralization, written as <= rows; then cannot discharge
     # more than is stored
-    ub_ptr, ub_idx, ub_val, ub_labels = _per_slot(n, (
-        ("neutral1", ((_ACT, 0, -1.0), (_ACT, 2, 1.0), (_ACT, 4, -a),
-                      (_ACT, 6, 1.0), (_ACT, 7, -b))),
-        ("neutral2", ((_ACT, 1, -1.0), (_ACT, 3, 1.0), (_ACT, 5, -a),
-                      (_ACT, 6, -b), (_ACT, 7, 1.0))),
-        ("d1_le_s1", ((_ACT, 4, 1.0), (_STO, 0, -1.0))),
-        ("d2_le_s2", ((_ACT, 5, 1.0), (_STO, 1, -1.0)))))
+    ub_ptr, ub_idx, ub_val = _per_slot(n, (
+        ((_ACT, 0, -1.0), (_ACT, 2, 1.0), (_ACT, 4, -a), (_ACT, 6, 1.0),
+         (_ACT, 7, -b)),
+        ((_ACT, 1, -1.0), (_ACT, 3, 1.0), (_ACT, 5, -a), (_ACT, 6, -b),
+         (_ACT, 7, 1.0)),
+        ((_ACT, 4, 1.0), (_STO, 0, -1.0)),
+        ((_ACT, 5, 1.0), (_STO, 1, -1.0))))
 
     s0 = _N_ACTION * n
     a_eq = _csr(np.concatenate(([0, 1], 2 + dyn_ptr)),
@@ -142,9 +138,7 @@ def _pair_problem(params: SystemParams, profile: NetEnergyProfile,
         objective=objective,
         a_eq=a_eq, b_eq=b_eq,
         a_ub=_csr(ub_ptr, ub_idx, ub_val, n_vars), b_ub=b_ub,
-        lower=np.zeros(n_vars), upper=upper,
-        eq_labels=("init_s1", "init_s2", *dyn_labels),
-        ub_labels=tuple(ub_labels))
+        lower=np.zeros(n_vars), upper=upper)
 
 
 def build_stage1(params: SystemParams, profile: NetEnergyProfile,
@@ -167,8 +161,7 @@ def build_stage2(params: SystemParams, profile: NetEnergyProfile,
     return replace(
         problem, objective=terminal,
         a_ub=vstack((problem.a_ub, budget), format="csr"),
-        b_ub=np.append(problem.b_ub, v1 + eps_lex(v1)),
-        ub_labels=problem.ub_labels + ("cost_budget",))
+        b_ub=np.append(problem.b_ub, v1 + eps_lex(v1)))
 
 
 def _extract_trajectory(params: SystemParams, x: Sequence[float],

@@ -11,11 +11,11 @@ from energycoop import NetEnergyProfile, StorageState, SystemParams
 from energycoop.lp import LpProblem
 
 
-def make_problem(c, eq=(), ub=(), bounds=(), **labels) -> LpProblem:
+def make_problem(c, eq=(), ub=(), bounds=()) -> LpProblem:
     """Sparse ``LpProblem`` from dense (row, rhs) tuples.
 
     ``bounds`` holds one (lower, upper) pair per variable and defaults to
-    [0, inf) throughout; ``labels`` passes var/eq/ub label tuples through.
+    [0, inf) throughout.
     """
     n = len(c)
 
@@ -30,7 +30,7 @@ def make_problem(c, eq=(), ub=(), bounds=(), **labels) -> LpProblem:
     bounds = np.asarray(bounds or [(0.0, math.inf)] * n, dtype=float)
     return LpProblem(objective=np.asarray(c, dtype=float),
                      a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                     lower=bounds[:, 0], upper=bounds[:, 1], **labels)
+                     lower=bounds[:, 0], upper=bounds[:, 1])
 
 
 def rand_unit_open(rng) -> float:

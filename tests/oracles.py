@@ -3,8 +3,10 @@
 Nothing here may call into the package's solver or planner paths: the
 vertex enumerator checks the LP engine by brute force over basic
 solutions, the grid DP checks the planners by discretized dynamic
-programming over storage states, and the reference builder spells out the
-planning programs one constraint row at a time.
+programming over storage states, the one-slot LP checks the greedy
+controller by handing one slot's program straight to scipy's HiGHS, and
+the reference builder spells out the planning programs one constraint row
+at a time.  Only the domain types of ``energycoop.model`` are shared.
 """
 
 from __future__ import annotations
@@ -13,9 +15,21 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+from energycoop.model import ControlAction, StorageState, normalize_action
+
 VERTEX_TOL = 1e-8
+
+# The one-slot LP runs HiGHS at the tolerances the package's LP engine
+# uses, and re-checks its point at the engine's certification tolerance.
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "presolve": True,
+}
+ONE_SLOT_FEAS_TOL = 1e-9
 
 
 def enumerate_lp_optimum(c, eq, ub, bounds):
@@ -81,6 +95,59 @@ def enumerate_lp_optimum(c, eq, ub, bounds):
     if best is None:
         return ("Infeasible", None)
     return ("Optimal", best)
+
+
+def greedy_step_lp(params, state, e1, e2, gamma=None):
+    """One-slot LP equivalent of the greedy step.
+
+    Minimizes (w1 + w2) - gamma * (stored energy after the slot); any gamma
+    in the open interval (0, alpha*beta) makes the LP agree with the
+    two-stage greedy on both the grid cost and the storage sum (individual
+    storage levels may differ at ties).  Defaults to the interval midpoint.
+    Returns the normalized action and the storage pair after the slot.
+
+    For extreme efficiencies (alpha**2 * beta below roughly 1e-12) the
+    storage reward drops under the backend's dual tolerance and the LP may
+    return an equal-cost action that stores less than the closed-form
+    controller; the grid cost is unaffected.
+    """
+    a, b = params.alpha, params.beta
+    if gamma is None:
+        gamma = a * b / 2.0
+    if not (0.0 < gamma < a * b):
+        raise ValueError(f"gamma must be in (0, {a * b}), got {gamma}")
+    s1, s2, s_max, inf = state.s1, state.s2, params.s_max, math.inf
+    if not (0.0 <= s1 <= s_max and 0.0 <= s2 <= s_max):
+        raise ValueError(f"state {state} outside [0, {s_max}]")
+
+    # columns w1 w2 c1 c2 d1 d2 x12 x21
+    a_ub = np.array([[0, 0, a, 0, -1, 0, 0, 0],    # storage_ub1
+                     [0, 0, -a, 0, 1, 0, 0, 0],    # storage_lb1
+                     [0, 0, 0, a, 0, -1, 0, 0],    # storage_ub2
+                     [0, 0, 0, -a, 0, 1, 0, 0],    # storage_lb2
+                     [-1, 0, 1, 0, -a, 0, 1, -b],  # neutral1
+                     [0, -1, 0, 1, 0, -a, -b, 1]],  # neutral2
+                    dtype=float)
+    b_ub = np.array([s_max - s1, s1, s_max - s2, s2, e1, e2])
+    bounds = np.array([(0.0, inf)] * 4 + [(0.0, s1), (0.0, s2)]
+                      + [(0.0, inf)] * 2)
+    res = linprog([1.0, 1.0, -gamma * a, -gamma * a, gamma, gamma, 0.0, 0.0],
+                  A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs",
+                  options=_HIGHS_OPTIONS)
+    if res.status != 0 or res.x is None:
+        raise RuntimeError(f"one-slot LP failed: {res.message}")
+    x = np.asarray(res.x, dtype=float)
+    excess = np.concatenate((a_ub @ x - b_ub, bounds[:, 0] - x,
+                             x - bounds[:, 1]))
+    if not np.all(excess <= ONE_SLOT_FEAS_TOL):
+        raise RuntimeError(
+            f"one-slot LP point violates its program by {excess.max()}")
+
+    action = normalize_action(
+        ControlAction(*(max(0.0, v) for v in x.tolist())), a)
+    s1 = min(max(s1 + a * action.c1 - action.d1, 0.0), s_max)
+    s2 = min(max(s2 + a * action.c2 - action.d2, 0.0), s_max)
+    return action, StorageState(s1, s2)
 
 
 def _slot_grid_draw(beta, b1, b2):
@@ -153,17 +220,16 @@ def dp_single_cost(alpha, s_max, e_seq, step, s_init=0.0):
 
 
 class _RefRows:
-    """COO triplets, right-hand sides and labels of one constraint kind."""
+    """COO triplets and right-hand sides of one constraint kind."""
 
     def __init__(self):
-        self.i, self.j, self.v, self.rhs, self.labels = [], [], [], [], []
+        self.i, self.j, self.v, self.rhs = [], [], [], []
 
-    def add(self, entries, rhs, label):
+    def add(self, entries, rhs):
         self.i.extend([len(self.rhs)] * len(entries))
         self.j.extend(entries)
         self.v.extend(entries.values())
         self.rhs.append(rhs)
-        self.labels.append(label)
 
     def matrix(self, n_vars):
         a = coo_matrix((self.v, (self.i, self.j)),
@@ -201,19 +267,18 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
         for bs in range(2):
             upper[state(t, bs)] = params.s_max
     for bs in range(2):
-        eq.add({state(0, bs): 1.0}, params.s_init[bs], f"init_s{bs + 1}")
+        eq.add({state(0, bs): 1.0}, params.s_init[bs])
     for t in range(n):
         w1, w2, c1, c2, d1, d2, x12, x21 = (slot(t, k) for k in range(8))
         s1, s2 = state(t, 0), state(t, 1)
         s1n, s2n = state(t + 1, 0), state(t + 1, 1)
-        eq.add({s1n: 1.0, s1: -1.0, c1: -a, d1: 1.0}, 0.0, f"dyn1[{t}]")
-        eq.add({s2n: 1.0, s2: -1.0, c2: -a, d2: 1.0}, 0.0, f"dyn2[{t}]")
-        ub.add({w1: -1.0, c1: 1.0, d1: -a, x12: 1.0, x21: -b},
-               e1[t], f"neutral1[{t}]")
-        ub.add({w2: -1.0, c2: 1.0, d2: -a, x21: 1.0, x12: -b},
-               e2[t], f"neutral2[{t}]")
-        ub.add({d1: 1.0, s1: -1.0}, 0.0, f"d1_le_s1[{t}]")
-        ub.add({d2: 1.0, s2: -1.0}, 0.0, f"d2_le_s2[{t}]")
+        # dynamics, energy neutralization, discharge within storage
+        eq.add({s1n: 1.0, s1: -1.0, c1: -a, d1: 1.0}, 0.0)
+        eq.add({s2n: 1.0, s2: -1.0, c2: -a, d2: 1.0}, 0.0)
+        ub.add({w1: -1.0, c1: 1.0, d1: -a, x12: 1.0, x21: -b}, e1[t])
+        ub.add({w2: -1.0, c2: 1.0, d2: -a, x21: 1.0, x12: -b}, e2[t])
+        ub.add({d1: 1.0, s1: -1.0}, 0.0)
+        ub.add({d2: 1.0, s2: -1.0}, 0.0)
         if a == 0.0:
             upper[c1] = 0.0
             upper[c2] = 0.0
@@ -226,7 +291,7 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
         objective[state(n, 0)] = -1.0
         objective[state(n, 1)] = -1.0
         budget = {slot(t, k): 1.0 for t in range(n) for k in (0, 1)}
-        ub.add(budget, v1 + 1e-9 * max(1.0, abs(v1)), "cost_budget")
+        ub.add(budget, v1 + 1e-9 * max(1.0, abs(v1)))
     elif kind == "single_bs":
         for t in range(n):
             objective[slot(t, 0)] = 1.0
@@ -240,5 +305,4 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
         "a_eq": eq.matrix(n_vars), "b_eq": np.asarray(eq.rhs, dtype=float),
         "a_ub": ub.matrix(n_vars), "b_ub": np.asarray(ub.rhs, dtype=float),
         "lower": np.zeros(n_vars), "upper": upper,
-        "eq_labels": tuple(eq.labels), "ub_labels": tuple(ub.labels),
     }

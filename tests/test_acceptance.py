@@ -8,6 +8,7 @@ re-checked for feasibility by the final criterion.
 import math
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +18,12 @@ from energycoop import (
     SystemParams,
     check_feasible,
     greedy_step,
-    greedy_step_lp,
     lp_solve,
     plan_offline,
     run_greedy,
     run_hybrid_stream,
     sinusoid,
+    total_cost,
 )
 from energycoop.experiments import default_spec, run_experiment
 from energycoop.lp import LpStatus
@@ -30,7 +31,7 @@ from energycoop.offline import build_stage1
 from energycoop.profiles import add_gaussian_noise
 
 from helpers import make_problem, rand_params, rand_profile, rand_state
-from oracles import enumerate_lp_optimum
+from oracles import enumerate_lp_optimum, greedy_step_lp
 
 OMEGA = 2 * math.pi / 24
 THETA_GRID = tuple(k * math.pi / 8 for k in range(17))
@@ -66,7 +67,7 @@ def test_c01_one_step_controller_matches_lp_oracle():
         for act in (act_g, act_l):
             assert act.c1 * act.d1 <= 1e-9 and act.c2 * act.d2 <= 1e-9
             assert act.x12 * act.x21 <= 1e-9
-        one_slot = p.with_s_init(state.s1, state.s2)
+        one_slot = replace(p, s_init=(state.s1, state.s2))
         v1 = lp_solve(build_stage1(
             one_slot, NetEnergyProfile(e1=(e1,), e2=(e2,)))).objective_value
         worst_v1 = max(worst_v1, abs((act_l.w1 + act_l.w2) - v1))
@@ -93,7 +94,7 @@ def test_c02_offline_never_worse_than_greedy():
         gre = run_greedy(p, prof)
         register(p, prof, off)
         register(p, prof, gre)
-        worst = max(worst, off.total_cost - gre.total_cost)
+        worst = max(worst, total_cost(off) - total_cost(gre))
     elapsed = time.time() - t0
     ok = worst <= 1e-6
     report(2, ok, "offline dominance on 500 instances: "
@@ -114,7 +115,7 @@ def test_c03_boundary_line_efficiencies_greedy_optimal():
             gre = run_greedy(p, prof, mode=mode)
             register(p, prof, off)
             register(p, prof, gre)
-            worst = max(worst, abs(gre.total_cost - off.total_cost))
+            worst = max(worst, abs(total_cost(gre) - total_cost(off)))
     elapsed = time.time() - t0
     ok = worst <= 1e-6
     report(3, ok, "greedy optimal at line efficiency 0 and 1, 200 each: "
@@ -137,7 +138,7 @@ def test_c04_always_surplus_station_greedy_optimal():
         gre = run_greedy(p, prof)
         register(p, prof, off)
         register(p, prof, gre)
-        worst = max(worst, abs(gre.total_cost - off.total_cost))
+        worst = max(worst, abs(total_cost(gre) - total_cost(off)))
     elapsed = time.time() - t0
     ok = worst <= 1e-6
     report(4, ok, "greedy optimal when one station always has surplus "
@@ -158,7 +159,7 @@ def test_c05_transfer_first_mode_optimal_for_opposed_signs():
         gre = run_greedy(p, prof, mode="force_case_2a")
         register(p, prof, off)
         register(p, prof, gre)
-        worst = max(worst, abs(gre.total_cost - off.total_cost))
+        worst = max(worst, abs(total_cost(gre) - total_cost(off)))
     elapsed = time.time() - t0
     ok = worst <= 1e-6
     report(5, ok, "transfer-first mode optimal for opposed-sign profiles: "
@@ -169,7 +170,7 @@ def test_c05_transfer_first_mode_optimal_for_opposed_signs():
 def _jstar(params, profile):
     traj = plan_offline(params, profile)
     register(params, profile, traj)
-    return traj.total_cost
+    return total_cost(traj)
 
 
 def test_c06_cost_to_go_inequalities():
@@ -196,24 +197,24 @@ def test_c06_cost_to_go_inequalities():
         p, prof, s1, s2 = base()
         up1 = rng.uniform(0.0, p.s_max - s1)
         up2 = rng.uniform(0.0, p.s_max - s2)
-        low = _jstar(p.with_s_init(s1, s2), prof)
-        high = _jstar(p.with_s_init(s1 + up1, s2 + up2), prof)
+        low = _jstar(replace(p, s_init=(s1, s2)), prof)
+        high = _jstar(replace(p, s_init=(s1 + up1, s2 + up2)), prof)
         return low - (high + p.alpha * (up1 + up2))
 
     def grid_charging_never_pays():
         p, prof, s1, s2 = base()
         d1 = rng.uniform(0.0, (p.s_max - s1) / p.alpha)
         d2 = rng.uniform(0.0, (p.s_max - s2) / p.alpha)
-        charged = _jstar(p.with_s_init(s1 + p.alpha * d1,
-                                       s2 + p.alpha * d2), prof)
-        plain = _jstar(p.with_s_init(s1, s2), prof)
+        charged = _jstar(replace(p, s_init=(s1 + p.alpha * d1,
+                                            s2 + p.alpha * d2)), prof)
+        plain = _jstar(replace(p, s_init=(s1, s2)), prof)
         return plain - (charged + d1 + d2)
 
     def surplus_station_storage_value_bound():
         p, prof, s1, s2 = base(e1_range=(0.0, 3.0))
         delta = rng.uniform(0.0, p.s_max - s1)
-        low = _jstar(p.with_s_init(s1, s2), prof)
-        high = _jstar(p.with_s_init(s1 + delta, s2), prof)
+        low = _jstar(replace(p, s_init=(s1, s2)), prof)
+        high = _jstar(replace(p, s_init=(s1 + delta, s2)), prof)
         return low - (high + p.alpha * p.beta * delta)
 
     def store_locally_beats_remote_charge():
@@ -221,18 +222,18 @@ def test_c06_cost_to_go_inequalities():
         cap = min((p.s_max - s1) / p.alpha,
                   (p.s_max - s2) / (p.alpha * p.beta))
         delta = rng.uniform(0.0, cap)
-        local = _jstar(p.with_s_init(s1 + p.alpha * delta, s2), prof)
-        remote = _jstar(p.with_s_init(s1, s2 + p.alpha * p.beta * delta),
-                        prof)
+        local = _jstar(replace(p, s_init=(s1 + p.alpha * delta, s2)), prof)
+        remote = _jstar(
+            replace(p, s_init=(s1, s2 + p.alpha * p.beta * delta)), prof)
         return local - remote
 
     def discharge_locally_beats_remote():
         p, prof, s1, s2 = base()
         cap = min(p.alpha * s1, p.alpha * p.beta * s2)
         delta = rng.uniform(0.0, cap)
-        local = _jstar(p.with_s_init(s1 - delta / p.alpha, s2), prof)
+        local = _jstar(replace(p, s_init=(s1 - delta / p.alpha, s2)), prof)
         remote = _jstar(
-            p.with_s_init(s1, s2 - delta / (p.alpha * p.beta)), prof)
+            replace(p, s_init=(s1, s2 - delta / (p.alpha * p.beta))), prof)
         return local - remote
 
     def transfer_first_never_hurts():

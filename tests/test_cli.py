@@ -56,6 +56,26 @@ def test_hybrid_with_realized_csv(profile_csv, tmp_path):
                  "--realized", str(realized), "--smax", "3.5"]) == 0
 
 
+def test_hybrid_realized_length_mismatch_exits_2(profile_csv, tmp_path,
+                                                 capsys):
+    realized = tmp_path / "realized.csv"
+    save_profile(sinusoid(3.1, 2 * math.pi / 24, math.pi, 47), realized)
+    assert main(["hybrid", "--det", str(profile_csv),
+                 "--realized", str(realized), "--smax", "3.5"]) == 2
+    assert "realized profile has 47 slots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--noise-scale", "0.2"]])
+def test_noise_flags_rejected_with_realized(profile_csv, tmp_path, capsys,
+                                            flag):
+    out = tmp_path / "hybrid.csv"
+    assert main(["hybrid", "--det", str(profile_csv),
+                 "--realized", str(profile_csv), "--out", str(out)]
+                + flag) == 2
+    assert "give one or the other" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_subcommand(tmp_path):
     out = tmp_path / "exp.csv"
     assert main(["experiment", "saving-vs-theta", "--out", str(out),

@@ -7,6 +7,7 @@ import pytest
 
 from energycoop.experiments import (
     EXPERIMENT_IDS,
+    ExperimentResult,
     ExperimentSpec,
     default_spec,
     read_result_rows,
@@ -59,11 +60,17 @@ def test_rows_unique_per_metric(experiment):
 
 
 def test_metadata_records_required_keys():
-    result = run_experiment(small_spec("saving-vs-theta"), workers=1)
-    keys = dict(result.metadata())
-    for want in ("alpha", "beta", "s_max_grid", "n_slots",
-                 "eps_lex_factor", "seeds", "case_tol", "version"):
-        assert want in keys
+    # each study records its spec and only the constants it ran with
+    extras = {"cost-vs-storage": [],
+              "saving-vs-theta": [],
+              "greedy-loss-vs-theta": ["case_tol"],
+              "hybrid-vs-greedy": ["noise_scale", "eps_lex_factor",
+                                   "case_tol", "seeds"]}
+    for experiment, extra in extras.items():
+        result = ExperimentResult(small_spec(experiment), ())
+        keys = [key for key, _ in result.metadata()]
+        assert keys == ["experiment", "alpha", "beta", "s_max_grid",
+                        "n_slots", "amplitude", "omega", *extra, "version"]
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)

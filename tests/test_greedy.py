@@ -1,25 +1,27 @@
 """Greedy controller: case rules, LP oracle agreement, rollout modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from energycoop import (
-    GammaOutOfRange,
     NetEnergyProfile,
     StorageState,
     SystemParams,
     check_feasible,
     greedy_step,
-    greedy_step_lp,
     greedy_step_with_case,
     lp_solve,
     run_greedy,
+    total_cost,
 )
 from energycoop.greedy import capped_step
 from energycoop.model import InvalidState, neutralization_residuals
 from energycoop.offline import build_stage1, offline_cost
 
 from helpers import rand_params, rand_profile, rand_state, rand_unit_open
+from oracles import greedy_step_lp
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
 
@@ -153,11 +155,11 @@ class TestLpOracle:
 
     def test_gamma_validation(self):
         st = StorageState(0, 0)
-        with pytest.raises(GammaOutOfRange):
+        with pytest.raises(ValueError, match="gamma"):
             greedy_step_lp(P, st, 0.0, 0.0, gamma=0.0)
-        with pytest.raises(GammaOutOfRange):
+        with pytest.raises(ValueError, match="gamma"):
             greedy_step_lp(P, st, 0.0, 0.0, gamma=0.9 * 0.8)
-        with pytest.raises(GammaOutOfRange):
+        with pytest.raises(ValueError, match="gamma"):
             greedy_step_lp(P, st, 0.0, 0.0, gamma=-0.1)
         greedy_step_lp(P, st, 0.0, 0.0, gamma=0.36)
 
@@ -174,7 +176,7 @@ class TestLpOracle:
                 act_l.w1 + act_l.w2, abs=1e-7)
             assert st_g.s1 + st_g.s2 == pytest.approx(
                 st_l.s1 + st_l.s2, abs=1e-7)
-            one_slot = p.with_s_init(st.s1, st.s2)
+            one_slot = replace(p, s_init=(st.s1, st.s2))
             v1 = lp_solve(build_stage1(
                 one_slot,
                 NetEnergyProfile(e1=(e1,), e2=(e2,)))).objective_value
@@ -200,7 +202,7 @@ class TestRollout:
         p = rand_params(rng, 10)
         prof = rand_profile(rng, 10, e1_range=(0, 3), e2_range=(0, 3))
         traj = run_greedy(p, prof)
-        assert traj.total_cost == 0.0
+        assert total_cost(traj) == 0.0
         assert check_feasible(p, prof, traj).ok
 
     def test_beta_one_is_optimal(self):
@@ -209,7 +211,7 @@ class TestRollout:
             n = int(rng.integers(1, 12))
             p = rand_params(rng, n, beta=1.0)
             prof = rand_profile(rng, n)
-            greedy_cost = run_greedy(p, prof).total_cost
+            greedy_cost = total_cost(run_greedy(p, prof))
             assert greedy_cost == pytest.approx(
                 offline_cost(p, prof), abs=1e-6)
 
@@ -245,7 +247,7 @@ class TestRollout:
             n = int(rng.integers(1, 10))
             p = rand_params(rng, n, alpha=0.0)
             prof = rand_profile(rng, n)
-            cost = run_greedy(p, prof, mode="no_storage").total_cost
+            cost = total_cost(run_greedy(p, prof, mode="no_storage"))
             assert cost == pytest.approx(offline_cost(p, prof), abs=1e-6)
 
     def test_no_transfer_mode(self):

@@ -16,9 +16,9 @@ from energycoop import (
     check_feasible,
     plan_offline,
     residual_profile,
-    run_hybrid,
     run_hybrid_stream,
     sinusoid,
+    total_cost,
 )
 from energycoop.model import neutralization_residuals
 
@@ -86,10 +86,11 @@ class TestRunHybrid:
     def test_zero_residual_matches_offline(self):
         det = sinusoid(5.0, OMEGA, math.pi / 2, 72)
         params = SystemParams(0.9, 0.8, 3.5, 72)
-        combined = run_hybrid(params, DecomposedProfile(det, det))
+        combined = run_hybrid_stream(
+            params, det, zip(det.e1, det.e2)).combined
         offline = plan_offline(params, det)
-        assert combined.total_cost == pytest.approx(
-            offline.total_cost, abs=1e-6)
+        assert total_cost(combined) == pytest.approx(
+            total_cost(offline), abs=1e-6)
         assert check_feasible(params, det, combined).ok
 
     def test_superposition_fields_are_exact_sums(self):

@@ -1,11 +1,12 @@
 """LP engine contract: certified optima, statuses, structural invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from energycoop.lp import LpStatus, lp_solve
+from energycoop.lp import LpStatus, SolverError, lp_solve
 
 from helpers import make_problem
 from oracles import enumerate_lp_optimum
@@ -118,12 +119,15 @@ def test_determinism():
     assert a == b
 
 
-def test_dump_format():
-    prob = make_problem([1.0, 2.0],
-                        eq=[(np.array([1.0, 1.0]), 3.0)],
-                        ub=[(np.array([0.0, 1.0]), 1.5)],
-                        bounds=[(0.0, math.inf), (0.0, 2.0)],
-                        eq_labels=("sum",), ub_labels=("cap",))
-    text = prob.dump().splitlines()
-    assert text[0] == "sum: 1.0 1.0 (=) 3.0"
-    assert text[1] == "cap: 0.0 1.0 (<=) 1.5"
+def test_nan_point_not_certified(monkeypatch):
+    # every comparison with NaN is false, so a NaN entry must fail the
+    # re-check rather than slip through it
+    def nan_backend(*args, **kwargs):
+        return SimpleNamespace(status=0, x=np.array([math.nan, 0.5]),
+                               nit=1, message="synthetic NaN point")
+
+    monkeypatch.setattr("energycoop.lp.linprog", nan_backend)
+    problem = make_problem([1.0, 1.0], ub=[(np.array([1.0, 1.0]), 2.0)],
+                           bounds=[(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(SolverError, match="violated by nan"):
+        lp_solve(problem)

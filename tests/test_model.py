@@ -48,6 +48,8 @@ class TestParams:
             SystemParams(0.9, 0.8, 1.0, 0)
         with pytest.raises(ValueError):
             SystemParams(0.9, 0.8, 1.0, 1, (0.0, 2.0))
+        with pytest.raises(ValueError, match="n_slots must be an integer"):
+            SystemParams(0.9, 0.8, 1.0, 2.5)
 
     def test_nan_s_max_names_s_max(self):
         with pytest.raises(ValueError, match="s_max must be"):
@@ -56,6 +58,15 @@ class TestParams:
     def test_profile_lengths(self):
         with pytest.raises(LengthMismatch):
             NetEnergyProfile(e1=(1.0,), e2=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_init_rejected(self, bad):
+        # an infinite s_max stays allowed: both planners plan with it
+        SystemParams(0.9, 0.8, math.inf, 3)
+        with pytest.raises(ValueError, match="s_init must be finite"):
+            SystemParams(0.9, 0.8, math.inf, 3, (bad, 0.0))
+        with pytest.raises(ValueError, match="s_init must be finite"):
+            SystemParams(0.9, 0.8, math.inf, 3, (0.0, bad))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_profile_non_finite_names_slot(self, bad):
@@ -171,6 +182,12 @@ class TestNormalizeAction:
     def test_pure_charge_unchanged(self):
         act = ControlAction(c1=1.0)
         assert normalize_action(act, 0.9) == act
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_negative_or_nan_field_rejected(self, bad):
+        # max(0.0, nan) is 0.0, so a NaN field must fail the check instead
+        with pytest.raises(ValueError, match="negative or NaN"):
+            normalize_action(ControlAction(w1=1.0, d2=bad), 0.9)
 
     def test_opposing_transfers_cancel(self):
         act = normalize_action(ControlAction(x12=0.7, x21=0.7), 1.0)

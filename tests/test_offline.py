@@ -11,6 +11,7 @@ from energycoop import (
     check_feasible,
     lp_solve,
     sinusoid,
+    total_cost,
 )
 from energycoop.lp import LpStatus
 from energycoop.offline import (
@@ -94,7 +95,7 @@ class TestStage2:
         p = SystemParams(0.9, 0.8, 1.0, 2)
         prof = NetEnergyProfile(e1=(0.0, 0.0), e2=(0.0, 0.0))
         traj = plan_offline(p, prof)
-        assert traj.total_cost <= 1e-6
+        assert total_cost(traj) <= 1e-6
         final = traj.states[-1]
         assert final.s1 + final.s2 <= 1e-6
 
@@ -103,7 +104,7 @@ class TestStage2:
         p = SystemParams(0.9, 0.8, 1.0, 1)
         prof = NetEnergyProfile(e1=(2.0,), e2=(0.0,))
         traj = plan_offline(p, prof)
-        assert traj.total_cost <= 1e-6
+        assert total_cost(traj) <= 1e-6
         final = traj.states[-1]
         assert final.s1 == pytest.approx(1.0, abs=1e-6)
         assert final.s2 == pytest.approx(0.9 * 0.8 * (2.0 - 1.0 / 0.9),
@@ -128,7 +129,7 @@ class TestPlanOffline:
         p = rand_params(rng, 6)
         prof = rand_profile(rng, 6, e1_range=(0.0, 3.0), e2_range=(0.0, 3.0))
         traj = plan_offline(p, prof)
-        assert traj.total_cost <= 1e-6
+        assert total_cost(traj) <= 1e-6
 
     def test_feasible_and_within_budget(self):
         rng = np.random.default_rng(62)
@@ -139,7 +140,7 @@ class TestPlanOffline:
             v1 = offline_cost(p, prof)
             traj = plan_offline(p, prof)
             assert check_feasible(p, prof, traj).ok
-            assert traj.total_cost <= v1 + eps_lex(v1) + 1e-9
+            assert total_cost(traj) <= v1 + eps_lex(v1) + 1e-9
             for act in traj.actions:
                 assert act.c1 * act.d1 <= 1e-9
                 assert act.c2 * act.d2 <= 1e-9
@@ -162,12 +163,12 @@ class TestSingleBs:
     def test_surplus_free(self):
         p = SystemParams(0.9, 0.8, 1.0, 3)
         traj = plan_single_bs(p, (0.5, 0.0, 1.0))
-        assert traj.total_cost <= 1e-9
+        assert total_cost(traj) <= 1e-9
 
     def test_store_then_discharge(self):
         p = SystemParams(1.0, 0.8, 10.0, 3)
         traj = plan_single_bs(p, (-1.0, 2.0, -1.0))
-        assert traj.total_cost == pytest.approx(1.0, abs=1e-9)
+        assert total_cost(traj) == pytest.approx(1.0, abs=1e-9)
         dp = dp_single_cost(1.0, 10.0, (-1.0, 2.0, -1.0), step=0.01)
         assert dp == pytest.approx(1.0, abs=1e-9)
 
@@ -200,8 +201,6 @@ class TestAssembly:
                 assert np.array_equal(got_part, want_part)
         for name in ("objective", "b_eq", "b_ub", "lower", "upper"):
             assert np.array_equal(getattr(problem, name), ref[name]), name
-        assert problem.eq_labels == ref["eq_labels"]
-        assert problem.ub_labels == ref["ub_labels"]
 
     @pytest.mark.parametrize("n", [1, 2, 24, 240])
     @pytest.mark.parametrize("efficiencies", [
