@@ -20,13 +20,12 @@ from .model import (
     SystemParams,
     Trajectory,
     check_feasible,
-    load_trajectory,
     normalize_action,
     save_trajectory,
     step_state,
     total_cost,
 )
-from .lp import LpProblem, LpSolution, LpStatus, SolverError, lp_solve
+from .lp import LpInfeasible, LpProblem, LpSolution, SolverError, lp_solve
 from .offline import (
     Stage2Infeasible,
     build_stage1,
@@ -34,7 +33,7 @@ from .offline import (
     plan_offline,
     plan_single_bs,
 )
-from .greedy import greedy_step, greedy_step_with_case, run_greedy
+from .greedy import greedy_step_with_case, run_greedy
 from .hybrid import (
     DecomposedProfile,
     HybridResult,

@@ -23,7 +23,7 @@ from .greedy import CASE_TOL, run_greedy
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
 from .offline import EPS_LEX_FACTOR, offline_cost, plan_offline, single_bs_cost
-from .profiles import ParseError, add_gaussian_noise, sinusoid
+from .profiles import add_gaussian_noise, sinusoid
 
 EXPERIMENT_IDS = ("cost-vs-storage", "saving-vs-theta",
                   "greedy-loss-vs-theta", "hybrid-vs-greedy")
@@ -49,7 +49,7 @@ class ExperimentSpec:
     n_slots: int = 240
     amplitude: float = 3.0
     omega: float = DEFAULT_OMEGA
-    noise_scale: float = 0.125
+    noise_scale: float | None = None
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -59,9 +59,10 @@ class ExperimentSpec:
                 f"expected one of {EXPERIMENT_IDS}")
         if not self.thetas or not self.s_max_grid:
             raise ValueError("theta and s_max grids must be non-empty")
-        if bool(self.seeds) != (self.experiment == "hybrid-vs-greedy"):
-            raise ValueError(f"{self.experiment}: only hybrid-vs-greedy "
-                             "takes seeds, and it needs at least one")
+        hybrid = self.experiment == "hybrid-vs-greedy"
+        if bool(self.seeds) != hybrid or (self.noise_scale is None) == hybrid:
+            raise ValueError(f"{self.experiment}: only hybrid-vs-greedy takes "
+                             "seeds and a noise_scale, and it needs both")
 
     def params(self, s_max: float) -> SystemParams:
         return SystemParams(self.alpha, self.beta, s_max, self.n_slots)
@@ -77,7 +78,8 @@ def default_spec(experiment: str, **overrides) -> ExperimentSpec:
     if experiment == "cost-vs-storage":
         base.update(thetas=FIG2_THETAS, s_max_grid=DEFAULT_SMAX_GRID)
     elif experiment == "hybrid-vs-greedy":
-        base.update(s_max_grid=(3.5,), amplitude=5.0, seeds=DEFAULT_SEEDS)
+        base.update(s_max_grid=(3.5,), amplitude=5.0, noise_scale=0.125,
+                    seeds=DEFAULT_SEEDS)
     base.update(overrides)
     return ExperimentSpec(**base)
 
@@ -152,20 +154,6 @@ def write_result(result: ExperimentResult, path: str | Path) -> None:
                 "" if row.theta is None else repr(row.theta),
                 "" if row.s_max is None else repr(row.s_max),
                 row.metric, repr(row.value)])
-
-
-def read_result_rows(path: str | Path) -> list[ResultRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader, None)
-        if header != ["theta", "s_max", "metric", "value"]:
-            raise ParseError(f"{path}: unrecognized header {header}")
-        for theta, s_max, metric, value in reader:
-            rows.append(ResultRow(
-                float(theta) if theta else None,
-                float(s_max) if s_max else None, metric, float(value)))
-    return rows
 
 
 def _run_tasks(fn, tasks, workers: int | None) -> list:

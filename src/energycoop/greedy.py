@@ -1,10 +1,11 @@
 """Closed-form one-step greedy controller.
 
 Per slot the controller minimizes the grid draw and, among equal-cost
-choices, maximizes the stored-energy sum.  ``greedy_step`` does this with
-closed-form case rules keyed on the signs of the two net energies and on
-whether the line (efficiency beta) beats the charge/discharge round trip
-(alpha squared).  The tests check it against a one-slot LP oracle.
+choices, maximizes the stored-energy sum.  ``greedy_step_with_case`` does
+this with closed-form case rules keyed on the signs of the two net
+energies and on whether the line (efficiency beta) beats the
+charge/discharge round trip (alpha squared).  The tests check it against
+a one-slot LP oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from .model import (
     ControlAction,
     InvalidState,
+    LengthMismatch,
     NetEnergyProfile,
     StorageState,
     SystemParams,
@@ -233,17 +235,9 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
 def greedy_step_with_case(params: SystemParams, state: StorageState,
                           e1: float, e2: float, mode: str = "standard",
                           ) -> tuple[ControlAction, StorageState, str]:
-    """Like ``greedy_step`` but also reports which decision case fired."""
+    """One greedy step from ``state`` under (e1, e2) and the case it took."""
     return capped_step(params.alpha, params.beta, params.s_max,
                        params.s_max, state.s1, state.s2, e1, e2, mode)
-
-
-def greedy_step(params: SystemParams, state: StorageState,
-                e1: float, e2: float,
-                ) -> tuple[ControlAction, StorageState]:
-    """Single closed-form greedy step from ``state`` under (e1, e2)."""
-    action, new_state, _ = greedy_step_with_case(params, state, e1, e2)
-    return action, new_state
 
 
 def run_greedy(params: SystemParams, profile: NetEnergyProfile,
@@ -256,10 +250,8 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
     ``no_storage`` (required when alpha = 0) and ``no_transfer`` (required
     when beta = 0).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if profile.n_slots != params.n_slots:
-        raise ValueError(
+        raise LengthMismatch(
             f"profile has {profile.n_slots} slots, params say {params.n_slots}")
     if params.alpha == 0.0 and mode != "no_storage":
         raise ValueError("alpha = 0 requires mode='no_storage'")

@@ -40,32 +40,18 @@ class DecomposedProfile:
                 f"deterministic has {self.deterministic.n_slots} slots, "
                 f"realized has {self.realized.n_slots}")
 
-    @property
-    def n_slots(self) -> int:
-        return self.deterministic.n_slots
-
-    @property
-    def residual(self) -> NetEnergyProfile:
-        """Realized minus deterministic, per slot."""
-        e1 = tuple(r - d for r, d in zip(self.realized.e1,
-                                         self.deterministic.e1))
-        e2 = tuple(r - d for r, d in zip(self.realized.e2,
-                                         self.deterministic.e2))
-        return NetEnergyProfile(e1=e1, e2=e2)
-
 
 def residual_profile(decomposed: DecomposedProfile, offline_traj: Trajectory,
                      params: SystemParams) -> NetEnergyProfile:
     """Per-slot energies the greedy layer must neutralize."""
-    if offline_traj.n_slots != decomposed.n_slots:
+    realized = decomposed.realized
+    if offline_traj.n_slots != realized.n_slots:
         raise LengthMismatch(
             f"offline trajectory has {offline_traj.n_slots} slots, "
-            f"profiles have {decomposed.n_slots}")
+            f"profiles have {realized.n_slots}")
     g1, g2 = [], []
-    for t in range(decomposed.n_slots):
-        r1, r2 = neutralization_residuals(
-            params, decomposed.realized.e1[t], decomposed.realized.e2[t],
-            offline_traj.actions[t])
+    for e1, e2, action in zip(realized.e1, realized.e2, offline_traj.actions):
+        r1, r2 = neutralization_residuals(params, e1, e2, action)
         g1.append(r1)
         g2.append(r2)
     return NetEnergyProfile(e1=tuple(g1), e2=tuple(g2))
@@ -95,12 +81,14 @@ def run_hybrid_stream(params: SystemParams,
     """Run the hybrid policy consuming realized energies slot by slot.
 
     ``realized_slots`` is only ever advanced one slot at a time and never
-    ahead of the slot being decided, so feeding a live source is safe.  The
-    greedy layer at slot t runs under per-station caps equal to the storage
-    head-room the offline plan leaves after the slot; when an offline
-    charge shrinks a cap below the greedy layer's carried storage, the
-    overhang is released as a forced discharge whose recovered energy
-    (alpha per unit) is credited to the slot's residual.
+    ahead of the slot being decided, so feeding a live source is safe.  A
+    stream that ends early, or yields again when read once more after slot
+    N-1 is decided, raises ``LengthMismatch``.  The greedy layer at slot t
+    runs under per-station caps equal to the storage head-room the offline
+    plan leaves after the slot; when an offline charge shrinks a cap below
+    the greedy layer's carried storage, the overhang is released as a
+    forced discharge whose recovered energy (alpha per unit) is credited to
+    the slot's residual.
     """
     n = params.n_slots
     if deterministic.n_slots != n:
@@ -155,6 +143,8 @@ def run_hybrid_stream(params: SystemParams,
         combined_states.append(StorageState(
             s_d_next.s1 + g_state.s1, s_d_next.s2 + g_state.s2))
 
+    if next(it, None) is not None:
+        raise LengthMismatch(f"realized energies run past {n} slots")
     combined = Trajectory(tuple(combined_actions), tuple(combined_states),
                           tuple(cases))
     greedy_traj = Trajectory(tuple(g_actions), tuple(g_states), tuple(cases))

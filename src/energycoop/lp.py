@@ -7,15 +7,15 @@ takes memory linear in its horizon; the planners assemble the index and
 value arrays of these matrices with numpy in one pass.  ``lp_solve`` hands
 the matrices straight to scipy's HiGHS backend (tightened to 1e-10
 feasibility tolerances) and then independently re-checks the returned
-point against every constraint at 1e-9; a point that fails the re-check
-surfaces as ``SolverError`` rather than a wrong ``Optimal``.
+point against every constraint at 1e-9.  It returns only that certified
+optimum; everything else raises: ``LpInfeasible`` for an infeasible
+program, ``SolverError`` for an unbounded one, any other backend failure
+and a point that fails the re-check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.optimize import linprog
@@ -34,10 +34,8 @@ class SolverError(Exception):
     """The backend failed or returned a point that fails certification."""
 
 
-class LpStatus(Enum):
-    OPTIMAL = "Optimal"
-    INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
+class LpInfeasible(SolverError):
+    """The backend proved the program infeasible."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,12 +75,13 @@ class LpProblem:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: LpStatus
-    x: tuple[float, ...] = ()
-    objective_value: float = math.nan
-    iterations: int = 0
+    """A certified minimizer, its objective value and HiGHS's iterations."""
+
+    x: np.ndarray
+    objective_value: float
+    iterations: int
 
 
 def _certify(problem: LpProblem, x: np.ndarray) -> None:
@@ -107,9 +106,10 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
 def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve a bounded-variable LP; deterministic for identical inputs.
 
-    Returns OPTIMAL with a certified feasible minimizer, or INFEASIBLE /
-    UNBOUNDED.  Any other backend outcome, and any returned point failing
-    the 1e-9 feasibility re-check, raises SolverError.
+    Returns the minimizer once it passes the 1e-9 feasibility re-check.
+    Raises LpInfeasible for an infeasible program and SolverError for an
+    unbounded one, for any other backend outcome and for a returned point
+    failing the re-check.
     """
     c = problem.objective
     res = linprog(c, A_ub=problem.a_ub, b_ub=problem.b_ub,
@@ -118,13 +118,12 @@ def lp_solve(problem: LpProblem) -> LpSolution:
                   method="highs", options=_HIGHS_OPTIONS)
 
     if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE)
+        raise LpInfeasible(f"LP infeasible: {res.message}")
     if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED)
+        raise SolverError(f"LP unbounded: {res.message}")
     if res.status != 0 or res.x is None:
         raise SolverError(f"LP backend failed: {res.message}")
 
     x = np.asarray(res.x, dtype=float)
     _certify(problem, x)
-    return LpSolution(LpStatus.OPTIMAL, tuple(x.tolist()),
-                      float(np.dot(c, x)), int(np.sum(res.nit)))
+    return LpSolution(x, float(np.dot(c, x)), int(np.sum(res.nit)))

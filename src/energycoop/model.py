@@ -362,26 +362,3 @@ def save_trajectory(traj: Trajectory, profile: NetEnergyProfile,
             row.append("")
         writer.writerow(row)
 
-
-def load_trajectory(path: str | Path,
-                    ) -> tuple[NetEnergyProfile, Trajectory]:
-    """Read a trajectory CSV back into (profile, trajectory)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [h.strip() for h in rows[0][:13]] != list(TRAJECTORY_HEADER):
-        raise LengthMismatch(f"{path}: not a trajectory CSV")
-    has_case = len(rows[0]) == 14 and rows[0][13].strip() == "case"
-    body, final = rows[1:-1], rows[-1]
-    e1, e2, actions, states, cases = [], [], [], [], []
-    for row in body:
-        vals = [float(v) for v in row[1:13]]
-        e1.append(vals[0])
-        e2.append(vals[1])
-        actions.append(ControlAction(*vals[2:10]))
-        states.append(StorageState(vals[10], vals[11]))
-        if has_case:
-            cases.append(row[13])
-    states.append(StorageState(float(final[11]), float(final[12])))
-    traj = Trajectory(tuple(actions), tuple(states),
-                      tuple(cases) if has_case else None)
-    return NetEnergyProfile(e1=tuple(e1), e2=tuple(e2)), traj

@@ -9,7 +9,8 @@ building and storing it takes time and memory linear in the horizon;
 stage 2 is the stage-1 system plus one ``cost_budget`` row.  The single-BS
 baseline for savings percentages is the same pair program restricted to
 one station: BS 2 gets a zero profile and every column through which it
-could act is pinned to zero.
+could act is pinned to zero.  ``lp_solve`` returns a certified optimum or
+raises; an infeasible stage 2 raises ``Stage2Infeasible``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
-from .lp import LpProblem, LpSolution, LpStatus, SolverError, lp_solve
+from .lp import LpInfeasible, LpProblem, lp_solve
 from .model import (
     ControlAction,
+    LengthMismatch,
     NetEnergyProfile,
     StorageState,
     SystemParams,
@@ -46,7 +48,7 @@ def eps_lex(v1: float) -> float:
     return EPS_LEX_FACTOR * max(1.0, abs(v1))
 
 
-class Stage2Infeasible(SolverError):
+class Stage2Infeasible(LpInfeasible):
     """Stage 2 rejected a budget that stage 1 certified as attainable."""
 
 
@@ -96,7 +98,7 @@ def _pair_problem(params: SystemParams, profile: NetEnergyProfile,
     """
     n = params.n_slots
     if profile.n_slots != n:
-        raise ValueError(
+        raise LengthMismatch(
             f"profile has {profile.n_slots} slots, params say {n}")
     a, b = params.alpha, params.beta
     n_vars = _N_ACTION * n + 2 * (n + 1)
@@ -164,25 +166,17 @@ def build_stage2(params: SystemParams, profile: NetEnergyProfile,
         b_ub=np.append(problem.b_ub, v1 + eps_lex(v1)))
 
 
-def _extract_trajectory(params: SystemParams, x: Sequence[float],
-                        ) -> Trajectory:
-    """Turn an LP point into a normalized, dynamics-consistent trajectory."""
+def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
+    """Turn a certified LP point into a normalized, dynamics-consistent
+    trajectory; ``normalize_action`` snaps the solver's sign dust to 0."""
     n = params.n_slots
     actions = []
     states = [StorageState(*params.s_init)]
-    for t in range(n):
-        raw = [max(0.0, v) for v in x[_N_ACTION * t:_N_ACTION * (t + 1)]]
+    for raw in x[:_N_ACTION * n].reshape(n, _N_ACTION).tolist():
         action = normalize_action(ControlAction(*raw), params.alpha)
         states.append(step_state(params, states[-1], action))
         actions.append(action)
     return Trajectory(tuple(actions), tuple(states))
-
-
-def _solve(problem: LpProblem, what: str) -> LpSolution:
-    sol = lp_solve(problem)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise SolverError(f"{what} ended {sol.status.value}")
-    return sol
 
 
 def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
@@ -192,17 +186,19 @@ def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
     second stage may convert into terminal storage; use this routine when
     only the cost is needed, it is both cheaper and exact.
     """
-    return _solve(build_stage1(params, profile), "stage 1").objective_value
+    return lp_solve(build_stage1(params, profile)).objective_value
 
 
 def plan_offline(params: SystemParams, profile: NetEnergyProfile,
                  ) -> Trajectory:
     """Two-stage plan: minimal cost, then maximal terminal storage."""
     v1 = offline_cost(params, profile)
-    sol2 = lp_solve(build_stage2(params, profile, v1))
-    if sol2.status is not LpStatus.OPTIMAL:
+    try:
+        sol2 = lp_solve(build_stage2(params, profile, v1))
+    except LpInfeasible as exc:
         raise Stage2Infeasible(
-            f"stage 2 ended {sol2.status.value} under budget {v1}")
+            f"stage 2 infeasible under budget {v1 + eps_lex(v1)} "
+            f"(stage-1 cost {v1}): {exc}") from exc
     return _extract_trajectory(params, sol2.x)
 
 
@@ -225,7 +221,7 @@ def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
 
 def single_bs_cost(params: SystemParams, e: Sequence[float]) -> float:
     """Minimum grid draw of one isolated station (the savings denominator)."""
-    return _solve(build_single_bs(params, e), "single-BS plan").objective_value
+    return lp_solve(build_single_bs(params, e)).objective_value
 
 
 def plan_single_bs(params: SystemParams, e: Sequence[float]) -> Trajectory:
@@ -235,5 +231,4 @@ def plan_single_bs(params: SystemParams, e: Sequence[float]) -> Trajectory:
     zero, so the usual feasibility checker applies against the profile
     (e, zeros).  Only stage 1 is solved; the baseline is a cost.
     """
-    sol = _solve(build_single_bs(params, e), "single-BS plan")
-    return _extract_trajectory(params, sol.x)
+    return _extract_trajectory(params, lp_solve(build_single_bs(params, e)).x)

@@ -1,10 +1,11 @@
 """CLI subcommands, flags and exit codes."""
 
+import csv
 import math
 
 import pytest
 
-from energycoop import load_trajectory, sinusoid
+from energycoop import sinusoid
 from energycoop.cli import main
 from energycoop.lp import SolverError
 from energycoop.profiles import save_profile
@@ -22,8 +23,10 @@ def test_offline_roundtrip(profile_csv, tmp_path, capsys):
     assert main(["offline", "--profile", str(profile_csv),
                  "--out", str(out)]) == 0
     assert "total_cost=" in capsys.readouterr().out
-    prof, traj = load_trajectory(out)
-    assert traj.n_slots == 48
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    # header, one row per slot, then the terminal storage row
+    assert [row[0] for row in rows] == ["t", *map(str, range(49))]
 
 
 def test_greedy_debug_cases(profile_csv, tmp_path):
@@ -175,3 +178,10 @@ def test_solver_error_exit_code(profile_csv, monkeypatch, capsys):
     monkeypatch.setattr("energycoop.cli.plan_offline", boom)
     assert main(["offline", "--profile", str(profile_csv)]) == 3
     assert "solver error" in capsys.readouterr().err
+
+
+def test_stage2_infeasible_exits_3(profile_csv, monkeypatch, capsys):
+    # a negative budget slack makes stage 2 reject the stage-1 optimum
+    monkeypatch.setattr("energycoop.offline.eps_lex", lambda v1: -1.0)
+    assert main(["offline", "--profile", str(profile_csv)]) == 3
+    assert "stage 2 infeasible under budget" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Experiment harness: reproducibility, metadata, row structure."""
 
+import csv
 import math
 from collections import Counter
 
@@ -10,11 +11,9 @@ from energycoop.experiments import (
     ExperimentResult,
     ExperimentSpec,
     default_spec,
-    read_result_rows,
     run_experiment,
     write_result,
 )
-from energycoop.profiles import ParseError
 
 SMALL = dict(n_slots=48, thetas=(0.0, math.pi / 2, math.pi),
              s_max_grid=(0.5, 1.0))
@@ -35,7 +34,19 @@ def test_spec_validation():
         ExperimentSpec("saving-vs-theta", thetas=(), s_max_grid=(1.0,))
     with pytest.raises(ValueError):
         ExperimentSpec("hybrid-vs-greedy", thetas=(0.0,), s_max_grid=(1.0,),
-                       seeds=())
+                       noise_scale=0.125, seeds=())
+    with pytest.raises(ValueError, match="noise_scale"):
+        ExperimentSpec("hybrid-vs-greedy", thetas=(0.0,), s_max_grid=(1.0,),
+                       seeds=(0,))
+
+
+@pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta",
+                                        "greedy-loss-vs-theta"])
+def test_noise_scale_only_for_hybrid(experiment):
+    # only hybrid-vs-greedy adds noise, so only it takes a scale
+    assert default_spec(experiment).noise_scale is None
+    with pytest.raises(ValueError, match="noise_scale"):
+        default_spec(experiment, noise_scale=7.0)
 
 
 def test_default_specs_cover_study_grids():
@@ -49,6 +60,7 @@ def test_default_specs_cover_study_grids():
     assert spec.amplitude == 5.0
     assert spec.s_max_grid == (3.5,)
     assert len(spec.seeds) == 20
+    assert spec.noise_scale == 0.125
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
@@ -98,17 +110,13 @@ def test_result_csv_round_trip(tmp_path):
     result = run_experiment(small_spec("cost-vs-storage"), workers=1)
     path = tmp_path / "out.csv"
     write_result(result, path)
-    rows = read_result_rows(path)
-    assert rows == list(result.rows)
-
-
-@pytest.mark.parametrize("text", ["", "# experiment: x\n",
-                                  "theta,s_max,value\n0.0,1.0,2.0\n"])
-def test_result_csv_bad_header(tmp_path, text):
-    path = tmp_path / "bad.csv"
-    path.write_text(text)
-    with pytest.raises(ParseError, match="header"):
-        read_result_rows(path)
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    assert rows[0] == ["theta", "s_max", "metric", "value"]
+    # repr round-trips every float exactly
+    assert rows[1:] == [["" if r.theta is None else repr(r.theta),
+                         "" if r.s_max is None else repr(r.s_max),
+                         r.metric, repr(r.value)] for r in result.rows]
 
 
 def test_cost_vs_storage_orderings():

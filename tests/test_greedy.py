@@ -10,7 +10,6 @@ from energycoop import (
     StorageState,
     SystemParams,
     check_feasible,
-    greedy_step,
     greedy_step_with_case,
     lp_solve,
     run_greedy,
@@ -129,7 +128,7 @@ class TestCases:
 
     def test_invalid_state(self):
         with pytest.raises(InvalidState):
-            greedy_step(P, StorageState(1.5, 0.0), 0.0, 0.0)
+            greedy_step_with_case(P, StorageState(1.5, 0.0), 0.0, 0.0)
 
     def test_no_charging_when_transfer_below_deficit(self):
         # covered-deficit transfers never charge the receiving station
@@ -170,7 +169,7 @@ class TestLpOracle:
             p = rand_params(rng, 1)
             st = rand_state(rng, p.s_max)
             e1, e2 = rng.uniform(-3, 3, 2)
-            act_g, st_g = greedy_step(p, st, e1, e2)
+            act_g, st_g = greedy_step_with_case(p, st, e1, e2)[:2]
             act_l, st_l = greedy_step_lp(p, st, e1, e2)
             assert act_g.w1 + act_g.w2 == pytest.approx(
                 act_l.w1 + act_l.w2, abs=1e-7)

@@ -61,14 +61,13 @@ class TestResidualProfile:
         decomposed = sect5_profiles(math.pi / 2, seed=42)
         traj = plan_offline(SECT5, decomposed.deterministic)
         res = residual_profile(decomposed, traj, SECT5)
-        noise = decomposed.residual
+        det, realized = decomposed.deterministic, decomposed.realized
         total1 = total2 = 0.0
         for t in range(240):
             slack = neutralization_residuals(
-                SECT5, decomposed.deterministic.e1[t],
-                decomposed.deterministic.e2[t], traj.actions[t])
-            total1 += res.e1[t] - noise.e1[t] - slack[0]
-            total2 += res.e2[t] - noise.e2[t] - slack[1]
+                SECT5, det.e1[t], det.e2[t], traj.actions[t])
+            total1 += res.e1[t] - (realized.e1[t] - det.e1[t]) - slack[0]
+            total2 += res.e2[t] - (realized.e2[t] - det.e2[t]) - slack[1]
         assert total1 == pytest.approx(0.0, abs=1e-9)
         assert total2 == pytest.approx(0.0, abs=1e-9)
 
@@ -176,6 +175,21 @@ class TestRunHybrid:
         with pytest.raises(LengthMismatch):
             run_hybrid_stream(params, det,
                               iter([(0.0, 0.0)] * 10))
+
+    def test_long_stream_raises(self):
+        # the stream is read once more only after the last slot is decided
+        det = sinusoid(5.0, OMEGA, 1.0, 24)
+        params = SystemParams(0.9, 0.8, 3.5, 24)
+        seen = []
+
+        def feed():
+            for t in range(100):
+                seen.append(t)
+                yield 0.0, 0.0
+
+        with pytest.raises(LengthMismatch, match="past 24 slots"):
+            run_hybrid_stream(params, det, feed())
+        assert seen == list(range(25))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_realized_rejected(self, bad):

@@ -1,4 +1,4 @@
-"""LP engine contract: certified optima, statuses, structural invariants."""
+"""LP engine contract: certified optima, raised failures, invariants."""
 
 import math
 from types import SimpleNamespace
@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from energycoop.lp import LpStatus, SolverError, lp_solve
+from energycoop.lp import LpInfeasible, SolverError, lp_solve
 
 from helpers import make_problem
 from oracles import enumerate_lp_optimum
@@ -26,26 +26,26 @@ def random_program(rng):
 
 def test_min_nonneg_var():
     sol = lp_solve(make_problem([1.0]))
-    assert sol.status is LpStatus.OPTIMAL
+    assert isinstance(sol.x, np.ndarray)
     assert sol.x[0] == pytest.approx(0.0, abs=1e-12)
     assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_max_bounded_var():
     sol = lp_solve(make_problem([-1.0], bounds=[(0.0, 3.0)]))
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.x[0] == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(-3.0)
 
 
 def test_unbounded():
-    sol = lp_solve(make_problem([-1.0]))
-    assert sol.status is LpStatus.UNBOUNDED
+    with pytest.raises(SolverError, match="unbounded") as exc:
+        lp_solve(make_problem([-1.0]))
+    assert not isinstance(exc.value, LpInfeasible)
 
 
 def test_infeasible():
-    sol = lp_solve(make_problem([1.0], eq=[(np.array([1.0]), -2.0)]))
-    assert sol.status is LpStatus.INFEASIBLE
+    with pytest.raises(LpInfeasible):
+        lp_solve(make_problem([1.0], eq=[(np.array([1.0]), -2.0)]))
 
 
 def test_validation():
@@ -60,12 +60,13 @@ def test_vertex_oracle_agreement_smoke():
     rng = np.random.default_rng(42)
     for _ in range(40):
         c, eq, ub, bounds = random_program(rng)
-        sol = lp_solve(make_problem(c, eq, ub, bounds))
+        problem = make_problem(c, eq, ub, bounds)
         status, value = enumerate_lp_optimum(c, eq, ub, bounds)
         if status == "Infeasible":
-            assert sol.status is LpStatus.INFEASIBLE
+            with pytest.raises(LpInfeasible):
+                lp_solve(problem)
         else:
-            assert sol.status is LpStatus.OPTIMAL
+            sol = lp_solve(problem)
             assert sol.objective_value == pytest.approx(value, abs=1e-7)
 
 
@@ -73,10 +74,10 @@ def test_optimal_point_certified_feasible():
     rng = np.random.default_rng(7)
     for _ in range(50):
         c, eq, ub, bounds = random_program(rng)
-        sol = lp_solve(make_problem(c, eq, ub, bounds))
-        if sol.status is not LpStatus.OPTIMAL:
+        try:
+            x = lp_solve(make_problem(c, eq, ub, bounds)).x
+        except LpInfeasible:
             continue
-        x = np.asarray(sol.x)
         for row, b in eq:
             assert abs(np.dot(row, x) - b) <= 1e-9
         for row, b in ub:
@@ -89,11 +90,15 @@ def test_row_permutation_invariance():
     rng = np.random.default_rng(11)
     for _ in range(25):
         c, eq, ub, bounds = random_program(rng)
-        base = lp_solve(make_problem(c, eq, ub, bounds))
-        perm = lp_solve(make_problem(c, eq[::-1], ub[::-1], bounds))
-        assert base.status == perm.status
-        if base.status is LpStatus.OPTIMAL:
-            assert abs(base.objective_value - perm.objective_value) <= 1e-9
+        perm = make_problem(c, eq[::-1], ub[::-1], bounds)
+        try:
+            base = lp_solve(make_problem(c, eq, ub, bounds))
+        except LpInfeasible:
+            with pytest.raises(LpInfeasible):
+                lp_solve(perm)
+            continue
+        assert abs(base.objective_value
+                   - lp_solve(perm).objective_value) <= 1e-9
 
 
 def test_redundant_row_invariance():
@@ -103,12 +108,16 @@ def test_redundant_row_invariance():
         c, eq, ub, bounds = random_program(rng)
         if not ub:
             continue
-        base = lp_solve(make_problem(c, eq, ub, bounds))
-        dup = lp_solve(make_problem(c, eq, ub + [ub[0]], bounds))
-        assert base.status == dup.status
-        if base.status is LpStatus.OPTIMAL:
-            assert abs(base.objective_value - dup.objective_value) <= 1e-9
         count += 1
+        dup = make_problem(c, eq, ub + [ub[0]], bounds)
+        try:
+            base = lp_solve(make_problem(c, eq, ub, bounds))
+        except LpInfeasible:
+            with pytest.raises(LpInfeasible):
+                lp_solve(dup)
+            continue
+        assert abs(base.objective_value
+                   - lp_solve(dup).objective_value) <= 1e-9
 
 
 def test_determinism():
@@ -116,7 +125,9 @@ def test_determinism():
     c, eq, ub, bounds = random_program(rng)
     a = lp_solve(make_problem(c, eq, ub, bounds))
     b = lp_solve(make_problem(c, eq, ub, bounds))
-    assert a == b
+    assert np.array_equal(a.x, b.x)
+    assert (a.objective_value, a.iterations) == (b.objective_value,
+                                                 b.iterations)
 
 
 def test_nan_point_not_certified(monkeypatch):

@@ -1,5 +1,6 @@
 """Core types, dynamics, feasibility checking and normalization."""
 
+import csv
 import math
 
 import pytest
@@ -16,14 +17,13 @@ from energycoop import (
     SystemParams,
     Trajectory,
     check_feasible,
-    load_trajectory,
     normalize_action,
     run_greedy,
     save_trajectory,
     step_state,
     total_cost,
 )
-from energycoop.model import neutralization_residuals
+from energycoop.model import TRAJECTORY_HEADER, neutralization_residuals
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
 
@@ -265,11 +265,16 @@ class TestTrajectoryCsv:
         traj = Trajectory(actions, (s0, s1, s2), cases=("1", "2A"))
         path = tmp_path / "traj.csv"
         save_trajectory(traj, prof, path, with_cases=True)
-        prof2, traj2 = load_trajectory(path)
-        assert prof2.e1 == prof.e1 and prof2.e2 == prof.e2
-        assert traj2.actions == traj.actions
-        assert traj2.states == traj.states
-        assert traj2.cases == traj.cases
+        with open(path, newline="") as fh:
+            header, *body, final = csv.reader(fh)
+        assert header == [*TRAJECTORY_HEADER, "case"]
+        assert [int(row[0]) for row in body] == [0, 1]
+        for t, row in enumerate(body):
+            assert (float(row[1]), float(row[2])) == (prof.e1[t], prof.e2[t])
+            assert ControlAction(*map(float, row[3:11])) == traj.actions[t]
+            assert StorageState(*map(float, row[11:13])) == traj.states[t]
+            assert row[13] == traj.cases[t]
+        assert StorageState(*map(float, final[11:13])) == traj.states[-1]
 
     def test_final_row_is_terminal_state(self, tmp_path):
         params = SystemParams(0.9, 0.8, 1.0, 1)
