@@ -12,20 +12,19 @@ import functools
 import sys
 from pathlib import Path
 
-from .experiments import EXPERIMENT_IDS, default_spec, run_experiment, write_result
+from .experiments import (EXPERIMENT_IDS, NOISE_SCALE, default_spec,
+                          run_experiment, write_result)
 from .greedy import MODES, run_greedy
 from .hybrid import run_hybrid_stream
 from .lp import SolverError
-from .model import (LengthMismatch, ModelError, SystemParams,
-                    save_trajectory, total_cost)
+from .model import (ModelError, SystemParams, check_slots, save_trajectory,
+                    total_cost)
 from .offline import plan_offline
 from .profiles import ParseError, add_gaussian_noise, load_profile
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
-
-NOISE_SCALE = 0.125
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -74,10 +73,8 @@ def _cmd_hybrid(args) -> int:
             raise ValueError("--noise-scale and --seed make the noise that "
                              "--realized replaces; give one or the other")
         realized = load_profile(args.realized)
-        if realized.n_slots != deterministic.n_slots:
-            raise LengthMismatch(
-                f"realized profile has {realized.n_slots} slots, "
-                f"deterministic has {deterministic.n_slots}")
+        check_slots("realized profile", realized.n_slots,
+                    deterministic.n_slots)
     else:
         realized = add_gaussian_noise(
             deterministic,

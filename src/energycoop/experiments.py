@@ -33,8 +33,9 @@ WORKERS_ENV = "ENERGYCOOP_WORKERS"
 DEFAULT_THETAS = tuple(k * math.pi / 8 for k in range(17))
 DEFAULT_SMAX_GRID = (0.25, 0.5, 1.0, 2.0, 3.0, 4.0)
 FIG2_THETAS = (math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
-DEFAULT_OMEGA = 2 * math.pi / 24
 DEFAULT_SEEDS = tuple(range(20))
+OMEGA = 2 * math.pi / 24  # one period per 24 slots in every study
+NOISE_SCALE = 0.125  # residual noise of hybrid-vs-greedy and the CLI
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,6 @@ class ExperimentSpec:
     beta: float = 0.8
     n_slots: int = 240
     amplitude: float = 3.0
-    omega: float = DEFAULT_OMEGA
-    noise_scale: float | None = None
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -59,16 +58,15 @@ class ExperimentSpec:
                 f"expected one of {EXPERIMENT_IDS}")
         if not self.thetas or not self.s_max_grid:
             raise ValueError("theta and s_max grids must be non-empty")
-        hybrid = self.experiment == "hybrid-vs-greedy"
-        if bool(self.seeds) != hybrid or (self.noise_scale is None) == hybrid:
+        if bool(self.seeds) != (self.experiment == "hybrid-vs-greedy"):
             raise ValueError(f"{self.experiment}: only hybrid-vs-greedy takes "
-                             "seeds and a noise_scale, and it needs both")
+                             "seeds, and it needs them")
 
     def params(self, s_max: float) -> SystemParams:
         return SystemParams(self.alpha, self.beta, s_max, self.n_slots)
 
     def profile(self, theta: float):
-        return sinusoid(self.amplitude, self.omega, theta, self.n_slots)
+        return sinusoid(self.amplitude, OMEGA, theta, self.n_slots)
 
 
 def default_spec(experiment: str, **overrides) -> ExperimentSpec:
@@ -78,8 +76,7 @@ def default_spec(experiment: str, **overrides) -> ExperimentSpec:
     if experiment == "cost-vs-storage":
         base.update(thetas=FIG2_THETAS, s_max_grid=DEFAULT_SMAX_GRID)
     elif experiment == "hybrid-vs-greedy":
-        base.update(s_max_grid=(3.5,), amplitude=5.0, noise_scale=0.125,
-                    seeds=DEFAULT_SEEDS)
+        base.update(s_max_grid=(3.5,), amplitude=5.0, seeds=DEFAULT_SEEDS)
     base.update(overrides)
     return ExperimentSpec(**base)
 
@@ -124,7 +121,7 @@ class ExperimentResult:
         """The spec, and the constants of the code the study ran."""
         s = self.spec
         used = {
-            "noise_scale": repr(s.noise_scale),
+            "noise_scale": repr(NOISE_SCALE),
             "eps_lex_factor": repr(EPS_LEX_FACTOR),
             "case_tol": repr(CASE_TOL),
             "seeds": ",".join(str(v) for v in s.seeds),
@@ -136,7 +133,7 @@ class ExperimentResult:
             ("s_max_grid", ",".join(repr(v) for v in s.s_max_grid)),
             ("n_slots", str(s.n_slots)),
             ("amplitude", repr(s.amplitude)),
-            ("omega", repr(s.omega)),
+            ("omega", repr(OMEGA)),
             *((key, used[key]) for key in _STUDY_METADATA[s.experiment]),
             ("version", __version__),
         ]
@@ -167,6 +164,15 @@ def _run_tasks(fn, tasks, workers: int | None) -> list:
         return list(pool.map(fn, tasks))
 
 
+def _pct(task, metric: str, change: float, base: float) -> float:
+    """100 * change / base at grid point ``task``; a zero base raises."""
+    spec, theta, s_max = task
+    if base == 0.0:
+        raise ValueError(f"{spec.experiment}: {metric} is undefined at "
+                         f"theta={theta!r}, s_max={s_max!r}: base cost is 0")
+    return 100.0 * change / base
+
+
 def _point_cost(task) -> list[ResultRow]:
     spec, theta, s_max = task
     cost = offline_cost(spec.params(s_max), spec.profile(theta))
@@ -186,7 +192,8 @@ def _point_greedy_loss(task) -> list[ResultRow]:
     gre = total_cost(run_greedy(params, profile))
     return [ResultRow(theta, s_max, "offline_cost", off),
             ResultRow(theta, s_max, "greedy_cost", gre),
-            ResultRow(theta, s_max, "loss_pct", 100.0 * (gre - off) / off)]
+            ResultRow(theta, s_max, "loss_pct",
+                      _pct(task, "loss_pct", gre - off, off))]
 
 
 def _point_hybrid(task) -> list[ResultRow]:
@@ -202,14 +209,16 @@ def _point_hybrid(task) -> list[ResultRow]:
     offline_det = plan_offline(params, deterministic)
     greedy_losses, hybrid_losses = [], []
     for seed in spec.seeds:
-        realized = add_gaussian_noise(deterministic, spec.noise_scale, seed)
+        realized = add_gaussian_noise(deterministic, NOISE_SCALE, seed)
         off = offline_cost(params, realized)
         gre = total_cost(run_greedy(params, realized))
         hyb = total_cost(run_hybrid_stream(
             params, deterministic, zip(realized.e1, realized.e2),
             offline_traj=offline_det).combined)
-        greedy_losses.append(100.0 * (gre - off) / off)
-        hybrid_losses.append(100.0 * (hyb - off) / off)
+        greedy_losses.append(
+            _pct(task, "greedy_loss_mean_pct", gre - off, off))
+        hybrid_losses.append(
+            _pct(task, "hybrid_loss_mean_pct", hyb - off, off))
     rows = []
     for name, losses in (("greedy", greedy_losses), ("hybrid", hybrid_losses)):
         err = (stdev(losses) / math.sqrt(len(losses))
@@ -244,7 +253,8 @@ def run_experiment(spec: ExperimentSpec,
                              [(spec, sm) for sm in spec.s_max_grid], workers)
         if spec.experiment == "saving-vs-theta":
             rows = [ResultRow(r.theta, r.s_max, "saving_pct",
-                              100.0 * (single - r.value) / single)
+                              _pct((spec, r.theta, r.s_max), "saving_pct",
+                                   single - r.value, single))
                     for r, single in zip(rows, singles * len(spec.thetas))]
         rows += [ResultRow(None, sm, "single_bs_cost", single)
                  for sm, single in zip(spec.s_max_grid, singles)]

@@ -13,11 +13,11 @@ from __future__ import annotations
 from .model import (
     ControlAction,
     InvalidState,
-    LengthMismatch,
     NetEnergyProfile,
     StorageState,
     SystemParams,
     Trajectory,
+    check_slots,
 )
 
 # Net energies within this band of zero are classified as exactly zero so
@@ -250,9 +250,7 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
     ``no_storage`` (required when alpha = 0) and ``no_transfer`` (required
     when beta = 0).
     """
-    if profile.n_slots != params.n_slots:
-        raise LengthMismatch(
-            f"profile has {profile.n_slots} slots, params say {params.n_slots}")
+    check_slots("profile", profile.n_slots, params.n_slots)
     if params.alpha == 0.0 and mode != "no_storage":
         raise ValueError("alpha = 0 requires mode='no_storage'")
     if params.beta == 0.0 and params.alpha > 0.0 and mode != "no_transfer":

@@ -22,6 +22,7 @@ from .model import (
     StorageState,
     SystemParams,
     Trajectory,
+    check_slots,
     neutralization_residuals,
 )
 from .offline import plan_offline
@@ -35,20 +36,15 @@ class DecomposedProfile:
     realized: NetEnergyProfile
 
     def __post_init__(self) -> None:
-        if self.deterministic.n_slots != self.realized.n_slots:
-            raise LengthMismatch(
-                f"deterministic has {self.deterministic.n_slots} slots, "
-                f"realized has {self.realized.n_slots}")
+        check_slots("realized profile", self.realized.n_slots,
+                    self.deterministic.n_slots)
 
 
 def residual_profile(decomposed: DecomposedProfile, offline_traj: Trajectory,
                      params: SystemParams) -> NetEnergyProfile:
     """Per-slot energies the greedy layer must neutralize."""
     realized = decomposed.realized
-    if offline_traj.n_slots != realized.n_slots:
-        raise LengthMismatch(
-            f"offline trajectory has {offline_traj.n_slots} slots, "
-            f"profiles have {realized.n_slots}")
+    check_slots("offline trajectory", offline_traj.n_slots, realized.n_slots)
     g1, g2 = [], []
     for e1, e2, action in zip(realized.e1, realized.e2, offline_traj.actions):
         r1, r2 = neutralization_residuals(params, e1, e2, action)
@@ -91,12 +87,10 @@ def run_hybrid_stream(params: SystemParams,
     the slot's residual.
     """
     n = params.n_slots
-    if deterministic.n_slots != n:
-        raise LengthMismatch(
-            f"deterministic profile has {deterministic.n_slots} slots, "
-            f"params say {n}")
+    check_slots("deterministic profile", deterministic.n_slots, n)
     if offline_traj is None:
         offline_traj = plan_offline(params, deterministic)
+    check_slots("offline trajectory", offline_traj.n_slots, n)
 
     g_state = StorageState(0.0, 0.0)
     g_actions, g_states, g_energies, cases = [], [g_state], [], []

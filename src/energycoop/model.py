@@ -44,6 +44,12 @@ class InvalidState(ModelError):
     """A storage state is outside its admissible range."""
 
 
+def check_slots(what: str, n: int, want: int) -> None:
+    """Raise LengthMismatch unless the input ``what`` spans ``want`` slots."""
+    if n != want:
+        raise LengthMismatch(f"{what} has {n} slots, want {want}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical constants of the two-BS system.
@@ -96,9 +102,7 @@ class NetEnergyProfile:
     def __post_init__(self) -> None:
         object.__setattr__(self, "e1", tuple(float(v) for v in self.e1))
         object.__setattr__(self, "e2", tuple(float(v) for v in self.e2))
-        if len(self.e1) != len(self.e2):
-            raise LengthMismatch(
-                f"e1 has {len(self.e1)} slots, e2 has {len(self.e2)}")
+        check_slots("e2", len(self.e2), len(self.e1))
         for name, seq in (("e1", self.e1), ("e2", self.e2)):
             for t, v in enumerate(seq):
                 if not math.isfinite(v):
@@ -241,10 +245,8 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
     neutralization inequalities at every slot.
     """
     n = params.n_slots
-    if profile.n_slots != n:
-        raise LengthMismatch(f"profile has {profile.n_slots} slots, want {n}")
-    if traj.n_slots != n:
-        raise LengthMismatch(f"trajectory has {traj.n_slots} slots, want {n}")
+    check_slots("profile", profile.n_slots, n)
+    check_slots("trajectory", traj.n_slots, n)
 
     bad: list[Violation] = []
 
@@ -338,9 +340,7 @@ def save_trajectory(traj: Trajectory, profile: NetEnergyProfile,
     storage; a final row carries only the terminal storage.  ``with_cases``
     appends a ``case`` column when the trajectory recorded decision cases.
     """
-    if profile.n_slots != traj.n_slots:
-        raise LengthMismatch(
-            f"profile has {profile.n_slots} slots, trajectory {traj.n_slots}")
+    check_slots("profile", profile.n_slots, traj.n_slots)
     cases = traj.cases if (with_cases and traj.cases is not None) else None
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -2,15 +2,15 @@
 
 Stage 1 minimizes total grid energy over the whole horizon; stage 2
 re-solves with the stage-1 cost as a budget and maximizes the terminal
-storage sum, so leftover flexibility is banked for later horizons.  Both
-stages share one sparse constraint system with about 22 non-zeros per
-slot, assembled in one numpy pass from per-slot index patterns, so
-building and storing it takes time and memory linear in the horizon;
-stage 2 is the stage-1 system plus one ``cost_budget`` row.  The single-BS
-baseline for savings percentages is the same pair program restricted to
-one station: BS 2 gets a zero profile and every column through which it
-could act is pinned to zero.  ``lp_solve`` returns a certified optimum or
-raises; an infeasible stage 2 raises ``Stage2Infeasible``.
+storage sum, so leftover flexibility is banked for later horizons.  Every
+offline program derives from the stage-1 program: a sparse constraint
+system with about 22 non-zeros per slot, assembled once per plan in one
+numpy pass, in time and memory linear in the horizon.  Stage 2 edits it
+into a new objective and one more ``cost_budget`` row and shares every
+other array; the single-BS baseline restricts it to one station (BS 2
+gets a zero profile and every column through which it could act is
+pinned to zero).  ``lp_solve`` returns a certified optimum or raises; an
+infeasible stage 2 raises ``Stage2Infeasible``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from scipy.sparse import csr_matrix, vstack
 from .lp import LpInfeasible, LpProblem, lp_solve
 from .model import (
     ControlAction,
-    LengthMismatch,
     NetEnergyProfile,
     StorageState,
     SystemParams,
     Trajectory,
+    check_slots,
     normalize_action,
     step_state,
 )
@@ -85,21 +85,18 @@ def _csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return a
 
 
-def _pair_problem(params: SystemParams, profile: NetEnergyProfile,
-                  ) -> LpProblem:
-    """Shared constraint system of both planning stages, costed.
+def build_stage1(params: SystemParams, profile: NetEnergyProfile,
+                 ) -> LpProblem:
+    """Cost-minimizing program: min total grid draw over the horizon.
 
     Columns: the actions w1 w2 c1 c2 d1 d2 x12 x21 of slot t at 8t + k,
     then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
     Eq rows: init_s1, init_s2, then dyn1[t], dyn2[t] at 2 + 2t + bs.  Ub
     rows: neutral1[t], neutral2[t], d1_le_s1[t], d2_le_s2[t] at 4t + k.
-    All index arrays are computed at once.  The objective is the total grid
-    draw, the stage-1 cost; the caller owns the returned arrays.
+    All index arrays are computed at once; the caller owns them.
     """
     n = params.n_slots
-    if profile.n_slots != n:
-        raise LengthMismatch(
-            f"profile has {profile.n_slots} slots, params say {n}")
+    check_slots("profile", profile.n_slots, n)
     a, b = params.alpha, params.beta
     n_vars = _N_ACTION * n + 2 * (n + 1)
 
@@ -143,27 +140,20 @@ def _pair_problem(params: SystemParams, profile: NetEnergyProfile,
         lower=np.zeros(n_vars), upper=upper)
 
 
-def build_stage1(params: SystemParams, profile: NetEnergyProfile,
-                 ) -> LpProblem:
-    """Cost-minimizing program: min total grid draw over the horizon."""
-    return _pair_problem(params, profile)
-
-
-def build_stage2(params: SystemParams, profile: NetEnergyProfile,
-                 v1: float) -> LpProblem:
+def build_stage2(stage1: LpProblem, v1: float) -> LpProblem:
     """Storage-maximizing program under the stage-1 cost budget.
 
-    Maximizes s1(N) + s2(N) subject to total grid draw <= v1 + eps_lex(v1):
-    the stage-1 constraint system plus one ``cost_budget`` row.
+    Maximizes s1(N) + s2(N) subject to total grid draw <= v1 + eps_lex(v1),
+    ``v1`` the optimum of ``stage1``.  Returns ``stage1`` with that
+    objective and one more ``cost_budget`` row, sharing every other array.
     """
-    problem = _pair_problem(params, profile)
-    terminal = np.zeros(problem.n_vars)
+    terminal = np.zeros(stage1.n_vars)
     terminal[-2:] = -1.0  # s1[N], s2[N]
-    budget = csr_matrix(problem.objective)  # the stage-1 cost as a row
+    budget = csr_matrix(stage1.objective)  # the stage-1 cost as a row
     return replace(
-        problem, objective=terminal,
-        a_ub=vstack((problem.a_ub, budget), format="csr"),
-        b_ub=np.append(problem.b_ub, v1 + eps_lex(v1)))
+        stage1, objective=terminal,
+        a_ub=vstack((stage1.a_ub, budget), format="csr"),
+        b_ub=np.append(stage1.b_ub, v1 + eps_lex(v1)))
 
 
 def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
@@ -192,9 +182,10 @@ def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
 def plan_offline(params: SystemParams, profile: NetEnergyProfile,
                  ) -> Trajectory:
     """Two-stage plan: minimal cost, then maximal terminal storage."""
-    v1 = offline_cost(params, profile)
+    stage1 = build_stage1(params, profile)
+    v1 = lp_solve(stage1).objective_value
     try:
-        sol2 = lp_solve(build_stage2(params, profile, v1))
+        sol2 = lp_solve(build_stage2(stage1, v1))
     except LpInfeasible as exc:
         raise Stage2Infeasible(
             f"stage 2 infeasible under budget {v1 + eps_lex(v1)} "
@@ -203,7 +194,7 @@ def plan_offline(params: SystemParams, profile: NetEnergyProfile,
 
 
 def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
-    """One-station restriction of the pair program (the savings baseline).
+    """One-station restriction of the stage-1 program (the savings baseline).
 
     BS 2 sees a zero profile and its grid, charge and discharge columns are
     pinned to zero together with both transfer columns, so only BS 1 can
@@ -211,8 +202,8 @@ def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
     fixed columns.
     """
     n = params.n_slots
-    problem = _pair_problem(params,
-                            NetEnergyProfile(e1=e, e2=(0.0,) * len(e)))
+    problem = build_stage1(params,
+                           NetEnergyProfile(e1=e, e2=(0.0,) * len(e)))
     problem.objective[1:_N_ACTION * n:_N_ACTION] = 0.0  # w2
     problem.upper[:_N_ACTION * n].reshape(n, _N_ACTION)[
         :, _PINNED_SINGLE_BS] = 0.0

@@ -3,6 +3,7 @@
 Profiles are CSV files with header ``t,E1,E2`` (net form).  The loader
 also reads ``t,RE1,DE1,RE2,DE2`` with non-negative RE and DE, keeping only
 the net energy RE - DE, so profiles are always written in the net form.
+The k-th non-blank data row must have ``t == k``, counting from 0.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def load_profile(path: str | Path) -> NetEnergyProfile:
 
 def _parse_rows(rows: list[list[str]], path: str | Path, n_cols: int,
                 ) -> list[tuple[int, list[float]]]:
-    """(line number, fields) of every non-blank data row, all finite."""
+    """(line number, fields) of each non-blank data row k: finite, t == k."""
     parsed = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -122,6 +123,9 @@ def _parse_rows(rows: list[list[str]], path: str | Path, n_cols: int,
         if not all(math.isfinite(v) for v in values):
             raise ParseError(
                 f"{path}: line {lineno}: non-finite value in {row}")
+        if values[0] != len(parsed):
+            raise ParseError(f"{path}: line {lineno}: t is {row[0]}, "
+                             f"want {len(parsed)}")
         parsed.append((lineno, values))
     if not parsed:
         raise ParseError(f"{path}: no data rows")

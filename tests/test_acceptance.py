@@ -25,7 +25,8 @@ from energycoop import (
     sinusoid,
     total_cost,
 )
-from energycoop.experiments import default_spec, run_experiment
+from energycoop.experiments import (NOISE_SCALE, OMEGA, default_spec,
+                                    run_experiment)
 from energycoop.lp import LpInfeasible
 from energycoop.offline import build_stage1
 from energycoop.profiles import add_gaussian_noise
@@ -33,7 +34,6 @@ from energycoop.profiles import add_gaussian_noise
 from helpers import make_problem, rand_params, rand_profile, rand_state
 from oracles import enumerate_lp_optimum, greedy_step_lp
 
-OMEGA = 2 * math.pi / 24
 THETA_GRID = tuple(k * math.pi / 8 for k in range(17))
 
 # trajectories produced by the criteria runs, re-verified at the end:
@@ -301,7 +301,7 @@ def test_c08_greedy_loss_bounded():
     for k in (0, 4, 8):
         p = SystemParams(spec.alpha, spec.beta, spec.s_max_grid[0],
                          spec.n_slots)
-        prof = sinusoid(spec.amplitude, spec.omega, THETA_GRID[k],
+        prof = sinusoid(spec.amplitude, OMEGA, THETA_GRID[k],
                         spec.n_slots)
         register(p, prof, run_greedy(p, prof))
         register(p, prof, plan_offline(p, prof))
@@ -328,10 +328,10 @@ def test_c09_hybrid_beats_greedy_at_moderate_shift():
     # keep a few hybrid trajectories for the feasibility criterion
     p = SystemParams(spec.alpha, spec.beta, spec.s_max_grid[0], spec.n_slots)
     for theta in spec.thetas:
-        det = sinusoid(spec.amplitude, spec.omega, theta, spec.n_slots)
+        det = sinusoid(spec.amplitude, OMEGA, theta, spec.n_slots)
         offline_det = plan_offline(p, det)
         for seed in spec.seeds[:3]:
-            realized = add_gaussian_noise(det, spec.noise_scale, seed)
+            realized = add_gaussian_noise(det, NOISE_SCALE, seed)
             res = run_hybrid_stream(p, det, zip(realized.e1, realized.e2),
                                     offline_traj=offline_det)
             register(p, realized, res.combined, normalized=False)

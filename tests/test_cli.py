@@ -130,6 +130,22 @@ def test_seeds_rejected_where_unused(tmp_path, capsys, experiment):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, metric", [
+    ("saving-vs-theta", "saving_pct"),
+    ("greedy-loss-vs-theta", "loss_pct"),
+    ("hybrid-vs-greedy", "greedy_loss_mean_pct")])
+def test_zero_cost_baseline_exits_2(tmp_path, capsys, experiment, metric):
+    # twelve surplus slots: nothing is ever drawn, so no percentage exists
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", experiment, "--n", "12", "--thetas", "0.0",
+                 "--serial", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{experiment}: {metric} is undefined at theta=0.0, s_max="
+            in err)
+    assert "base cost is 0" in err
+    assert not out.exists()
+
+
 def test_smax_with_smax_grid_rejected(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert main(["experiment", "saving-vs-theta", "--smax", "2.0",

@@ -8,6 +8,8 @@ import pytest
 
 from energycoop.experiments import (
     EXPERIMENT_IDS,
+    NOISE_SCALE,
+    OMEGA,
     ExperimentResult,
     ExperimentSpec,
     default_spec,
@@ -32,20 +34,20 @@ def test_spec_validation():
         default_spec("bogus")
     with pytest.raises(ValueError):
         ExperimentSpec("saving-vs-theta", thetas=(), s_max_grid=(1.0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs them"):
         ExperimentSpec("hybrid-vs-greedy", thetas=(0.0,), s_max_grid=(1.0,),
-                       noise_scale=0.125, seeds=())
-    with pytest.raises(ValueError, match="noise_scale"):
-        ExperimentSpec("hybrid-vs-greedy", thetas=(0.0,), s_max_grid=(1.0,),
+                       seeds=())
+    with pytest.raises(ValueError, match="only hybrid-vs-greedy takes seeds"):
+        ExperimentSpec("saving-vs-theta", thetas=(0.0,), s_max_grid=(1.0,),
                        seeds=(0,))
 
 
 @pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta",
                                         "greedy-loss-vs-theta"])
 def test_noise_scale_only_for_hybrid(experiment):
-    # only hybrid-vs-greedy adds noise, so only it takes a scale
-    assert default_spec(experiment).noise_scale is None
-    with pytest.raises(ValueError, match="noise_scale"):
+    # the noise scale is the NOISE_SCALE constant, not a spec field
+    assert not hasattr(default_spec(experiment), "noise_scale")
+    with pytest.raises(TypeError, match="noise_scale"):
         default_spec(experiment, noise_scale=7.0)
 
 
@@ -60,7 +62,8 @@ def test_default_specs_cover_study_grids():
     assert spec.amplitude == 5.0
     assert spec.s_max_grid == (3.5,)
     assert len(spec.seeds) == 20
-    assert spec.noise_scale == 0.125
+    assert NOISE_SCALE == 0.125
+    assert OMEGA == 2 * math.pi / 24
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)

@@ -191,6 +191,16 @@ class TestRunHybrid:
             run_hybrid_stream(params, det, feed())
         assert seen == list(range(25))
 
+    @pytest.mark.parametrize("n_plan", [12, 48])
+    def test_offline_traj_length_checked(self, n_plan):
+        det = sinusoid(5.0, OMEGA, 1.0, 24)
+        plan = plan_offline(SystemParams(0.9, 0.8, 3.5, n_plan),
+                            sinusoid(5.0, OMEGA, 1.0, n_plan))
+        with pytest.raises(LengthMismatch, match=(
+                f"^offline trajectory has {n_plan} slots, want 24$")):
+            run_hybrid_stream(SystemParams(0.9, 0.8, 3.5, 24), det,
+                              zip(det.e1, det.e2), offline_traj=plan)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_realized_rejected(self, bad):
         det = sinusoid(5.0, OMEGA, 1.0, 24)

@@ -1,17 +1,23 @@
 """Offline planning: stage LPs, two-stage composition, single-BS baseline."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from energycoop import (
+    ControlAction,
     LengthMismatch,
     NetEnergyProfile,
+    StorageState,
     SystemParams,
+    Trajectory,
     check_feasible,
     lp_solve,
     run_greedy,
+    run_hybrid_stream,
+    save_trajectory,
     sinusoid,
     total_cost,
 )
@@ -118,10 +124,20 @@ class TestStage2:
             n = int(rng.integers(1, 8))
             p = rand_params(rng, n)
             prof = rand_profile(rng, n)
-            v1 = lp_solve(build_stage1(p, prof)).objective_value
-            x = lp_solve(build_stage2(p, prof, v1)).x
+            stage1 = build_stage1(p, prof)
+            v1 = lp_solve(stage1).objective_value
+            x = lp_solve(build_stage2(stage1, v1)).x
             cost2 = sum(x[8 * t + k] for t in range(n) for k in (0, 1))
             assert cost2 <= v1 + eps_lex(v1) + 1e-9
+
+    def test_edits_stage1_without_rebuilding(self):
+        stage1 = build_stage1(SystemParams(0.9, 0.8, 1.0, 24),
+                              sinusoid(3.0, 2 * math.pi / 24, 1.0, 24))
+        stage2 = build_stage2(stage1, 5.0)
+        for name in ("a_eq", "b_eq", "lower", "upper"):
+            assert getattr(stage2, name) is getattr(stage1, name), name
+        assert stage2.a_ub.shape[0] == stage1.a_ub.shape[0] + 1
+        assert stage2.b_ub[-1] == 5.0 + eps_lex(5.0)
 
 
 class TestPlanOffline:
@@ -171,14 +187,54 @@ class TestPlanOffline:
         assert isinstance(exc.value, LpInfeasible)
         assert f"under budget {v1 - 1.0} (stage-1 cost {v1})" in str(exc.value)
 
+    def test_builds_stage1_once(self, monkeypatch):
+        # stage 2 is an edit of the one stage-1 program, not a second build
+        built, edited = [], []
 
-@pytest.mark.parametrize("planner", [
-    plan_offline, offline_cost, run_greedy,
-    lambda params, profile: single_bs_cost(params, profile.e1),
-], ids=["plan_offline", "offline_cost", "run_greedy", "single_bs_cost"])
-def test_wrong_length_profile_raises_length_mismatch(planner):
+        def counting(*args):
+            built.append(build_stage1(*args))
+            return built[-1]
+
+        def recording(stage1, v1):
+            edited.append(stage1)
+            return build_stage2(stage1, v1)
+
+        monkeypatch.setattr("energycoop.offline.build_stage1", counting)
+        monkeypatch.setattr("energycoop.offline.build_stage2", recording)
+        plan_offline(SystemParams(0.9, 0.8, 1.0, 24),
+                     sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 24))
+        assert len(built) == 1
+        assert len(edited) == 1 and edited[0] is built[0]
+
+
+def _idle(n):
+    return Trajectory(tuple(ControlAction() for _ in range(n)),
+                      tuple(StorageState(0.0, 0.0) for _ in range(n + 1)))
+
+
+# Every entry point checks slot counts through model.check_slots, so each
+# message names the input and both counts the same way.
+@pytest.mark.parametrize("planner, what", [
+    (plan_offline, "profile"),
+    (offline_cost, "profile"),
+    (run_greedy, "profile"),
+    (lambda params, profile: single_bs_cost(params, profile.e1), "profile"),
+    (lambda params, profile: run_hybrid_stream(
+        params, profile, zip(profile.e1, profile.e2)),
+     "deterministic profile"),
+    (lambda params, profile: check_feasible(params, profile, _idle(24)),
+     "profile"),
+    (lambda params, profile: save_trajectory(_idle(24), profile, os.devnull),
+     "profile"),
+    (lambda params, profile: NetEnergyProfile(e1=(0.0,) * 24, e2=profile.e2),
+     "e2"),
+], ids=["plan_offline", "offline_cost", "run_greedy", "single_bs_cost",
+        "run_hybrid_stream", "check_feasible", "save_trajectory",
+        "NetEnergyProfile"])
+def test_wrong_length_profile_raises_length_mismatch(planner, what):
     params = SystemParams(0.9, 0.8, 1.0, 24)
-    with pytest.raises(LengthMismatch, match="23 slots"):
+    with pytest.raises(LengthMismatch,
+                       match=f"^{what} has 23 slots, want 24$"):
         planner(params, sinusoid(3.0, 2 * math.pi / 24, 1.0, 23))
 
 
@@ -241,7 +297,7 @@ class TestAssembly:
             build_stage1(p, prof),
             reference_planning_program(p, prof.e1, prof.e2, "stage1"))
         self.assert_same_program(
-            build_stage2(p, prof, v1),
+            build_stage2(build_stage1(p, prof), v1),
             reference_planning_program(p, prof.e1, prof.e2, "stage2", v1))
         self.assert_same_program(
             build_single_bs(p, prof.e1),

@@ -121,6 +121,24 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_profile(path)
 
+    @pytest.mark.parametrize("rows, line", [
+        ("0,1.0,2.0\n2,1.0,2.0\n1,1.0,2.0\n", 3),  # out of order
+        ("0,1.0,2.0\n0,1.0,2.0\n", 3),  # duplicate
+        ("1,1.0,2.0\n2,1.0,2.0\n", 2),  # 1-based
+        ("5,1.0,2.0\n0,1.0,2.0\n5,1.0,2.0\n", 2),
+    ], ids=["out_of_order", "duplicate", "one_based", "unrelated"])
+    def test_t_must_count_rows(self, tmp_path, rows, line):
+        path = tmp_path / "profile.csv"
+        path.write_text("t,E1,E2\n" + rows)
+        with pytest.raises(ParseError, match=f"line {line}: t is "):
+            load_profile(path)
+
+    def test_t_rule_skips_blank_rows(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("t,RE1,DE1,RE2,DE2\n0,1.0,0.0,1.0,0.0\n\n"
+                        "1,0.0,1.0,0.0,1.0\n")
+        assert load_profile(path).e1 == (1.0, -1.0)
+
     def test_unknown_header(self, tmp_path):
         path = tmp_path / "profile.csv"
         path.write_text("a,b\n1,2\n")
