@@ -44,7 +44,6 @@ from .profiles import (
     ParseError,
     add_gaussian_noise,
     load_profile,
-    save_profile,
     sinusoid,
 )
 from .experiments import (

@@ -215,21 +215,19 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
     s2 = min(max(s2, 0.0), cap2)
 
     if mode == "no_storage":
-        fields = _step_no_storage(beta, e1, e2)
-        return ControlAction(*fields), StorageState(s1, s2), "no_storage"
+        r = _step_no_storage(beta, e1, e2)
+        return ControlAction._make(r), StorageState(s1, s2), mode
     if mode == "no_transfer":
-        *fields, s1n, s2n = _step_no_transfer(
-            alpha, cap1, cap2, s1, s2, e1, e2)
-        return ControlAction(*fields), StorageState(s1n, s2n), "no_transfer"
+        r = _step_no_transfer(alpha, cap1, cap2, s1, s2, e1, e2)
+        return ControlAction._make(r[:8]), StorageState(r[8], r[9]), mode
 
     if alpha <= 0.0 or beta <= 0.0:
         raise ValueError(
             "standard greedy needs alpha > 0 and beta > 0; use the "
             "no_storage / no_transfer modes at the boundary")
-    *fields, s1n, s2n, label = _dispatch(
-        alpha, beta, cap1, cap2, s1, s2, e1, e2,
-        force_2a=(mode == "force_case_2a"))
-    return ControlAction(*fields), StorageState(s1n, s2n), label
+    r = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1, e2,
+                  force_2a=(mode == "force_case_2a"))
+    return ControlAction._make(r[:8]), StorageState(r[8], r[9]), r[10]
 
 
 def greedy_step_with_case(params: SystemParams, state: StorageState,
@@ -258,9 +256,9 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
 
     state = StorageState(*params.s_init)
     actions, states, cases = [], [state], []
-    for t in range(params.n_slots):
+    for e1, e2 in zip(profile.e1, profile.e2):
         action, state, label = greedy_step_with_case(
-            params, state, profile.e1[t], profile.e2[t], mode)
+            params, state, e1, e2, mode)
         actions.append(action)
         states.append(state)
         cases.append(label)

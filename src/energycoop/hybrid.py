@@ -11,6 +11,7 @@ exact field-wise sum of the two components.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -123,17 +124,16 @@ def run_hybrid_stream(params: SystemParams,
         act_g, g_state, label = capped_step(
             params.alpha, params.beta, cap1, cap2,
             g_state.s1 - q1, g_state.s2 - q2, g1, g2)
-        act_g = ControlAction(
-            act_g.w1, act_g.w2, act_g.c1, act_g.c2,
-            act_g.d1 + q1, act_g.d2 + q2, act_g.x12, act_g.x21)
+        w1, w2, c1, c2, d1, d2, x12, x21 = act_g
+        act_g = ControlAction(w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21)
 
         g_actions.append(act_g)
         g_states.append(g_state)
         g_energies.append((g1, g2))
         cases.append(label)
 
-        combined_actions.append(ControlAction(*(
-            vd + vg for vd, vg in zip(act_d.as_tuple(), act_g.as_tuple()))))
+        combined_actions.append(
+            ControlAction._make(map(operator.add, act_d, act_g)))
         combined_states.append(StorageState(
             s_d_next.s1 + g_state.s1, s_d_next.s2 + g_state.s2))
 

@@ -5,7 +5,9 @@ Each has a renewable source, a grid connection and a finite battery.  Per
 time slot the controller picks grid draws ``w``, storage charges ``c``,
 discharges ``d`` and line transfers ``x12``/``x21``.  Charging a battery
 stores only ``alpha * c`` and a transfer delivers only ``beta * x`` at the
-far end; both efficiencies live in [0, 1].
+far end; both efficiencies live in [0, 1].  A slot's ``ControlAction`` and
+a ``StorageState`` are immutable named tuples: they unpack and index like
+tuples, and ``as_tuple()`` returns their fields as a plain tuple.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
+from typing import NamedTuple
 
 DEFAULT_TOL = 1e-6
 
@@ -100,21 +103,20 @@ class NetEnergyProfile:
     e2: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e1", tuple(float(v) for v in self.e1))
-        object.__setattr__(self, "e2", tuple(float(v) for v in self.e2))
+        object.__setattr__(self, "e1", tuple(map(float, self.e1)))
+        object.__setattr__(self, "e2", tuple(map(float, self.e2)))
         check_slots("e2", len(self.e2), len(self.e1))
         for name, seq in (("e1", self.e1), ("e2", self.e2)):
-            for t, v in enumerate(seq):
-                if not math.isfinite(v):
-                    raise ValueError(f"{name}[{t}] is not finite: {v}")
+            if not all(map(math.isfinite, seq)):
+                t = next(t for t, v in enumerate(seq) if not math.isfinite(v))
+                raise ValueError(f"{name}[{t}] is not finite: {seq[t]}")
 
     @property
     def n_slots(self) -> int:
         return len(self.e1)
 
 
-@dataclass(frozen=True)
-class ControlAction:
+class ControlAction(NamedTuple):
     """One slot's decision tuple.
 
     All fields are nonnegative energies in a feasible action; validity is
@@ -132,19 +134,17 @@ class ControlAction:
     x21: float = 0.0
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.w1, self.w2, self.c1, self.c2,
-                self.d1, self.d2, self.x12, self.x21)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class StorageState:
+class StorageState(NamedTuple):
     """Stored energy pair (s1, s2)."""
 
     s1: float
     s2: float
 
     def as_tuple(self) -> tuple[float, float]:
-        return (self.s1, self.s2)
+        return tuple(self)
 
 
 @dataclass(frozen=True)

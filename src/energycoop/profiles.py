@@ -1,8 +1,8 @@
-"""Net-energy profile generation and CSV serialization.
+"""Net-energy profile generation and CSV loading.
 
 Profiles are CSV files with header ``t,E1,E2`` (net form).  The loader
 also reads ``t,RE1,DE1,RE2,DE2`` with non-negative RE and DE, keeping only
-the net energy RE - DE, so profiles are always written in the net form.
+the net energy RE - DE.
 The k-th non-blank data row must have ``t == k``, counting from 0.
 """
 
@@ -72,15 +72,6 @@ def add_gaussian_noise(profile: NetEnergyProfile, scale: float,
     e1 = tuple((np.asarray(profile.e1) + scale * z[0]).tolist())
     e2 = tuple((np.asarray(profile.e2) + scale * z[1]).tolist())
     return NetEnergyProfile(e1=e1, e2=e2)
-
-
-def save_profile(profile: NetEnergyProfile, path: str | Path) -> None:
-    """Write a profile CSV in the net form ``t,E1,E2``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "E1", "E2"])
-        for t in range(profile.n_slots):
-            writer.writerow([t, repr(profile.e1[t]), repr(profile.e2[t])])
 
 
 def load_profile(path: str | Path) -> NetEnergyProfile:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -31,6 +32,15 @@ def make_problem(c, eq=(), ub=(), bounds=()) -> LpProblem:
     return LpProblem(objective=np.asarray(c, dtype=float),
                      a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                      lower=bounds[:, 0], upper=bounds[:, 1])
+
+
+def save_profile(profile: NetEnergyProfile, path) -> None:
+    """Write a profile CSV in the net form ``t,E1,E2``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "E1", "E2"])
+        for t in range(profile.n_slots):
+            writer.writerow([t, repr(profile.e1[t]), repr(profile.e2[t])])
 
 
 def rand_unit_open(rng) -> float:

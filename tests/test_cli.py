@@ -8,7 +8,7 @@ import pytest
 from energycoop import sinusoid
 from energycoop.cli import main
 from energycoop.lp import SolverError
-from energycoop.profiles import save_profile
+from helpers import save_profile
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from energycoop import (
     run_greedy,
     total_cost,
 )
-from energycoop.greedy import capped_step
+from energycoop.greedy import MODES, capped_step
 from energycoop.model import InvalidState, neutralization_residuals
 from energycoop.offline import build_stage1, offline_cost
 
@@ -226,8 +226,35 @@ class TestRollout:
             run_greedy(SystemParams(0.0, 0.8, 1.0, 1), prof)
         with pytest.raises(ValueError):
             run_greedy(SystemParams(0.9, 0.0, 1.0, 1), prof)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             run_greedy(P, prof, mode="bogus")
+        assert str(exc.value) == (
+            f"unknown mode 'bogus'; expected one of {MODES}")
+
+    @pytest.mark.parametrize("mode, alpha, beta", [
+        *((mode, None, None) for mode in MODES),
+        ("no_storage", 0.0, None),
+        ("no_transfer", None, 0.0),
+    ])
+    def test_rollout_equals_chained_steps(self, mode, alpha, beta):
+        rng = np.random.default_rng(25)
+        p = rand_params(rng, 200, alpha=alpha, beta=beta)
+        p = replace(p, s_init=tuple(rng.uniform(0.0, p.s_max, 2)))
+        prof = rand_profile(rng, 200)
+        state = StorageState(*p.s_init)
+        actions, states, cases = [], [state], []
+        for e1, e2 in zip(prof.e1, prof.e2):
+            action, state, label = greedy_step_with_case(
+                p, state, e1, e2, mode)
+            actions.append(action)
+            states.append(state)
+            cases.append(label)
+        traj = run_greedy(p, prof, mode)
+        # == on every float field: the rollout is bit for bit its steps
+        assert traj.actions == tuple(actions)
+        assert traj.states == tuple(states)
+        assert traj.cases == tuple(cases)
+        assert len(set(cases)) > 1 or mode.startswith("no_")
 
     def test_no_storage_mode(self):
         p = SystemParams(0.0, 0.8, 1.0, 3)

@@ -3,6 +3,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,11 @@ from energycoop import (
     step_state,
     total_cost,
 )
-from energycoop.model import TRAJECTORY_HEADER, neutralization_residuals
+from energycoop.model import (
+    ACTION_FIELDS,
+    TRAJECTORY_HEADER,
+    neutralization_residuals,
+)
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
 
@@ -70,10 +75,59 @@ class TestParams:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_profile_non_finite_names_slot(self, bad):
-        with pytest.raises(ValueError, match=r"e1\[1\] is not finite"):
-            NetEnergyProfile(e1=(0.0, bad), e2=(0.0, 0.0))
-        with pytest.raises(ValueError, match=r"e2\[0\] is not finite"):
+        # the message names the first bad slot
+        with pytest.raises(ValueError,
+                           match=rf"^e1\[1\] is not finite: {bad}$"):
+            NetEnergyProfile(e1=(0.0, bad, math.nan), e2=(0.0, 0.0, 0.0))
+        with pytest.raises(ValueError,
+                           match=rf"^e2\[0\] is not finite: {bad}$"):
             NetEnergyProfile(e1=(0.0, 0.0), e2=(bad, 0.0))
+
+    def test_profile_values_are_floats(self):
+        prof = NetEnergyProfile(e1=[1, "2.5"], e2=(np.float64(3.0), -0.0))
+        assert prof.e1 == (1.0, 2.5) and prof.e2 == (3.0, -0.0)
+        assert all(type(v) is float for v in prof.e1 + prof.e2)
+
+
+class TestRecords:
+    def test_field_order_and_defaults(self):
+        assert ControlAction._fields == ACTION_FIELDS
+        assert ControlAction() == (0.0,) * 8
+        assert StorageState._fields == ("s1", "s2")
+        with pytest.raises(TypeError):
+            StorageState(1.0)
+
+    def test_keyword_construction(self):
+        act = ControlAction(x12=math.nan)
+        assert math.isnan(act.x12)
+        assert act.as_tuple()[:6] == (0.0,) * 6 and act.x21 == 0.0
+        assert ControlAction(1.0, 2.0, d2=3.0).as_tuple() == (
+            1.0, 2.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0)
+        assert StorageState(s2=2.0, s1=1.0) == StorageState(1.0, 2.0)
+
+    @pytest.mark.parametrize("record, field", [
+        (ControlAction(), "w1"), (ControlAction(), "x21"),
+        (StorageState(0.0, 0.0), "s1"), (StorageState(0.0, 0.0), "s2")])
+    def test_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        assert getattr(record, field) == 0.0
+
+    def test_repr(self):
+        assert repr(ControlAction(w1=1.5, x21=0.25)) == (
+            "ControlAction(w1=1.5, w2=0.0, c1=0.0, c2=0.0, d1=0.0, d2=0.0, "
+            "x12=0.0, x21=0.25)")
+        assert repr(StorageState(0.5, 1.0)) == "StorageState(s1=0.5, s2=1.0)"
+
+    def test_as_tuple_unpack_and_index(self):
+        act = ControlAction(*(0.5 * k for k in range(8)))
+        assert type(act.as_tuple()) is tuple
+        assert act.as_tuple() == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
+        w1, w2, *_, x21 = act
+        assert (w1, w2, x21, act[6]) == (act.w1, act.w2, act.x21, act.x12)
+        state = StorageState(0.25, 0.75)
+        assert state.as_tuple() == (0.25, 0.75) == tuple(state)
+        assert type(state.as_tuple()) is tuple
 
 
 class TestStepState:
@@ -188,6 +242,13 @@ class TestNormalizeAction:
         # max(0.0, nan) is 0.0, so a NaN field must fail the check instead
         with pytest.raises(ValueError, match="negative or NaN"):
             normalize_action(ControlAction(w1=1.0, d2=bad), 0.9)
+
+    def test_rejection_shows_the_action(self):
+        with pytest.raises(ValueError) as exc:
+            normalize_action(ControlAction(w1=1.0, d2=-0.5), 0.9)
+        assert str(exc.value) == (
+            "cannot normalize a negative or NaN action: ControlAction(w1=1.0, "
+            "w2=0.0, c1=0.0, c2=0.0, d1=0.0, d2=-0.5, x12=0.0, x21=0.0)")
 
     def test_opposing_transfers_cancel(self):
         act = normalize_action(ControlAction(x12=0.7, x21=0.7), 1.0)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from energycoop import NetEnergyProfile, add_gaussian_noise, sinusoid
-from energycoop.profiles import ParseError, load_profile, save_profile
+from energycoop.profiles import ParseError, load_profile
+from helpers import save_profile
 
 OMEGA = 2 * math.pi / 24
 
