@@ -4,9 +4,13 @@
 upper-bound constraint matrices with their right-hand sides, and
 per-variable bounds.  Only the non-zeros are stored, so a planning program
 takes memory linear in its horizon; the planners assemble the index and
-value arrays of these matrices with numpy in one pass.  ``lp_solve`` hands
-the matrices straight to scipy's HiGHS backend (tightened to 1e-10
-feasibility tolerances) and then independently re-checks the returned
+value arrays of these matrices with numpy in one pass.  ``highs_solve``
+passes them straight to the HiGHS solver scipy bundles, through its private
+binding ``scipy.optimize._highspy._core``, as the model and options (1e-10
+feasibility tolerances) that ``linprog(method="highs")`` would pass; the
+``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
+scipy release that changes the binding fails there instead of silently
+moving a plan.  ``lp_solve`` then independently re-checks the returned
 point against every constraint at 1e-9.  It returns only that certified
 optimum; everything else raises: ``LpInfeasible`` for an infeasible
 program, ``SolverError`` for an unbounded one, any other backend failure
@@ -18,16 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize._highspy._core import (
+    HighsDebugLevel, HighsLp, HighsModelStatus, HighsOptions, HighsStatus,
+    MatrixFormat, _Highs, kHighsInf, simplex_constants)
+from scipy.sparse import csr_matrix, vstack
 
 FEAS_TOL = 1e-9
 
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-    "presolve": True,
-}
+
+# the options linprog(method="highs") sets for these tolerances
+_OPTIONS = HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = (
+    simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_OPTIONS.primal_feasibility_tolerance = 1e-10
+_OPTIONS.dual_feasibility_tolerance = 1e-10
+_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
 
 
 class SolverError(Exception):
@@ -44,7 +56,8 @@ class LpProblem:
 
     ``a_eq`` / ``a_ub`` are CSR matrices with one column per variable and
     one row per entry of ``b_eq`` / ``b_ub``; a ub row means row . x <= rhs.
-    ``lower`` and ``upper`` bound each variable, upper may be ``math.inf``.
+    ``lower`` and ``upper`` bound each variable; lower may be ``-inf`` and
+    upper ``+inf``, and every other value must be finite.
     """
 
     objective: np.ndarray
@@ -69,6 +82,17 @@ class LpProblem:
             if a.shape != (len(b), n):
                 raise ValueError(f"constraint matrix of shape {a.shape}, "
                                  f"want ({len(b)}, {n})")
+        # HiGHS does not reject these: a NaN cost comes back "optimal"
+        for name, values in (("objective", self.objective),
+                             ("b_eq", self.b_eq), ("b_ub", self.b_ub),
+                             ("a_eq", self.a_eq.data),
+                             ("a_ub", self.a_ub.data)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} has a non-finite value")
+        if np.any(self.lower == np.inf):
+            raise ValueError("lower has a value of +inf")
+        if np.any(self.upper == -np.inf):
+            raise ValueError("upper has a value of -inf")
 
     @property
     def n_vars(self) -> int:
@@ -103,6 +127,44 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
                     "after solve")
 
 
+def highs_solve(problem: LpProblem,
+                ) -> tuple[HighsModelStatus, np.ndarray | None, int]:
+    """Run HiGHS once: (model status, x or None, simplex iterations).
+
+    The model is the one ``linprog`` builds: rows ``[a_ub; a_eq]`` with
+    ``-inf <= a_ub x <= b_ub`` and ``b_eq <= a_eq x <= b_eq``.  ``x`` is
+    set only for an optimal status.  HiGHS rejects a duplicate entry, so a
+    non-canonical matrix has its duplicates summed as ``linprog`` does.
+    """
+    a = vstack((problem.a_ub, problem.a_eq), format="csr")
+    if not a.has_canonical_format:
+        a.sum_duplicates()
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = problem.objective
+    lp.col_lower_ = np.clip(problem.lower, -kHighsInf, kHighsInf)
+    lp.col_upper_ = np.clip(problem.upper, -kHighsInf, kHighsInf)
+    lp.row_lower_ = np.concatenate((np.full(len(problem.b_ub), -kHighsInf),
+                                    problem.b_eq))
+    lp.row_upper_ = np.concatenate((problem.b_ub, problem.b_eq))
+
+    highs = _Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(lp) == HighsStatus.kError:
+        return HighsModelStatus.kModelError, None, 0
+    ran = highs.run() != HighsStatus.kError
+    status = highs.getModelStatus()
+    iterations = highs.getInfo().simplex_iteration_count
+    if not ran or status != HighsModelStatus.kOptimal:
+        return status, None, iterations
+    return status, np.array(highs.getSolution().col_value), iterations
+
+
 def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve a bounded-variable LP; deterministic for identical inputs.
 
@@ -111,19 +173,13 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     unbounded one, for any other backend outcome and for a returned point
     failing the re-check.
     """
-    c = problem.objective
-    res = linprog(c, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                  A_eq=problem.a_eq, b_eq=problem.b_eq,
-                  bounds=np.column_stack((problem.lower, problem.upper)),
-                  method="highs", options=_HIGHS_OPTIONS)
+    status, x, iterations = highs_solve(problem)
+    if status == HighsModelStatus.kInfeasible:
+        raise LpInfeasible(f"LP infeasible: HiGHS status {status.name}")
+    if status == HighsModelStatus.kUnbounded:
+        raise SolverError(f"LP unbounded: HiGHS status {status.name}")
+    if status != HighsModelStatus.kOptimal or x is None:
+        raise SolverError(f"LP backend failed: HiGHS status {status.name}")
 
-    if res.status == 2:
-        raise LpInfeasible(f"LP infeasible: {res.message}")
-    if res.status == 3:
-        raise SolverError(f"LP unbounded: {res.message}")
-    if res.status != 0 or res.x is None:
-        raise SolverError(f"LP backend failed: {res.message}")
-
-    x = np.asarray(res.x, dtype=float)
     _certify(problem, x)
-    return LpSolution(x, float(np.dot(c, x)), int(np.sum(res.nit)))
+    return LpSolution(x, float(np.dot(problem.objective, x)), iterations)

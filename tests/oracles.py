@@ -4,9 +4,10 @@ Nothing here may call into the package's solver or planner paths: the
 vertex enumerator checks the LP engine by brute force over basic
 solutions, the grid DP checks the planners by discretized dynamic
 programming over storage states, the one-slot LP checks the greedy
-controller by handing one slot's program straight to scipy's HiGHS, and
-the reference builder spells out the planning programs one constraint row
-at a time.  Only the domain types of ``energycoop.model`` are shared.
+controller by handing one slot's program straight to scipy's HiGHS, the
+public ``linprog`` reference checks the engine's own HiGHS call, and the
+reference builder spells out the planning programs one constraint row at
+a time.  Only the domain types of ``energycoop.model`` are shared.
 """
 
 from __future__ import annotations
@@ -95,6 +96,19 @@ def enumerate_lp_optimum(c, eq, ub, bounds):
     if best is None:
         return ("Infeasible", None)
     return ("Optimal", best)
+
+
+def linprog_reference(problem):
+    """Public ``linprog(method="highs")`` on a program's fields.
+
+    ``problem`` is anything with the ``LpProblem`` fields; the options
+    are the engine's, so an exact translation of the program returns the
+    same point and iteration count.
+    """
+    return linprog(problem.objective, A_ub=problem.a_ub, b_ub=problem.b_ub,
+                   A_eq=problem.a_eq, b_eq=problem.b_eq,
+                   bounds=np.column_stack((problem.lower, problem.upper)),
+                   method="highs", options=_HIGHS_OPTIONS)
 
 
 def greedy_step_lp(params, state, e1, e2, gamma=None):

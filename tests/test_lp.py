@@ -1,15 +1,20 @@
 """LP engine contract: certified optima, raised failures, invariants."""
 
 import math
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import _linprog_highs
+from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.sparse import csr_matrix
 
+from energycoop import SystemParams, lp, sinusoid
 from energycoop.lp import LpInfeasible, SolverError, lp_solve
+from energycoop.offline import build_single_bs, build_stage1, build_stage2
 
 from helpers import make_problem
-from oracles import enumerate_lp_optimum
+from oracles import enumerate_lp_optimum, linprog_reference
 
 
 def random_program(rng):
@@ -133,12 +138,134 @@ def test_determinism():
 def test_nan_point_not_certified(monkeypatch):
     # every comparison with NaN is false, so a NaN entry must fail the
     # re-check rather than slip through it
-    def nan_backend(*args, **kwargs):
-        return SimpleNamespace(status=0, x=np.array([math.nan, 0.5]),
-                               nit=1, message="synthetic NaN point")
+    def nan_backend(problem):
+        return HighsModelStatus.kOptimal, np.array([math.nan, 0.5]), 1
 
-    monkeypatch.setattr("energycoop.lp.linprog", nan_backend)
+    monkeypatch.setattr("energycoop.lp.highs_solve", nan_backend)
     problem = make_problem([1.0, 1.0], ub=[(np.array([1.0, 1.0]), 2.0)],
                            bounds=[(0.0, 1.0), (0.0, 1.0)])
     with pytest.raises(SolverError, match="violated by nan"):
         lp_solve(problem)
+
+
+@pytest.mark.parametrize("status, error, match", [
+    (HighsModelStatus.kInfeasible, LpInfeasible, "LP infeasible"),
+    (HighsModelStatus.kUnbounded, SolverError, "LP unbounded"),
+    (HighsModelStatus.kUnboundedOrInfeasible, SolverError,
+     "LP backend failed: HiGHS status kUnboundedOrInfeasible"),
+    (HighsModelStatus.kModelError, SolverError,
+     "LP backend failed: HiGHS status kModelError"),
+    (HighsModelStatus.kIterationLimit, SolverError, "LP backend failed"),
+])
+def test_backend_status_mapping(monkeypatch, status, error, match):
+    monkeypatch.setattr("energycoop.lp.highs_solve",
+                        lambda problem: (status, None, 0))
+    with pytest.raises(error, match=match) as exc:
+        lp_solve(make_problem([1.0]))
+    assert isinstance(exc.value, LpInfeasible) == (error is LpInfeasible)
+
+
+def _full_problem():
+    """One eq row, one ub row and finite bounds, every field non-empty."""
+    return make_problem([1.0, 2.0], eq=[(np.array([1.0, 1.0]), 1.0)],
+                        ub=[(np.array([1.0, -1.0]), 0.5)],
+                        bounds=[(0.0, 1.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["objective", "b_eq", "b_ub",
+                                   "a_eq", "a_ub"])
+def test_non_finite_data_rejected(field, bad):
+    base = _full_problem()
+    value = getattr(base, field).copy()
+    (value.data if field.startswith("a_") else value)[0] = bad
+    with pytest.raises(ValueError, match=f"^{field} has a non-finite"):
+        replace(base, **{field: value})
+
+
+@pytest.mark.parametrize("field, bad", [("lower", math.inf),
+                                        ("upper", -math.inf)])
+def test_infinite_bound_on_the_wrong_side_rejected(field, bad):
+    base = make_problem([1.0, 1.0], bounds=[(-math.inf, math.inf)] * 2)
+    value = getattr(base, field).copy()
+    value[0] = bad  # the other bound is infinite, so lower <= upper holds
+    with pytest.raises(ValueError, match=f"^{field} has a value of"):
+        replace(base, **{field: value})
+
+
+def test_duplicate_entries_are_summed():
+    # row 0 holds column 0 twice (1 + 1), as linprog's COO path sums them
+    dup = csr_matrix((np.array([1.0, 1.0, 1.0]), np.array([0, 0, 1]),
+                      np.array([0, 3])), shape=(1, 2))
+    summed = make_problem([-1.0, -1.0], ub=[(np.array([2.0, 1.0]), 2.0)],
+                          bounds=[(0.0, 1.0), (0.0, 1.0)])
+    problem = replace(summed, a_ub=dup)
+    sol = lp_solve(problem)
+    assert np.array_equal(sol.x, lp_solve(summed).x)
+    assert dup.nnz == 3  # the caller's matrix is left as it was
+
+
+def _planning_programs():
+    """Stage 1, stage 2 and single-BS programs at N = 48, three thetas."""
+    params = SystemParams(0.9, 0.8, 1.0, 48, (0.0, 0.0))
+    for theta in (0.0, math.pi / 2, math.pi):
+        profile = sinusoid(3.0, 2 * math.pi / 24, theta, 48)
+        stage1 = build_stage1(params, profile)
+        yield stage1
+        yield build_stage2(stage1, lp_solve(stage1).objective_value)
+        yield build_single_bs(params, profile.e1)
+
+
+def _random_programs():
+    rng = np.random.default_rng(42)
+    for _ in range(40):
+        yield make_problem(*random_program(rng))
+
+
+def test_matches_public_linprog():
+    # lp_solve calls HiGHS through scipy's private binding; public linprog
+    # with the same options is the reference, so a scipy release that
+    # changes the binding fails here instead of silently moving a plan
+    checked = 0
+    for problem in (*_random_programs(), *_planning_programs()):
+        res = linprog_reference(problem)
+        if res.status == 2:
+            with pytest.raises(LpInfeasible):
+                lp_solve(problem)
+            continue
+        assert res.status == 0
+        sol = lp_solve(problem)
+        assert np.array_equal(sol.x, res.x)
+        assert sol.iterations == res.nit
+        checked += 1
+    assert checked >= 20
+
+
+def test_options_match_public_linprog(monkeypatch):
+    # the options linprog hands to its HiGHS wrapper, read off that call
+    seen = {}
+    wrapper = _linprog_highs._highs_wrapper
+
+    def spy(*args):
+        seen.update(args[-1])
+        return wrapper(*args)
+
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
+    linprog_reference(make_problem([1.0]))
+    set_options = {key: value for key, value in seen.items()
+                   if value is not None and key != "sense"}
+    assert set_options.pop("presolve") is True
+    assert lp._OPTIONS.presolve == "on"
+    for key, value in set_options.items():
+        assert getattr(lp._OPTIONS, key) == getattr(value, "value", value), key
+
+
+@pytest.mark.parametrize("problem, status, error", [
+    (make_problem([-1.0]), 3, SolverError),
+    (make_problem([1.0], eq=[(np.array([1.0]), -2.0)]), 2, LpInfeasible),
+])
+def test_failures_match_public_linprog(problem, status, error):
+    assert linprog_reference(problem).status == status
+    with pytest.raises(error) as exc:
+        lp_solve(problem)
+    assert type(exc.value) is error
