@@ -9,9 +9,7 @@ a hybrid of the two for partially predictable profiles.
 __version__ = "0.1.0"
 
 from .model import (
-    BoundViolation,
     ControlAction,
-    DischargeExceedsStorage,
     FeasibilityReport,
     InvalidState,
     LengthMismatch,
@@ -22,7 +20,6 @@ from .model import (
     check_feasible,
     normalize_action,
     save_trajectory,
-    step_state,
     total_cost,
 )
 from .lp import LpInfeasible, LpProblem, LpSolution, SolverError, lp_solve

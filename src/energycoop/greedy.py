@@ -195,6 +195,16 @@ def _step_no_transfer(alpha: float, cap1: float, cap2: float,
     return (w1, w2, c1, c2, d1, d2, 0.0, 0.0, s1, s2)
 
 
+def check_mode(mode: str, alpha: float, beta: float) -> None:
+    """Raise ValueError unless ``mode`` is known and allows (alpha, beta):
+    the case rules of the first two ``MODES`` divide by both efficiencies."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if not (alpha > 0.0 and beta > 0.0) and mode in MODES[:2]:
+        raise ValueError(f"mode {mode!r} needs alpha > 0 and beta > 0, "
+                         f"got alpha = {alpha}, beta = {beta}")
+
+
 def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
                 s1: float, s2: float, e1: float, e2: float,
                 mode: str = "standard",
@@ -205,8 +215,7 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
     reference it; the hybrid planner uses this to run the controller inside
     the storage head-room its offline component leaves free.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    check_mode(mode, alpha, beta)
     if not (-CASE_TOL <= s1 <= cap1 + CASE_TOL
             and -CASE_TOL <= s2 <= cap2 + CASE_TOL):
         raise InvalidState(
@@ -221,10 +230,6 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
         r = _step_no_transfer(alpha, cap1, cap2, s1, s2, e1, e2)
         return ControlAction._make(r[:8]), StorageState(r[8], r[9]), mode
 
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError(
-            "standard greedy needs alpha > 0 and beta > 0; use the "
-            "no_storage / no_transfer modes at the boundary")
     r = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1, e2,
                   force_2a=(mode == "force_case_2a"))
     return ControlAction._make(r[:8]), StorageState(r[8], r[9]), r[10]
@@ -245,14 +250,11 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
     Modes: ``standard`` (the case rules as derived), ``force_case_2a``
     (transfer-first rule applied to every mixed-sign slot, optimal when one
     station is always in surplus and the other always in deficit),
-    ``no_storage`` (required when alpha = 0) and ``no_transfer`` (required
-    when beta = 0).
+    ``no_storage`` and ``no_transfer``; the last two take any alpha and
+    beta, the first two need both positive.
     """
     check_slots("profile", profile.n_slots, params.n_slots)
-    if params.alpha == 0.0 and mode != "no_storage":
-        raise ValueError("alpha = 0 requires mode='no_storage'")
-    if params.beta == 0.0 and params.alpha > 0.0 and mode != "no_transfer":
-        raise ValueError("beta = 0 requires mode='no_transfer'")
+    check_mode(mode, params.alpha, params.beta)
 
     state = StorageState(*params.s_init)
     actions, states, cases = [], [state], []

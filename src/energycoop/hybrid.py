@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .greedy import capped_step
+from .greedy import capped_step, check_mode
 from .model import (
     ControlAction,
     LengthMismatch,
@@ -89,6 +89,7 @@ def run_hybrid_stream(params: SystemParams,
     """
     n = params.n_slots
     check_slots("deterministic profile", deterministic.n_slots, n)
+    check_mode("standard", params.alpha, params.beta)
     if offline_traj is None:
         offline_traj = plan_offline(params, deterministic)
     check_slots("offline trajectory", offline_traj.n_slots, n)

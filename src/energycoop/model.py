@@ -1,4 +1,4 @@
-"""Domain types, storage dynamics, feasibility checking and cost accounting.
+"""Domain types, feasibility checking and cost accounting.
 
 Two base stations (BS 1 and BS 2) share energy over a resistive power line.
 Each has a renewable source, a grid connection and a finite battery.  Per
@@ -21,22 +21,9 @@ from typing import NamedTuple
 
 DEFAULT_TOL = 1e-6
 
-ACTION_FIELDS = ("w1", "w2", "c1", "c2", "d1", "d2", "x12", "x21")
-
-TRAJECTORY_HEADER = ("t", "E1", "E2", "w1", "w2", "c1", "c2",
-                     "d1", "d2", "x12", "x21", "s1", "s2")
-
 
 class ModelError(Exception):
     """Base class for model-level failures."""
-
-
-class BoundViolation(ModelError):
-    """A storage level left the admissible [0, s_max] band."""
-
-
-class DischargeExceedsStorage(ModelError):
-    """A discharge request exceeds the currently stored energy."""
 
 
 class LengthMismatch(ModelError):
@@ -147,13 +134,20 @@ class StorageState(NamedTuple):
         return tuple(self)
 
 
+ACTION_FIELDS = ControlAction._fields
+
+TRAJECTORY_HEADER = ("t", "E1", "E2", *ACTION_FIELDS, *StorageState._fields)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A control policy rolled out over the horizon.
 
     ``states`` has one more entry than ``actions``; ``states[0]`` is the
-    initial storage pair and ``states[t+1]`` results from applying
-    ``actions[t]``.  ``cases`` optionally records which greedy decision rule
+    initial storage pair and ``states[t+1]`` is s_i + alpha*c_i - d_i after
+    ``actions[t]``: a greedy rollout computes it in its case rules, an
+    offline plan reads it off its certified LP point, clipped onto
+    [0, s_max].  ``cases`` optionally records which greedy decision rule
     produced each slot's action (debug/introspection only).
     """
 
@@ -189,29 +183,6 @@ class FeasibilityReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def step_state(params: SystemParams, state: StorageState,
-               action: ControlAction) -> StorageState:
-    """Advance storage one slot: s_i' = s_i + alpha*c_i - d_i.
-
-    Raises DischargeExceedsStorage / BoundViolation when the action drives a
-    storage level outside [0, s_max] by more than ``DEFAULT_TOL``; results
-    inside the tolerance band are clamped onto the bound.
-    """
-    tol = DEFAULT_TOL
-    if action.d1 > state.s1 + tol or action.d2 > state.s2 + tol:
-        raise DischargeExceedsStorage(
-            f"discharge ({action.d1}, {action.d2}) exceeds storage "
-            f"({state.s1}, {state.s2})")
-    out = []
-    for s, c, d in ((state.s1, action.c1, action.d1),
-                    (state.s2, action.c2, action.d2)):
-        nxt = s + params.alpha * c - d
-        if nxt < -tol or nxt > params.s_max + tol:
-            raise BoundViolation(f"storage {nxt} outside [0, {params.s_max}]")
-        out.append(min(max(nxt, 0.0), params.s_max))
-    return StorageState(out[0], out[1])
 
 
 def neutralization_residuals(params: SystemParams, e1: float, e2: float,
@@ -255,14 +226,13 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
         if not residual >= -DEFAULT_TOL:
             bad.append(Violation(name, slot, residual))
 
-    for i, (s0, si) in enumerate(zip(traj.states[0].as_tuple(),
-                                     params.s_init)):
+    for i, (s0, si) in enumerate(zip(traj.states[0], params.s_init)):
         flag(f"initial_state_s{i + 1}", 0, -abs(s0 - si))
 
     for t in range(n):
         act = traj.actions[t]
         s, s_next = traj.states[t], traj.states[t + 1]
-        for name, val in zip(ACTION_FIELDS, act.as_tuple()):
+        for name, val in zip(ACTION_FIELDS, act):
             flag(f"nonneg_{name}", t, val)
         flag("discharge_le_storage_1", t, s.s1 - act.d1)
         flag("discharge_le_storage_2", t, s.s2 - act.d2)
@@ -315,11 +285,10 @@ def normalize_action(action: ControlAction, alpha: float) -> ControlAction:
     normalization exactly.  Fields below -DEFAULT_TOL, and NaN fields, are
     rejected; solver dust in [-DEFAULT_TOL, 0) is snapped to zero.
     """
-    fields = action.as_tuple()
-    if not all(v >= -DEFAULT_TOL for v in fields):
+    if not all(v >= -DEFAULT_TOL for v in action):
         raise ValueError(
             f"cannot normalize a negative or NaN action: {action}")
-    w1, w2, c1, c2, d1, d2, x12, x21 = (max(0.0, v) for v in fields)
+    w1, w2, c1, c2, d1, d2, x12, x21 = (max(0.0, v) for v in action)
     c1, d1 = _cancel_charge_discharge(c1, d1, alpha)
     c2, d2 = _cancel_charge_discharge(c2, d2, alpha)
     q = min(x12, x21)
@@ -351,7 +320,7 @@ def save_trajectory(traj: Trajectory, profile: NetEnergyProfile,
         for t, act in enumerate(traj.actions):
             s = traj.states[t]
             row = [t, repr(profile.e1[t]), repr(profile.e2[t])]
-            row += [repr(v) for v in act.as_tuple()]
+            row += [repr(v) for v in act]
             row += [repr(s.s1), repr(s.s2)]
             if cases is not None:
                 row.append(cases[t])

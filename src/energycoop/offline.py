@@ -10,7 +10,8 @@ into a new objective and one more ``cost_budget`` row and shares every
 other array; the single-BS baseline restricts it to one station (BS 2
 gets a zero profile and every column through which it could act is
 pinned to zero).  ``lp_solve`` returns a certified optimum or raises; an
-infeasible stage 2 raises ``Stage2Infeasible``.
+infeasible stage 2 raises ``Stage2Infeasible``.  A plan's storage levels
+are the certified point's storage columns, clipped onto [0, s_max].
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
     Trajectory,
     check_slots,
     normalize_action,
-    step_state,
 )
 
 # Relative slack on the stage-2 cost budget.  Large enough that stage 2 is
@@ -157,16 +157,14 @@ def build_stage2(stage1: LpProblem, v1: float) -> LpProblem:
 
 
 def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
-    """Turn a certified LP point into a normalized, dynamics-consistent
-    trajectory; ``normalize_action`` snaps the solver's sign dust to 0."""
+    """Normalized actions and the storage columns, clipped onto [0, s_max],
+    of a certified LP point; ``normalize_action`` snaps sign dust to 0."""
     n = params.n_slots
-    actions = []
-    states = [StorageState(*params.s_init)]
-    for raw in x[:_N_ACTION * n].reshape(n, _N_ACTION).tolist():
-        action = normalize_action(ControlAction(*raw), params.alpha)
-        states.append(step_state(params, states[-1], action))
-        actions.append(action)
-    return Trajectory(tuple(actions), tuple(states))
+    actions = (normalize_action(ControlAction._make(raw), params.alpha)
+               for raw in x[:_N_ACTION * n].reshape(n, _N_ACTION).tolist())
+    states = np.clip(x[_N_ACTION * n:], 0.0, params.s_max).reshape(n + 1, 2)
+    return Trajectory(tuple(actions),
+                      tuple(map(StorageState._make, states.tolist())))
 
 
 def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:

@@ -230,11 +230,18 @@ class TestRollout:
             run_greedy(P, prof, mode="bogus")
         assert str(exc.value) == (
             f"unknown mode 'bogus'; expected one of {MODES}")
+        with pytest.raises(ValueError) as exc:
+            run_greedy(SystemParams(0.9, 0.0, 1.0, 1), prof, "force_case_2a")
+        assert str(exc.value) == ("mode 'force_case_2a' needs alpha > 0 and "
+                                  "beta > 0, got alpha = 0.9, beta = 0.0")
 
     @pytest.mark.parametrize("mode, alpha, beta", [
         *((mode, None, None) for mode in MODES),
         ("no_storage", 0.0, None),
         ("no_transfer", None, 0.0),
+        # each boundary mode also runs on the other boundary
+        ("no_storage", None, 0.0),
+        ("no_transfer", 0.0, None),
     ])
     def test_rollout_equals_chained_steps(self, mode, alpha, beta):
         rng = np.random.default_rng(25)
@@ -255,6 +262,7 @@ class TestRollout:
         assert traj.states == tuple(states)
         assert traj.cases == tuple(cases)
         assert len(set(cases)) > 1 or mode.startswith("no_")
+        assert check_feasible(p, prof, traj).ok
 
     def test_no_storage_mode(self):
         p = SystemParams(0.0, 0.8, 1.0, 3)

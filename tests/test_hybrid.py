@@ -210,6 +210,18 @@ class TestRunHybrid:
         with pytest.raises(ValueError, match="slot 5"):
             run_hybrid_stream(params, det, iter(slots))
 
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.8), (0.9, 0.0)])
+    def test_zero_efficiency_rejected_before_planning(self, alpha, beta,
+                                                      monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("planned offline before checking the mode")
+
+        monkeypatch.setattr("energycoop.hybrid.plan_offline", no_plan)
+        params = SystemParams(alpha, beta, 1.0, 24)
+        det = sinusoid(3.0, OMEGA, 1.0, 24)
+        with pytest.raises(ValueError, match="needs alpha > 0 and beta > 0"):
+            run_hybrid_stream(params, det, zip(det.e1, det.e2))
+
     def test_decomposed_validation(self):
         with pytest.raises(LengthMismatch):
             DecomposedProfile(sinusoid(1.0, OMEGA, 0.0, 4),

@@ -9,9 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from energycoop import (
-    BoundViolation,
     ControlAction,
-    DischargeExceedsStorage,
     LengthMismatch,
     NetEnergyProfile,
     StorageState,
@@ -21,7 +19,6 @@ from energycoop import (
     normalize_action,
     run_greedy,
     save_trajectory,
-    step_state,
     total_cost,
 )
 from energycoop.model import (
@@ -128,42 +125,6 @@ class TestRecords:
         state = StorageState(0.25, 0.75)
         assert state.as_tuple() == (0.25, 0.75) == tuple(state)
         assert type(state.as_tuple()) is tuple
-
-
-class TestStepState:
-    def test_charge(self):
-        s = step_state(P, StorageState(0.0, 0.0), ControlAction(c1=1.0))
-        assert s.as_tuple() == pytest.approx((0.9, 0.0))
-
-    def test_identity(self):
-        s = step_state(P, StorageState(0.3, 0.7), ControlAction())
-        assert s.as_tuple() == (0.3, 0.7)
-
-    def test_mixed(self):
-        s = step_state(P, StorageState(1.0, 0.5),
-                       ControlAction(c2=0.2, d1=0.4))
-        assert s.as_tuple() == pytest.approx((0.6, 0.68), abs=1e-12)
-
-    def test_discharge_exceeds(self):
-        with pytest.raises(DischargeExceedsStorage):
-            step_state(P, StorageState(0.1, 0.0), ControlAction(d1=0.2))
-
-    def test_bound_violation(self):
-        with pytest.raises(BoundViolation):
-            step_state(P, StorageState(0.9, 0.0), ControlAction(c1=1.0))
-
-    @given(s1=finite, s2=finite, g1=finite, g2=finite,
-           c1=finite, c2=finite, d1=st.floats(0.0, 1.0), d2=st.floats(0.0, 1.0))
-    @settings(max_examples=200)
-    def test_order_preserving(self, s1, s2, g1, g2, c1, c2, d1, d2):
-        # componentwise s <= s' implies step(s) <= step(s')
-        params = SystemParams(0.9, 0.8, 100.0, 1, (0.0, 0.0))
-        lo = StorageState(1.0 + s1, 1.0 + s2)
-        hi = StorageState(lo.s1 + g1, lo.s2 + g2)
-        act = ControlAction(c1=c1, c2=c2, d1=d1, d2=d2)
-        a = step_state(params, lo, act)
-        b = step_state(params, hi, act)
-        assert a.s1 <= b.s1 + 1e-12 and a.s2 <= b.s2 + 1e-12
 
 
 class TestCheckFeasible:
@@ -316,19 +277,20 @@ class TestTotalCost:
 
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
-        params = SystemParams(0.9, 0.8, 1.0, 2)
         prof = NetEnergyProfile(e1=(1.0, -0.25), e2=(0.5, 1 / 3))
         actions = (ControlAction(w1=0.125, c1=0.5),
                    ControlAction(d1=0.45, x12=math.pi / 10))
-        s0 = StorageState(0.0, 0.0)
-        s1 = step_state(params, s0, actions[0])
-        s2 = step_state(params, s1, actions[1])
-        traj = Trajectory(actions, (s0, s1, s2), cases=("1", "2A"))
+        # under alpha = 0.9, c1 = 0.5 stores 0.45 and d1 = 0.45 takes it out
+        states = (StorageState(0.0, 0.0), StorageState(0.45, 0.0),
+                  StorageState(0.0, 0.0))
+        traj = Trajectory(actions, states, cases=("1", "2A"))
         path = tmp_path / "traj.csv"
         save_trajectory(traj, prof, path, with_cases=True)
         with open(path, newline="") as fh:
             header, *body, final = csv.reader(fh)
-        assert header == [*TRAJECTORY_HEADER, "case"]
+        assert header == [*TRAJECTORY_HEADER, "case"] == [
+            "t", "E1", "E2", "w1", "w2", "c1", "c2", "d1", "d2", "x12", "x21",
+            "s1", "s2", "case"]
         assert [int(row[0]) for row in body] == [0, 1]
         for t, row in enumerate(body):
             assert (float(row[1]), float(row[2])) == (prof.e1[t], prof.e2[t])

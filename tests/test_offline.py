@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,15 +16,17 @@ from energycoop import (
     Trajectory,
     check_feasible,
     lp_solve,
+    normalize_action,
     run_greedy,
     run_hybrid_stream,
     save_trajectory,
     sinusoid,
     total_cost,
 )
-from energycoop.lp import LpInfeasible
+from energycoop.lp import FEAS_TOL, LpInfeasible
 from energycoop.offline import (
     Stage2Infeasible,
+    _extract_trajectory,
     build_single_bs,
     build_stage1,
     build_stage2,
@@ -205,6 +208,65 @@ class TestPlanOffline:
                      sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 24))
         assert len(built) == 1
         assert len(edited) == 1 and edited[0] is built[0]
+
+
+class TestExtraction:
+    """A plan is its certified LP point: normalized actions, and the
+    storage columns clipped onto [0, s_max] as the states."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(63)
+        for k in range(24):
+            n = int(rng.integers(1, 9))
+            s_max = math.inf if k % 4 == 3 else rng.uniform(0.2, 3.0)
+            s_init = ((0.0, 0.0) if k % 3 == 0
+                      else tuple(rng.uniform(0.0, min(s_max, 3.0), 2)))
+            p = rand_params(rng, n, alpha=0.0 if k % 5 == 1 else None,
+                            s_max=s_max, s_init=s_init)
+            yield p, rand_profile(rng, n)
+
+    @staticmethod
+    def assert_is_point(p, traj, x):
+        n = p.n_slots
+        assert traj.actions == tuple(
+            normalize_action(ControlAction(*raw), p.alpha)
+            for raw in x[:8 * n].reshape(n, 8).tolist())
+        assert traj.states == tuple(
+            StorageState(*s) for s in
+            np.clip(x[8 * n:], 0.0, p.s_max).reshape(n + 1, 2).tolist())
+        assert traj.states[0] == StorageState(*p.s_init)
+        for act, s, s_next in zip(traj.actions, traj.states,
+                                  traj.states[1:]):
+            assert abs(s_next.s1 - (s.s1 + p.alpha * act.c1 - act.d1)) \
+                <= FEAS_TOL
+            assert abs(s_next.s2 - (s.s2 + p.alpha * act.c2 - act.d2)) \
+                <= FEAS_TOL
+
+    def test_plan_offline_states_are_certified_storage(self):
+        for p, prof in self.instances():
+            stage1 = build_stage1(p, prof)
+            v1 = lp_solve(stage1).objective_value
+            x = lp_solve(build_stage2(stage1, v1)).x
+            traj = plan_offline(p, prof)
+            self.assert_is_point(p, traj, x)
+            assert check_feasible(p, prof, traj).ok
+
+    def test_storage_dust_clipped_onto_bounds(self):
+        # a point within the certificate's tolerance of a storage bound
+        p = SystemParams(0.9, 0.8, 1.0, 1)
+        x = np.zeros(8 + 4)
+        x[8:] = (-1e-12, 1.0 + 1e-12, 0.5, 1.0)
+        traj = _extract_trajectory(p, x)
+        assert traj.states == (StorageState(0.0, 1.0), StorageState(0.5, 1.0))
+
+    def test_plan_single_bs_states_are_certified_storage(self):
+        for p, prof in self.instances():
+            x = lp_solve(build_single_bs(p, prof.e1)).x
+            traj = plan_single_bs(p, prof.e1)
+            self.assert_is_point(p, traj, x)
+            assert check_feasible(
+                p, replace(prof, e2=(0.0,) * p.n_slots), traj).ok
 
 
 def _idle(n):
