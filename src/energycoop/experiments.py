@@ -1,11 +1,12 @@
 """Experiment sweeps reproducing the four simulation studies, as CSV.
 
-One grid runner serves all four studies: each maps every point of its
-theta x s_max grid to metrics through one per-point function and
-serializes the result with a metadata block, so a run is reproducible byte
-for byte from its spec.  Grid points are independent and dispatch to a
-process pool; set the ENERGYCOOP_WORKERS environment variable or pass
-``workers=1`` to run serially.
+Each study maps its theta x s_max grid to rows through independent tasks
+and writes them with a metadata block, so a run is reproducible byte for
+byte from its spec.  The loss studies run a task per grid point, the
+hybrid one pricing all its noise seeds warm in one ``offline_costs`` call;
+the cost studies run a task per s_max column, pricing every theta warm.
+No LP session outlives its task.  Tasks go to a process pool; set
+ENERGYCOOP_WORKERS (at least 1) or pass ``workers=1`` to run serially.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from . import __version__
 from .greedy import CASE_TOL, run_greedy
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
-from .offline import EPS_LEX_FACTOR, offline_cost, plan_offline, single_bs_cost
+from .offline import (EPS_LEX_FACTOR, offline_cost, offline_costs,
+                      plan_offline, single_bs_cost)
 from .profiles import add_gaussian_noise, sinusoid
 
 EXPERIMENT_IDS = ("cost-vs-storage", "saving-vs-theta",
@@ -154,11 +156,13 @@ def write_result(result: ExperimentResult, path: str | Path) -> None:
 
 
 def _run_tasks(fn, tasks, workers: int | None) -> list:
-    cap = os.environ.get(WORKERS_ENV)
-    limit = workers if workers is not None else (
-        int(cap) if cap else (os.cpu_count() or 1))
-    size = max(1, min(len(tasks), limit))
-    if size == 1:
+    if workers is None:
+        cap = os.environ.get(WORKERS_ENV) or str(os.cpu_count() or 1)
+        if not cap.isdecimal() or int(cap) < 1:
+            raise ValueError(f"{WORKERS_ENV}={cap!r}: want an integer >= 1")
+        workers = int(cap)
+    size = min(len(tasks), workers)
+    if size <= 1:
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, tasks))
@@ -173,15 +177,20 @@ def _pct(task, metric: str, change: float, base: float) -> float:
     return 100.0 * change / base
 
 
-def _point_cost(task) -> list[ResultRow]:
-    spec, theta, s_max = task
-    cost = offline_cost(spec.params(s_max), spec.profile(theta))
-    return [ResultRow(theta, s_max, "cost_per_bs", cost / 2.0)]
-
-
-def _single_bs(task) -> float:
+def _column(task) -> list[ResultRow]:
+    """Rows of one s_max column: every theta (solved warm), then single-BS."""
     spec, s_max = task
-    return single_bs_cost(spec.params(s_max), spec.profile(0.0).e1)
+    params = spec.params(s_max)
+    single = single_bs_cost(params, spec.profile(0.0).e1)
+    rows = []
+    for theta, cost in zip(spec.thetas, offline_costs(
+            params, [spec.profile(theta) for theta in spec.thetas])):
+        point, per_bs = (spec, theta, s_max), cost / 2.0
+        rows.append(ResultRow(theta, s_max, "cost_per_bs", per_bs)
+                    if spec.experiment == "cost-vs-storage" else
+                    ResultRow(theta, s_max, "saving_pct", _pct(
+                        point, "saving_pct", single - per_bs, single)))
+    return rows + [ResultRow(None, s_max, "single_bs_cost", single)]
 
 
 def _point_greedy_loss(task) -> list[ResultRow]:
@@ -207,10 +216,11 @@ def _point_hybrid(task) -> list[ResultRow]:
     params = spec.params(s_max)
     deterministic = spec.profile(theta)
     offline_det = plan_offline(params, deterministic)
+    realizations = [add_gaussian_noise(deterministic, NOISE_SCALE, seed)
+                    for seed in spec.seeds]
     greedy_losses, hybrid_losses = [], []
-    for seed in spec.seeds:
-        realized = add_gaussian_noise(deterministic, NOISE_SCALE, seed)
-        off = offline_cost(params, realized)
+    for realized, off in zip(realizations,
+                             offline_costs(params, realizations)):
         gre = total_cost(run_greedy(params, realized))
         hyb = total_cost(run_hybrid_stream(
             params, deterministic, zip(realized.e1, realized.e2),
@@ -229,9 +239,9 @@ def _point_hybrid(task) -> list[ResultRow]:
     return rows
 
 
-_POINTS = {
-    "cost-vs-storage": _point_cost,
-    "saving-vs-theta": _point_cost,
+_TASKS = {
+    "cost-vs-storage": _column,
+    "saving-vs-theta": _column,
     "greedy-loss-vs-theta": _point_greedy_loss,
     "hybrid-vs-greedy": _point_hybrid,
 }
@@ -245,17 +255,10 @@ def run_experiment(spec: ExperimentSpec,
     studies also append one ``single_bs_cost`` row per s_max; saving-vs-theta
     reports each pair cost as its percentage saving over that baseline.
     """
-    grid = [(spec, th, sm) for th in spec.thetas for sm in spec.s_max_grid]
-    rows = [r for batch in _run_tasks(_POINTS[spec.experiment], grid, workers)
-            for r in batch]
-    if spec.experiment in ("cost-vs-storage", "saving-vs-theta"):
-        singles = _run_tasks(_single_bs,
-                             [(spec, sm) for sm in spec.s_max_grid], workers)
-        if spec.experiment == "saving-vs-theta":
-            rows = [ResultRow(r.theta, r.s_max, "saving_pct",
-                              _pct((spec, r.theta, r.s_max), "saving_pct",
-                                   single - r.value, single))
-                    for r, single in zip(rows, singles * len(spec.thetas))]
-        rows += [ResultRow(None, sm, "single_bs_cost", single)
-                 for sm, single in zip(spec.s_max_grid, singles)]
-    return ExperimentResult(spec, tuple(rows))
+    by_column = _TASKS[spec.experiment] is _column
+    tasks = ([(spec, sm) for sm in spec.s_max_grid] if by_column else
+             [(spec, th, sm) for th in spec.thetas for sm in spec.s_max_grid])
+    batches = _run_tasks(_TASKS[spec.experiment], tasks, workers)
+    if by_column:  # columns to grid order, the single-BS rows last
+        batches = zip(*batches)
+    return ExperimentResult(spec, tuple(r for b in batches for r in b))

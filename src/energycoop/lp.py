@@ -4,17 +4,17 @@
 upper-bound constraint matrices with their right-hand sides, and
 per-variable bounds.  Only the non-zeros are stored, so a planning program
 takes memory linear in its horizon; the planners assemble the index and
-value arrays of these matrices with numpy in one pass.  ``highs_solve``
+value arrays of these matrices with numpy in one pass.  An ``LpSession``
 passes them straight to the HiGHS solver scipy bundles, through its private
 binding ``scipy.optimize._highspy._core``, as the model and options (1e-10
 feasibility tolerances) that ``linprog(method="highs")`` would pass; the
 ``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
 scipy release that changes the binding fails there instead of silently
-moving a plan.  ``lp_solve`` then independently re-checks the returned
-point against every constraint at 1e-9.  It returns only that certified
-optimum; everything else raises: ``LpInfeasible`` for an infeasible
-program, ``SolverError`` for an unbounded one, any other backend failure
-and a point that fails the re-check.
+moving a plan; a session re-solves edits of its last program warm.  Every
+point is then re-checked against every constraint at 1e-9, and only that
+certified optimum is returned; everything else raises: ``LpInfeasible``
+for an infeasible program, ``SolverError`` for an unbounded one, any other
+backend failure and a point that fails the re-check.
 """
 
 from __future__ import annotations
@@ -127,42 +127,67 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
                     "after solve")
 
 
-def highs_solve(problem: LpProblem,
-                ) -> tuple[HighsModelStatus, np.ndarray | None, int]:
-    """Run HiGHS once: (model status, x or None, simplex iterations).
+def _bounds(problem: LpProblem) -> tuple[np.ndarray, ...]:
+    """HiGHS column and row bounds of ``problem``, rows ``[a_ub; a_eq]``."""
+    return (np.clip(problem.lower, -kHighsInf, kHighsInf),
+            np.clip(problem.upper, -kHighsInf, kHighsInf),
+            np.append(np.full(len(problem.b_ub), -kHighsInf), problem.b_eq),
+            np.append(problem.b_ub, problem.b_eq))
 
-    The model is the one ``linprog`` builds: rows ``[a_ub; a_eq]`` with
-    ``-inf <= a_ub x <= b_ub`` and ``b_eq <= a_eq x <= b_eq``.  ``x`` is
-    set only for an optimal status.  HiGHS rejects a duplicate entry, so a
-    non-canonical matrix has its duplicates summed as ``linprog`` does.
-    """
-    a = vstack((problem.a_ub, problem.a_eq), format="csr")
-    if not a.has_canonical_format:
-        a.sum_duplicates()
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-    lp.a_matrix_.format_ = MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-    lp.col_cost_ = problem.objective
-    lp.col_lower_ = np.clip(problem.lower, -kHighsInf, kHighsInf)
-    lp.col_upper_ = np.clip(problem.upper, -kHighsInf, kHighsInf)
-    lp.row_lower_ = np.concatenate((np.full(len(problem.b_ub), -kHighsInf),
-                                    problem.b_eq))
-    lp.row_upper_ = np.concatenate((problem.b_ub, problem.b_eq))
 
-    highs = _Highs()
-    highs.passOptions(_OPTIONS)
-    if highs.passModel(lp) == HighsStatus.kError:
-        return HighsModelStatus.kModelError, None, 0
-    ran = highs.run() != HighsStatus.kError
-    status = highs.getModelStatus()
-    iterations = highs.getInfo().simplex_iteration_count
-    if not ran or status != HighsModelStatus.kOptimal:
-        return status, None, iterations
-    return status, np.array(highs.getSolution().col_value), iterations
+class LpSession:
+    """One HiGHS instance.  A program whose ``a_eq`` and ``a_ub`` are the
+    very objects of the last one solved is pushed as the costs and bounds
+    that differ and re-solved from its optimal basis; any other, and any
+    after a failed solve, is passed cold to a fresh instance."""
+
+    _highs = _last = None  # the instance and the last program it solved
+
+    def solve(self, problem: LpProblem) -> LpSolution:
+        """Certified minimizer of ``problem``; raises as ``lp_solve``."""
+        last, self._last, new = self._last, None, _bounds(problem)
+        if (last is not None and problem.a_eq is last.a_eq
+                and problem.a_ub is last.a_ub):
+            highs, old = self._highs, _bounds(last)
+            cols = np.flatnonzero(problem.objective != last.objective)
+            done = [highs.changeColsCost(len(cols), cols,
+                                         problem.objective[cols])]
+            cols = np.flatnonzero((new[0] != old[0]) | (new[1] != old[1]))
+            done.append(highs.changeColsBounds(len(cols), cols, new[0][cols],
+                                               new[1][cols]))
+            done += [highs.changeRowBounds(row, new[2][row], new[3][row])
+                     for row in np.flatnonzero(new[3] != old[3]).tolist()]
+        else:
+            a = vstack((problem.a_ub, problem.a_eq), format="csr")
+            if not a.has_canonical_format:  # HiGHS rejects duplicate entries
+                a.sum_duplicates()
+            lp = HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
+            lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
+            lp.a_matrix_.format_ = MatrixFormat.kRowwise
+            lp.a_matrix_.start_ = a.indptr
+            lp.a_matrix_.index_ = a.indices
+            lp.a_matrix_.value_ = a.data
+            lp.col_cost_ = problem.objective
+            lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_ = new
+            highs = self._highs = _Highs()
+            highs.passOptions(_OPTIONS)
+            done = [highs.passModel(lp)]
+        if HighsStatus.kError in done:  # HiGHS rejected the model or an edit
+            raise SolverError("LP backend failed: HiGHS status kModelError")
+        ran = highs.run() != HighsStatus.kError
+        status = highs.getModelStatus()
+        if status == HighsModelStatus.kInfeasible:
+            raise LpInfeasible(f"LP infeasible: HiGHS status {status.name}")
+        if status == HighsModelStatus.kUnbounded:
+            raise SolverError(f"LP unbounded: HiGHS status {status.name}")
+        if not ran or status != HighsModelStatus.kOptimal:
+            raise SolverError(f"LP backend failed: HiGHS status {status.name}")
+        x = np.array(highs.getSolution().col_value)
+        _certify(problem, x)
+        self._last = problem
+        return LpSolution(x, float(np.dot(problem.objective, x)),
+                          highs.getInfo().simplex_iteration_count)
 
 
 def lp_solve(problem: LpProblem) -> LpSolution:
@@ -171,15 +196,6 @@ def lp_solve(problem: LpProblem) -> LpSolution:
     Returns the minimizer once it passes the 1e-9 feasibility re-check.
     Raises LpInfeasible for an infeasible program and SolverError for an
     unbounded one, for any other backend outcome and for a returned point
-    failing the re-check.
+    failing the re-check.  A first session solve is cold.
     """
-    status, x, iterations = highs_solve(problem)
-    if status == HighsModelStatus.kInfeasible:
-        raise LpInfeasible(f"LP infeasible: HiGHS status {status.name}")
-    if status == HighsModelStatus.kUnbounded:
-        raise SolverError(f"LP unbounded: HiGHS status {status.name}")
-    if status != HighsModelStatus.kOptimal or x is None:
-        raise SolverError(f"LP backend failed: HiGHS status {status.name}")
-
-    _certify(problem, x)
-    return LpSolution(x, float(np.dot(problem.objective, x)), iterations)
+    return LpSession().solve(problem)

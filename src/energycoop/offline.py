@@ -11,7 +11,8 @@ other array; the single-BS baseline restricts it to one station (BS 2
 gets a zero profile and every column through which it could act is
 pinned to zero).  ``lp_solve`` returns a certified optimum or raises; an
 infeasible stage 2 raises ``Stage2Infeasible``.  A plan's storage levels
-are the certified point's storage columns, clipped onto [0, s_max].
+are the certified point's storage columns, clipped onto [0, s_max].  Plans
+are solved cold; ``offline_costs`` re-solves stage 1 warm across profiles.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
 
-from .lp import LpInfeasible, LpProblem, lp_solve
+from .lp import LpInfeasible, LpProblem, LpSession, lp_solve
 from .model import (
     ControlAction,
     NetEnergyProfile,
@@ -85,6 +86,13 @@ def _csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
     return a
 
 
+def _ub_rhs(params: SystemParams, profile: NetEnergyProfile) -> np.ndarray:
+    """Stage-1 ub right-hand sides: e1, e2 on the neutral rows, else 0."""
+    check_slots("profile", profile.n_slots, params.n_slots)
+    zeros = np.zeros((params.n_slots, 2))
+    return np.column_stack((profile.e1, profile.e2, zeros)).ravel()
+
+
 def build_stage1(params: SystemParams, profile: NetEnergyProfile,
                  ) -> LpProblem:
     """Cost-minimizing program: min total grid draw over the horizon.
@@ -96,7 +104,7 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
     All index arrays are computed at once; the caller owns them.
     """
     n = params.n_slots
-    check_slots("profile", profile.n_slots, n)
+    b_ub = _ub_rhs(params, profile)
     a, b = params.alpha, params.beta
     n_vars = _N_ACTION * n + 2 * (n + 1)
 
@@ -120,9 +128,6 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
                 np.concatenate(([1.0, 1.0], dyn_val)), n_vars)
     b_eq = np.zeros(2 + 2 * n)
     b_eq[:2] = params.s_init
-    b_ub = np.zeros(4 * n)
-    b_ub[0::4] = profile.e1
-    b_ub[1::4] = profile.e2
 
     upper = np.full(n_vars, math.inf)
     upper[s0:] = params.s_max
@@ -167,14 +172,20 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
                       tuple(map(StorageState._make, states.tolist())))
 
 
-def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
-    """Certified minimum total grid draw (the stage-1 optimum).
+def offline_costs(params: SystemParams,
+                  profiles: Sequence[NetEnergyProfile]) -> list[float]:
+    """``offline_cost`` of each profile: stage 1 is assembled once and each
+    later profile, which moves only its ub right-hand sides, solved warm."""
+    session = LpSession()
+    stage1 = build_stage1(params, profiles[0]) if profiles else None
+    return [session.solve(replace(stage1, b_ub=_ub_rhs(params, p)))
+            .objective_value for p in profiles]
 
-    ``plan_offline`` realizes this value up to the eps_lex budget slack its
-    second stage may convert into terminal storage; use this routine when
-    only the cost is needed, it is both cheaper and exact.
-    """
-    return lp_solve(build_stage1(params, profile)).objective_value
+
+def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
+    """Certified minimum total grid draw (the stage-1 optimum), exact;
+    ``plan_offline`` realizes it up to the eps_lex budget slack."""
+    return offline_costs(params, [profile])[0]
 
 
 def plan_offline(params: SystemParams, profile: NetEnergyProfile,

@@ -146,6 +146,25 @@ def test_zero_cost_baseline_exits_2(tmp_path, capsys, experiment, metric):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_workers_variable_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("ENERGYCOOP_WORKERS", value)
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "saving-vs-theta", "--thetas", "0.0",
+                 "--n", "24", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"ENERGYCOOP_WORKERS={value!r}: want an integer >= 1" in err
+    assert not out.exists()
+
+
+def test_valid_workers_variable_runs(tmp_path, monkeypatch):
+    out = tmp_path / "exp.csv"
+    monkeypatch.setenv("ENERGYCOOP_WORKERS", "1")
+    assert main(["experiment", "saving-vs-theta", "--thetas", "0.0",
+                 "--n", "24", "--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_smax_with_smax_grid_rejected(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert main(["experiment", "saving-vs-theta", "--smax", "2.0",

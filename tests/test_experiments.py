@@ -16,6 +16,8 @@ from energycoop.experiments import (
     run_experiment,
     write_result,
 )
+from energycoop.lp import lp_solve
+from energycoop.offline import build_single_bs, build_stage1
 
 SMALL = dict(n_slots=48, thetas=(0.0, math.pi / 2, math.pi),
              s_max_grid=(0.5, 1.0))
@@ -107,6 +109,34 @@ def test_every_study_sweeps_the_storage_grid(experiment):
     singles = [r.s_max for r in result.rows if r.metric == "single_bs_cost"]
     assert singles == (list(spec.s_max_grid)
                        if experiment == "saving-vs-theta" else [])
+
+
+@pytest.mark.parametrize("experiment", ["cost-vs-storage",
+                                        "saving-vs-theta"])
+def test_cost_studies_match_cold_recomputation(experiment):
+    # each column prices its thetas warm in one session; every row equals
+    # the cold per-point solve, and rows keep grid order
+    spec = small_spec(experiment)
+    singles = {sm: lp_solve(build_single_bs(
+        spec.params(sm), spec.profile(0.0).e1)).objective_value
+        for sm in spec.s_max_grid}
+    expected = []
+    for theta in spec.thetas:
+        for sm in spec.s_max_grid:
+            pair = lp_solve(build_stage1(
+                spec.params(sm), spec.profile(theta))).objective_value / 2.0
+            expected.append(
+                (theta, sm, "cost_per_bs", pair)
+                if experiment == "cost-vs-storage" else
+                (theta, sm, "saving_pct",
+                 100.0 * (singles[sm] - pair) / singles[sm]))
+    expected += [(None, sm, "single_bs_cost", singles[sm])
+                 for sm in spec.s_max_grid]
+    rows = run_experiment(spec, workers=1).rows
+    assert [(r.theta, r.s_max, r.metric) for r in rows] == [
+        e[:3] for e in expected]
+    for row, (*_, value) in zip(rows, expected):
+        assert abs(row.value - value) <= 1e-9 * max(1.0, abs(value))
 
 
 def test_result_csv_round_trip(tmp_path):

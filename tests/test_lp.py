@@ -2,15 +2,18 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import _linprog_highs
-from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._highspy._core import (
+    HighsModelStatus, HighsStatus, _Highs)
 from scipy.sparse import csr_matrix
 
 from energycoop import SystemParams, lp, sinusoid
-from energycoop.lp import LpInfeasible, SolverError, lp_solve
+from energycoop.lp import (
+    FEAS_TOL, LpInfeasible, LpSession, SolverError, lp_solve)
 from energycoop.offline import build_single_bs, build_stage1, build_stage2
 
 from helpers import make_problem
@@ -135,17 +138,58 @@ def test_determinism():
                                                  b.iterations)
 
 
+def _mutated_backend(monkeypatch, status=None, x=None):
+    """Replace the HiGHS class the session instantiates with the real one
+    whose reported model status (``status``) and point (``x``) are swapped
+    in once the returned ``armed`` list is non-empty.  ``created`` lists
+    every instance, so a test can tell a warm re-solve from a cold one."""
+    armed, created = [], []
+
+    class Mutated:
+        def __init__(self):
+            self.real = _Highs()
+            created.append(self)
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+        def getModelStatus(self):
+            if armed and status is not None:
+                return status
+            return self.real.getModelStatus()
+
+        def getSolution(self):
+            if armed and x is not None:
+                return SimpleNamespace(col_value=x)
+            return self.real.getSolution()
+
+    monkeypatch.setattr(lp, "_Highs", Mutated)
+    return armed, created
+
+
+def _armed_session(problem, armed, warm):
+    """A session whose next solve of ``problem`` runs mutated: cold on a
+    fresh session, or warm after a clean solve of ``problem`` with looser
+    ub rows."""
+    session = LpSession()
+    if warm:
+        session.solve(replace(problem, b_ub=problem.b_ub + 1.0))
+    armed.append(True)
+    return session
+
+
 def test_nan_point_not_certified(monkeypatch):
     # every comparison with NaN is false, so a NaN entry must fail the
-    # re-check rather than slip through it
-    def nan_backend(problem):
-        return HighsModelStatus.kOptimal, np.array([math.nan, 0.5]), 1
-
-    monkeypatch.setattr("energycoop.lp.highs_solve", nan_backend)
+    # re-check rather than slip through it, on a warm run as on a cold one
     problem = make_problem([1.0, 1.0], ub=[(np.array([1.0, 1.0]), 2.0)],
                            bounds=[(0.0, 1.0), (0.0, 1.0)])
-    with pytest.raises(SolverError, match="violated by nan"):
-        lp_solve(problem)
+    for warm in (False, True):
+        armed, created = _mutated_backend(monkeypatch,
+                                          x=np.array([math.nan, 0.5]))
+        session = _armed_session(problem, armed, warm)
+        with pytest.raises(SolverError, match="violated by nan"):
+            session.solve(problem)
+        assert len(created) == 1  # a warm run reused the first instance
 
 
 @pytest.mark.parametrize("status, error, match", [
@@ -158,11 +202,139 @@ def test_nan_point_not_certified(monkeypatch):
     (HighsModelStatus.kIterationLimit, SolverError, "LP backend failed"),
 ])
 def test_backend_status_mapping(monkeypatch, status, error, match):
-    monkeypatch.setattr("energycoop.lp.highs_solve",
-                        lambda problem: (status, None, 0))
-    with pytest.raises(error, match=match) as exc:
-        lp_solve(make_problem([1.0]))
-    assert isinstance(exc.value, LpInfeasible) == (error is LpInfeasible)
+    problem = make_problem([1.0], ub=[(np.array([1.0]), 2.0)])
+    for warm in (False, True):
+        armed, created = _mutated_backend(monkeypatch, status=status)
+        session = _armed_session(problem, armed, warm)
+        with pytest.raises(error, match=match) as exc:
+            session.solve(problem)
+        assert len(created) == 1
+        assert isinstance(exc.value, LpInfeasible) == (error is LpInfeasible)
+
+
+def _feasible_program(rng):
+    """A random program with a finite box and a strictly feasible point."""
+    while True:
+        problem = make_problem(*random_program(rng))
+        try:
+            lp_solve(problem)
+        except LpInfeasible:
+            continue
+        return problem
+
+
+def _random_edit(problem, rng):
+    """``problem`` with some right-hand sides, bounds or costs moved; the
+    constraint matrices are the same objects."""
+    n = problem.n_vars
+    pick = rng.random(n) < 0.5
+    changes = {}
+    for field, scale in (("b_ub", 0.3), ("b_eq", 0.1)):
+        rhs = getattr(problem, field)
+        if len(rhs) and rng.random() < 0.6:
+            changes[field] = rhs + rng.normal(scale=scale, size=len(rhs))
+    if rng.random() < 0.5:
+        # lower and upper bounds move on independent columns
+        upper = np.where(pick, problem.upper + rng.uniform(-0.3, 0.5, n),
+                         problem.upper)
+        lower = np.where(rng.random(n) < 0.5,
+                         problem.lower + rng.uniform(-0.5, 0.3, n),
+                         problem.lower)
+        changes["lower"] = np.minimum(lower, upper - 0.1)
+        changes["upper"] = upper
+    if rng.random() < 0.5:
+        changes["objective"] = np.where(pick, rng.normal(size=n),
+                                        problem.objective)
+    return replace(problem, **changes)
+
+
+def test_session_warm_resolves_match_cold():
+    # random edits of right-hand sides, bounds and costs re-solve warm;
+    # each point is certified and attains the cold optimum
+    rng = np.random.default_rng(5)
+    warm_solves = 0
+    for _ in range(30):
+        problem = _feasible_program(rng)
+        session = LpSession()
+        session.solve(problem)
+        for _ in range(5):
+            edited = _random_edit(problem, rng)
+            try:
+                cold = lp_solve(edited).objective_value
+            except LpInfeasible:
+                with pytest.raises(LpInfeasible):
+                    session.solve(edited)
+                break  # the session is cold after a failure
+            highs = session._highs
+            sol = session.solve(edited)
+            warm_solves += session._highs is highs
+            assert abs(sol.objective_value - cold) <= 1e-9 * max(1.0,
+                                                                 abs(cold))
+            x = sol.x
+            assert np.all(edited.a_ub @ x - edited.b_ub <= FEAS_TOL)
+            assert np.all(np.abs(edited.a_eq @ x - edited.b_eq) <= FEAS_TOL)
+            assert np.all((edited.lower - FEAS_TOL <= x)
+                          & (x <= edited.upper + FEAS_TOL))
+            problem = edited
+    assert warm_solves >= 100
+
+
+def test_session_new_matrices_solve_cold():
+    # fresh matrix objects, even with equal values, are passed cold: the
+    # point and iterations are lp_solve's to the bit
+    rng = np.random.default_rng(9)
+    session = LpSession()
+    for _ in range(20):
+        problem = _feasible_program(rng)
+        copy = replace(problem, a_eq=problem.a_eq.copy(),
+                       a_ub=problem.a_ub.copy())
+        for fresh in (problem, copy):
+            highs = session._highs
+            sol = session.solve(fresh)
+            assert session._highs is not highs
+            ref = lp_solve(fresh)
+            assert np.array_equal(sol.x, ref.x)
+            assert sol.iterations == ref.iterations
+
+
+def test_session_warm_infeasible_edit_raises():
+    # x1 + x2 <= b with both in [0.5, 1]: b = 0.5 cannot be met
+    problem = make_problem([-1.0, -1.0], ub=[(np.array([1.0, 1.0]), 1.5)],
+                           bounds=[(0.5, 1.0), (0.5, 1.0)])
+    session = LpSession()
+    assert session.solve(problem).objective_value == pytest.approx(-1.5)
+    highs = session._highs
+    with pytest.raises(LpInfeasible):
+        session.solve(replace(problem, b_ub=np.array([0.5])))
+    assert session._highs is highs  # the infeasible solve ran warm
+    # after a failure the next program is passed cold
+    again = session.solve(problem)
+    assert session._highs is not highs
+    assert np.array_equal(again.x, lp_solve(problem).x)
+
+
+def test_rejected_model_or_edit_raises(monkeypatch):
+    # HiGHS refuses matrix entries of 1e15 and more when the model is passed
+    huge = make_problem([1.0], ub=[(np.array([1e20]), 1.0)])
+    with pytest.raises(SolverError, match="HiGHS status kModelError"):
+        lp_solve(huge)
+
+    class RejectsRowEdits:
+        def __init__(self):
+            self.real = _Highs()
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+        def changeRowBounds(self, *args):
+            return HighsStatus.kError
+
+    monkeypatch.setattr(lp, "_Highs", RejectsRowEdits)
+    problem = make_problem([1.0], ub=[(np.array([-1.0]), -1.0)])
+    session = LpSession()
+    assert session.solve(problem).objective_value == pytest.approx(1.0)
+    with pytest.raises(SolverError, match="HiGHS status kModelError"):
+        session.solve(replace(problem, b_ub=np.array([-2.0])))
 
 
 def _full_problem():

@@ -19,10 +19,12 @@ from energycoop import (
     normalize_action,
     run_greedy,
     run_hybrid_stream,
+    add_gaussian_noise,
     save_trajectory,
     sinusoid,
     total_cost,
 )
+from energycoop.experiments import DEFAULT_SEEDS, NOISE_SCALE, default_spec
 from energycoop.lp import FEAS_TOL, LpInfeasible
 from energycoop.offline import (
     Stage2Infeasible,
@@ -32,6 +34,7 @@ from energycoop.offline import (
     build_stage2,
     eps_lex,
     offline_cost,
+    offline_costs,
     plan_offline,
     plan_single_bs,
     single_bs_cost,
@@ -286,12 +289,16 @@ def _idle(n):
      "deterministic profile"),
     (lambda params, profile: check_feasible(params, profile, _idle(24)),
      "profile"),
+    (lambda params, profile: offline_costs(
+        params, [sinusoid(3.0, 2 * math.pi / 24, 1.0, 24), profile]),
+     "profile"),
     (lambda params, profile: save_trajectory(_idle(24), profile, os.devnull),
      "profile"),
     (lambda params, profile: NetEnergyProfile(e1=(0.0,) * 24, e2=profile.e2),
      "e2"),
 ], ids=["plan_offline", "offline_cost", "run_greedy", "single_bs_cost",
-        "run_hybrid_stream", "check_feasible", "save_trajectory",
+        "run_hybrid_stream", "check_feasible", "offline_costs",
+        "save_trajectory",
         "NetEnergyProfile"])
 def test_wrong_length_profile_raises_length_mismatch(planner, what):
     params = SystemParams(0.9, 0.8, 1.0, 24)
@@ -326,6 +333,35 @@ class TestSingleBs:
         traj = plan_single_bs(p, e)
         prof = NetEnergyProfile(e1=e, e2=(0.0, 0.0, 0.0))
         assert check_feasible(p, prof, traj).ok
+
+
+class TestOfflineCosts:
+    """Per-profile costs re-solved warm equal cold stage-1 solves."""
+
+    def test_default_seeds_at_a_hybrid_grid_point(self):
+        spec = default_spec("hybrid-vs-greedy")
+        params = spec.params(spec.s_max_grid[0])
+        deterministic = spec.profile(math.pi / 2)
+        realized = [add_gaussian_noise(deterministic, NOISE_SCALE, seed)
+                    for seed in DEFAULT_SEEDS]
+        warm = offline_costs(params, realized)
+        assert len(warm) == len(DEFAULT_SEEDS) == 20
+        for profile, cost in zip(realized, warm):
+            cold = offline_cost(params, profile)
+            assert cold == lp_solve(build_stage1(params, profile)
+                                    ).objective_value
+            assert abs(cost - cold) <= 1e-9 * abs(cold)
+
+    def test_first_cost_is_the_cold_one(self):
+        rng = np.random.default_rng(17)
+        p = rand_params(rng, 48)
+        profiles = [rand_profile(rng, 48) for _ in range(4)]
+        costs = offline_costs(p, profiles)
+        assert costs[0] == offline_cost(p, profiles[0])
+        for profile, cost in zip(profiles, costs):
+            cold = offline_cost(p, profile)
+            assert abs(cost - cold) <= 1e-9 * max(1.0, abs(cold))
+        assert offline_costs(p, []) == []
 
 
 class TestAssembly:
