@@ -18,7 +18,7 @@ from .model import (
     SystemParams,
     Trajectory,
     check_feasible,
-    normalize_action,
+    normalize_actions,
     save_trajectory,
     total_cost,
 )

@@ -10,6 +10,8 @@ a one-slot LP oracle.
 
 from __future__ import annotations
 
+import math
+
 from .model import (
     ControlAction,
     InvalidState,
@@ -213,13 +215,16 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
 
     The caps replace the shared capacity everywhere the decision rules
     reference it; the hybrid planner uses this to run the controller inside
-    the storage head-room its offline component leaves free.
+    the storage head-room its offline component leaves free.  Non-finite
+    net energies raise ValueError.
     """
     check_mode(mode, alpha, beta)
     if not (-CASE_TOL <= s1 <= cap1 + CASE_TOL
             and -CASE_TOL <= s2 <= cap2 + CASE_TOL):
         raise InvalidState(
             f"storage ({s1}, {s2}) outside caps ({cap1}, {cap2})")
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise ValueError(f"net energies ({e1}, {e2}) are not finite")
     s1 = min(max(s1, 0.0), cap1)
     s2 = min(max(s2, 0.0), cap2)
 

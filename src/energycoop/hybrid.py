@@ -96,10 +96,6 @@ def run_hybrid_stream(params: SystemParams,
 
     g_state = StorageState(0.0, 0.0)
     g_actions, g_states, g_energies, cases = [], [g_state], [], []
-    combined_actions, combined_states = [], []
-    combined_states.append(StorageState(
-        offline_traj.states[0].s1 + g_state.s1,
-        offline_traj.states[0].s2 + g_state.s2))
 
     it: Iterator[tuple[float, float]] = iter(realized_slots)
     for t in range(n):
@@ -133,16 +129,15 @@ def run_hybrid_stream(params: SystemParams,
         g_energies.append((g1, g2))
         cases.append(label)
 
-        combined_actions.append(
-            ControlAction._make(map(operator.add, act_d, act_g)))
-        combined_states.append(StorageState(
-            s_d_next.s1 + g_state.s1, s_d_next.s2 + g_state.s2))
-
     if next(it, None) is not None:
         raise LengthMismatch(f"realized energies run past {n} slots")
-    combined = Trajectory(tuple(combined_actions), tuple(combined_states),
-                          tuple(cases))
     greedy_traj = Trajectory(tuple(g_actions), tuple(g_states), tuple(cases))
+    combined = Trajectory(
+        tuple([ControlAction._make(map(operator.add, a, b))
+               for a, b in zip(offline_traj.actions, g_actions)]),
+        tuple([StorageState(s1 + z1, s2 + z2) for (s1, s2), (z1, z2)
+               in zip(offline_traj.states, g_states)]),
+        greedy_traj.cases)
     greedy_profile = NetEnergyProfile(
         e1=tuple(g1 for g1, _ in g_energies),
         e2=tuple(g2 for _, g2 in g_energies))

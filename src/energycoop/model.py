@@ -1,4 +1,4 @@
-"""Domain types, feasibility checking and cost accounting.
+"""Domain types, feasibility checking, normalization and cost accounting.
 
 Two base stations (BS 1 and BS 2) share energy over a resistive power line.
 Each has a renewable source, a grid connection and a finite battery.  Per
@@ -19,6 +19,8 @@ from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 DEFAULT_TOL = 1e-6
 
 
@@ -38,6 +40,12 @@ def check_slots(what: str, n: int, want: int) -> None:
     """Raise LengthMismatch unless the input ``what`` spans ``want`` slots."""
     if n != want:
         raise LengthMismatch(f"{what} has {n} slots, want {want}")
+
+
+def check_slot_count(n: int) -> None:
+    """Raise ValueError unless ``n`` is an integer >= 1; a bool is not."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n_slots must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +73,7 @@ class SystemParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not self.s_max >= 0.0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
-        if not (isinstance(self.n_slots, Integral) and self.n_slots >= 1):
-            raise ValueError(
-                f"n_slots must be an integer >= 1, got {self.n_slots}")
+        check_slot_count(self.n_slots)
         # s_max may be infinite, the initial storage may not
         s1, s2 = self.s_init
         if not all(math.isfinite(s) and 0.0 <= s <= self.s_max
@@ -254,46 +260,36 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
     return FeasibilityReport(tuple(bad))
 
 
-def _cancel_charge_discharge(c: float, d: float, alpha: float,
-                             ) -> tuple[float, float]:
-    """Complementary (c', d') preserving the stored-energy delta alpha*c - d.
-
-    Removing the overlap m = min(alpha*c, d) takes m/alpha off the charge
-    and m off the discharge, so one side lands exactly on zero.  The
-    balance term -c + alpha*d never decreases: cancellation returns
-    m/alpha of charge draw while giving up only alpha*m of discharge
-    credit, and m/alpha >= alpha*m.  With alpha = 0 a charge stores
-    nothing, so it is dropped outright whenever a discharge is present.
-    """
-    if c <= 0.0 or d <= 0.0:
-        return c, d
-    if alpha <= 0.0:
-        return 0.0, d
-    if alpha * c >= d:
-        # d / alpha can round above c; alpha * c < d keeps d - alpha * c > 0
-        return max(0.0, c - d / alpha), 0.0
-    return 0.0, d - alpha * c
-
-
-def normalize_action(action: ControlAction, alpha: float) -> ControlAction:
+def normalize_actions(actions: np.ndarray, alpha: float) -> np.ndarray:
     """Cancel simultaneous charge/discharge and opposing line transfers.
 
-    The net storage change alpha*c_i - d_i and the net line flow are kept
-    intact, so dynamics are untouched; each energy-balance slack can only
-    grow (it is preserved exactly when the relevant efficiency is 1).  Grid
-    draws are left unchanged so an optimizer's objective value survives
-    normalization exactly.  Fields below -DEFAULT_TOL, and NaN fields, are
-    rejected; solver dust in [-DEFAULT_TOL, 0) is snapped to zero.
+    ``actions`` holds one action per row in ``ControlAction`` field order;
+    a normalized copy is returned.  A charge/discharge overlap
+    m = min(alpha*c, d) loses m/alpha of charge and m of discharge (with
+    alpha = 0 the charge is dropped), so the net storage change and the
+    net line flow stay intact and each energy-balance slack can only grow
+    (m/alpha >= alpha*m).  Grid draws, and so an optimizer's objective
+    value, are unchanged.  Fields below -DEFAULT_TOL, and NaN fields, are
+    rejected; solver dust in [-DEFAULT_TOL, 0) and -0.0 become +0.0.
     """
-    if not all(v >= -DEFAULT_TOL for v in action):
-        raise ValueError(
-            f"cannot normalize a negative or NaN action: {action}")
-    w1, w2, c1, c2, d1, d2, x12, x21 = (max(0.0, v) for v in action)
-    c1, d1 = _cancel_charge_discharge(c1, d1, alpha)
-    c2, d2 = _cancel_charge_discharge(c2, d2, alpha)
-    q = min(x12, x21)
-    x12, x21 = x12 - q, x21 - q
-    return ControlAction(w1, w2, c1, c2, d1, d2, x12, x21)
+    ok = np.all(actions >= -DEFAULT_TOL, axis=1)
+    if not ok.all():
+        bad = ControlAction._make(actions[np.argmin(ok)].tolist())
+        raise ValueError(f"cannot normalize a negative or NaN action: {bad}")
+    # maximum(v, 0.0), not maximum(0.0, v): the latter keeps -0.0
+    out = np.maximum(actions, 0.0)
+    c, d, x = out[:, 2:4], out[:, 4:6], out[:, 6:8]  # views into out
+    overlap = (c > 0.0) & (d > 0.0)
+    stored = alpha * c
+    keep_c = overlap & (stored >= d)  # never with alpha = 0, as d > 0
+    keep_d = overlap & ~keep_c
+    # d / alpha can round above c; only the selected entries divide
+    c[keep_c] = np.maximum(c[keep_c] - d[keep_c] / alpha, 0.0)
+    d[keep_c] = 0.0
+    d[keep_d] -= stored[keep_d]
+    c[keep_d] = 0.0
+    x -= x.min(axis=1, keepdims=True)
+    return out
 
 
 def total_cost(traj: Trajectory) -> float:

@@ -10,9 +10,10 @@ into a new objective and one more ``cost_budget`` row and shares every
 other array; the single-BS baseline restricts it to one station (BS 2
 gets a zero profile and every column through which it could act is
 pinned to zero).  ``lp_solve`` returns a certified optimum or raises; an
-infeasible stage 2 raises ``Stage2Infeasible``.  A plan's storage levels
-are the certified point's storage columns, clipped onto [0, s_max].  Plans
-are solved cold; ``offline_costs`` re-solves stage 1 warm across profiles.
+infeasible stage 2 raises ``Stage2Infeasible``.  A plan is its certified
+point: the action columns normalized in one array pass and the storage
+columns clipped onto [0, s_max].  Plans are solved cold; ``offline_costs``
+re-solves stage 1 warm across profiles.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .model import (
     SystemParams,
     Trajectory,
     check_slots,
-    normalize_action,
+    normalize_actions,
 )
 
 # Relative slack on the stage-2 cost budget.  Large enough that stage 2 is
@@ -162,13 +163,13 @@ def build_stage2(stage1: LpProblem, v1: float) -> LpProblem:
 
 
 def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
-    """Normalized actions and the storage columns, clipped onto [0, s_max],
-    of a certified LP point; ``normalize_action`` snaps sign dust to 0."""
+    """Normalized actions (sign dust snapped to 0) and the storage columns,
+    clipped onto [0, s_max], of a certified LP point."""
     n = params.n_slots
-    actions = (normalize_action(ControlAction._make(raw), params.alpha)
-               for raw in x[:_N_ACTION * n].reshape(n, _N_ACTION).tolist())
+    actions = normalize_actions(x[:_N_ACTION * n].reshape(n, _N_ACTION),
+                                params.alpha)
     states = np.clip(x[_N_ACTION * n:], 0.0, params.s_max).reshape(n + 1, 2)
-    return Trajectory(tuple(actions),
+    return Trajectory(tuple(map(ControlAction._make, actions.tolist())),
                       tuple(map(StorageState._make, states.tolist())))
 
 

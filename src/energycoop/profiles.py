@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtri
 
-from .model import NetEnergyProfile
+from .model import NetEnergyProfile, check_slot_count
 
 
 class ParseError(Exception):
@@ -30,8 +30,7 @@ def sinusoid(amplitude: float, omega: float, theta: float,
     controls the correlation between the two stations; theta = pi makes
     them exactly anti-correlated.
     """
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
+    check_slot_count(n_slots)
     for name, value in (("amplitude", amplitude), ("omega", omega),
                         ("theta", theta)):
         if not math.isfinite(value):

@@ -5,9 +5,10 @@ vertex enumerator checks the LP engine by brute force over basic
 solutions, the grid DP checks the planners by discretized dynamic
 programming over storage states, the one-slot LP checks the greedy
 controller by handing one slot's program straight to scipy's HiGHS, the
-public ``linprog`` reference checks the engine's own HiGHS call, and the
+public ``linprog`` reference checks the engine's own HiGHS call, the
 reference builder spells out the planning programs one constraint row at
-a time.  Only the domain types of ``energycoop.model`` are shared.
+a time, and the scalar normalizer spells out action normalization one
+action at a time.  Only the domain types of ``energycoop.model`` are shared.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
-from energycoop.model import ControlAction, StorageState, normalize_action
+from energycoop.model import (
+    DEFAULT_TOL,
+    ControlAction,
+    StorageState,
+    normalize_actions,
+)
 
 VERTEX_TOL = 1e-8
 
@@ -111,6 +117,33 @@ def linprog_reference(problem):
                    method="highs", options=_HIGHS_OPTIONS)
 
 
+def normalize_action_ref(action, alpha):
+    """Scalar reference for ``normalize_actions``: one action, field by field.
+
+    Snap dust to +0.0 (``max(0.0, -0.0)`` is ``0.0``), cancel each
+    station's charge/discharge overlap m = min(alpha*c, d) as m/alpha of
+    charge and m of discharge (with alpha = 0 the charge is dropped), and
+    cancel opposing transfers.
+    """
+    if not all(v >= -DEFAULT_TOL for v in action):
+        raise ValueError(
+            f"cannot normalize a negative or NaN action: {action}")
+    w1, w2, c1, c2, d1, d2, x12, x21 = (max(0.0, v) for v in action)
+    pairs = []
+    for c, d in ((c1, d1), (c2, d2)):
+        if c <= 0.0 or d <= 0.0:
+            pairs.append((c, d))
+        elif alpha <= 0.0:
+            pairs.append((0.0, d))
+        elif alpha * c >= d:
+            pairs.append((max(0.0, c - d / alpha), 0.0))
+        else:
+            pairs.append((0.0, d - alpha * c))
+    (c1, d1), (c2, d2) = pairs
+    q = min(x12, x21)
+    return ControlAction(w1, w2, c1, c2, d1, d2, x12 - q, x21 - q)
+
+
 def greedy_step_lp(params, state, e1, e2, gamma=None):
     """One-slot LP equivalent of the greedy step.
 
@@ -157,8 +190,8 @@ def greedy_step_lp(params, state, e1, e2, gamma=None):
         raise RuntimeError(
             f"one-slot LP point violates its program by {excess.max()}")
 
-    action = normalize_action(
-        ControlAction(*(max(0.0, v) for v in x.tolist())), a)
+    action = ControlAction._make(
+        normalize_actions(np.maximum(x, 0.0)[None, :], a)[0].tolist())
     s1 = min(max(s1 + a * action.c1 - action.d1, 0.0), s_max)
     s2 = min(max(s2 + a * action.c2 - action.d2, 0.0), s_max)
     return action, StorageState(s1, s2)

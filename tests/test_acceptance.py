@@ -37,7 +37,7 @@ from oracles import enumerate_lp_optimum, greedy_step_lp
 THETA_GRID = tuple(k * math.pi / 8 for k in range(17))
 
 # trajectories produced by the criteria runs, re-verified at the end:
-# (params, profile, trajectory, went_through_normalize_action)
+# (params, profile, trajectory, went_through_normalize_actions)
 _PRODUCED = []
 
 

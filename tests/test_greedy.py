@@ -1,5 +1,6 @@
 """Greedy controller: case rules, LP oracle agreement, rollout modes."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -129,6 +130,17 @@ class TestCases:
     def test_invalid_state(self):
         with pytest.raises(InvalidState):
             greedy_step_with_case(P, StorageState(1.5, 0.0), 0.0, 0.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("station", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, bad, station, mode):
+        e = [1.0, -0.5]
+        e[station - 1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            greedy_step_with_case(P, StorageState(0.5, 0.5), *e, mode)
+        with pytest.raises(ValueError, match="not finite"):
+            capped_step(0.9, 0.8, 1.0, 0.5, 0.5, 0.5, *e, mode)
 
     def test_no_charging_when_transfer_below_deficit(self):
         # covered-deficit transfers never charge the receiving station

@@ -1,6 +1,7 @@
 """Hybrid planner: residual bookkeeping, superposition, caps, causality."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -92,10 +93,12 @@ class TestRunHybrid:
             total_cost(offline), abs=1e-6)
         assert check_feasible(params, det, combined).ok
 
-    def test_superposition_fields_are_exact_sums(self):
+    @staticmethod
+    def check_superposition(s_init):
+        params = replace(SECT5, s_init=s_init)
         decomposed = sect5_profiles(math.pi / 2, seed=3)
         result = run_hybrid_stream(
-            SECT5, decomposed.deterministic,
+            params, decomposed.deterministic,
             zip(decomposed.realized.e1, decomposed.realized.e2))
         for t in range(240):
             comb = result.combined.actions[t].as_tuple()
@@ -103,9 +106,20 @@ class TestRunHybrid:
             gre = result.greedy.actions[t].as_tuple()
             for a, b, c in zip(comb, off, gre):
                 assert a == b + c
-            s = result.combined.states[t + 1]
-            assert s.s1 == (result.offline.states[t + 1].s1
-                            + result.greedy.states[t + 1].s1)
+        for t in range(241):
+            comb = result.combined.states[t]
+            off, gre = result.offline.states[t], result.greedy.states[t]
+            assert comb.s1 == off.s1 + gre.s1
+            assert comb.s2 == off.s2 + gre.s2
+        assert result.combined.states[0] == StorageState(*s_init)
+        assert result.combined.cases == result.greedy.cases
+        assert len(result.combined.cases) == 240
+
+    def test_superposition_fields_are_exact_sums(self):
+        self.check_superposition((0.0, 0.0))
+
+    def test_superposition_with_stored_initial_energy(self):
+        self.check_superposition((1.0, 2.5))
 
     def test_feasible_and_partitioned_many_seeds(self):
         # storage partition and realized-profile feasibility, 200 seeds

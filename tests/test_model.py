@@ -16,16 +16,18 @@ from energycoop import (
     SystemParams,
     Trajectory,
     check_feasible,
-    normalize_action,
+    normalize_actions,
     run_greedy,
     save_trajectory,
     total_cost,
 )
 from energycoop.model import (
     ACTION_FIELDS,
+    DEFAULT_TOL,
     TRAJECTORY_HEADER,
     neutralization_residuals,
 )
+from oracles import normalize_action_ref
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
 
@@ -52,6 +54,14 @@ class TestParams:
             SystemParams(0.9, 0.8, 1.0, 1, (0.0, 2.0))
         with pytest.raises(ValueError, match="n_slots must be an integer"):
             SystemParams(0.9, 0.8, 1.0, 2.5)
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None])
+    def test_non_integer_slot_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="n_slots must be an integer"):
+            SystemParams(0.9, 0.8, 1.0, bad)
+
+    def test_numpy_integer_slot_count_accepted(self):
+        assert SystemParams(0.9, 0.8, 1.0, np.int64(3)).n_slots == 3
 
     def test_nan_s_max_names_s_max(self):
         with pytest.raises(ValueError, match="s_max must be"):
@@ -193,32 +203,66 @@ class TestCheckFeasible:
         assert "initial_state_s1" in names
 
 
+def normalize_one(action, alpha):
+    """``normalize_actions`` on a one-row block, as a ControlAction."""
+    out = normalize_actions(np.array([action], dtype=float), alpha)
+    assert out.shape == (1, 8)
+    return ControlAction._make(out[0].tolist())
+
+
+def random_block(rng, n):
+    """Random action rows with every overlap pattern normalization meets:
+    zeros, -0.0 and sign dust, ties alpha*c == d, and equal transfers."""
+    block = rng.uniform(0.0, 5.0, (n, 8))
+    block[rng.random((n, 8)) < 0.3] = 0.0
+    block[rng.random((n, 8)) < 0.1] = -0.0
+    dust = rng.random((n, 8)) < 0.1
+    block[dust] = -rng.uniform(0.0, DEFAULT_TOL, dust.sum())
+    equal = rng.random(n) < 0.2
+    block[equal, 7] = block[equal, 6]
+    return block
+
+
 class TestNormalizeAction:
     def test_pure_charge_unchanged(self):
         act = ControlAction(c1=1.0)
-        assert normalize_action(act, 0.9) == act
+        assert normalize_one(act, 0.9) == act
 
     @pytest.mark.parametrize("bad", [math.nan, -0.5])
     def test_negative_or_nan_field_rejected(self, bad):
         # max(0.0, nan) is 0.0, so a NaN field must fail the check instead
         with pytest.raises(ValueError, match="negative or NaN"):
-            normalize_action(ControlAction(w1=1.0, d2=bad), 0.9)
+            normalize_one(ControlAction(w1=1.0, d2=bad), 0.9)
 
     def test_rejection_shows_the_action(self):
         with pytest.raises(ValueError) as exc:
-            normalize_action(ControlAction(w1=1.0, d2=-0.5), 0.9)
+            normalize_one(ControlAction(w1=1.0, d2=-0.5), 0.9)
         assert str(exc.value) == (
             "cannot normalize a negative or NaN action: ControlAction(w1=1.0, "
             "w2=0.0, c1=0.0, c2=0.0, d1=0.0, d2=-0.5, x12=0.0, x21=0.0)")
 
+    def test_rejection_names_the_first_bad_row(self):
+        block = np.zeros((5, 8))
+        block[2, 3] = math.nan
+        block[4, 0] = -1.0
+        with pytest.raises(ValueError, match=r"ControlAction\(w1=0.0, w2=0.0, "
+                           r"c1=0.0, c2=nan, "):
+            normalize_actions(block, 0.9)
+
+    def test_input_left_untouched(self):
+        block = np.array([[0.0, 0.0, 1.0, 0.0, 0.5, 0.0, 0.7, 0.7]])
+        before = block.copy()
+        normalize_actions(block, 0.9)
+        assert np.array_equal(block, before)
+
     def test_opposing_transfers_cancel(self):
-        act = normalize_action(ControlAction(x12=0.7, x21=0.7), 1.0)
+        act = normalize_one(ControlAction(x12=0.7, x21=0.7), 1.0)
         assert act.x12 == 0.0 and act.x21 == 0.0
 
     def test_overlap_cancels_exactly(self):
         # alpha*c == d: both sides vanish, net storage change stays zero
         before = ControlAction(c1=1.0, d1=0.9)
-        after = normalize_action(before, 0.9)
+        after = normalize_one(before, 0.9)
         assert after.c1 == pytest.approx(0.0)
         assert after.d1 == pytest.approx(0.0)
         net_before = 0.9 * before.c1 - before.d1
@@ -229,38 +273,68 @@ class TestNormalizeAction:
         assert r_after[0] >= r_before[0] - 1e-12
         assert r_after[0] == pytest.approx(r_before[0] + 0.19, abs=1e-12)
 
+    def test_negative_zero_and_dust_become_positive_zero(self):
+        block = np.array([[-0.0, -1e-7, -0.0, -DEFAULT_TOL, 0.0, -0.0,
+                           -0.0, -5e-324]])
+        out = normalize_actions(block, 0.9)
+        assert np.array_equal(out, np.zeros((1, 8)))
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 5e-324, 0.3, 0.625,
+                                       0.85, 0.9, 1.0])
+    def test_blocks_match_scalar_reference(self, alpha):
+        # bit for bit, sign of zero included, against the per-action
+        # reference; a tiny alpha must not warn about d / alpha either
+        rng = np.random.default_rng(int(alpha * 1000) + 7)
+        for n in (1, 2, 17, 300):
+            block = random_block(rng, n)
+            if alpha > 0.0:
+                ties = rng.random(n) < 0.2
+                block[ties, 4] = alpha * block[ties, 2]
+            out = normalize_actions(block, alpha)
+            want = np.array([normalize_action_ref(ControlAction(*row), alpha)
+                             for row in block.tolist()])
+            assert np.array_equal(out, want)
+            assert np.array_equal(np.signbit(out), np.signbit(want))
+            assert not np.signbit(out).any()
+
     @given(alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0),
-           c1=finite, d1=finite, c2=finite, d2=finite,
-           x12=finite, x21=finite)
+           rows=st.lists(st.tuples(*[finite] * 6), min_size=1, max_size=6))
     @settings(max_examples=300)
     # d / alpha rounding above c used to leave a negative charge
-    @example(alpha=0.85, beta=1.0, c1=1.43, d1=0.85 * 1.43, c2=0.0, d2=0.0,
-             x12=0.0, x21=0.0)
-    @example(alpha=0.625, beta=0.0, c1=0.0, d1=0.0, c2=5e-324, d2=5e-324,
-             x12=0.0, x21=0.0)
-    def test_invariants(self, alpha, beta, c1, d1, c2, d2, x12, x21):
+    @example(alpha=0.85, beta=1.0, rows=[(1.43, 0.85 * 1.43, 0.0, 0.0,
+                                          0.0, 0.0)])
+    @example(alpha=0.625, beta=0.0, rows=[(0.0, 0.0, 5e-324, 5e-324,
+                                           0.0, 0.0)])
+    @example(alpha=1e-300, beta=0.5, rows=[(1.0, 2.0, 3.0, 1e-301,
+                                            4.0, 4.0)])
+    def test_invariants(self, alpha, beta, rows):
         params = SystemParams(alpha, beta, 10.0, 1)
-        before = ControlAction(1.0, 1.0, c1, c2, d1, d2, x12, x21)
-        after = normalize_action(before, alpha)
-        assert min(after.as_tuple()) >= 0.0
+        block = np.array([(1.0, 1.0, c1, c2, d1, d2, x12, x21)
+                          for c1, d1, c2, d2, x12, x21 in rows])
+        out = normalize_actions(block, alpha)
+        assert out.shape == block.shape
+        assert (out >= 0.0).all() and not np.signbit(out).any()
         # complementarity
-        assert after.c1 * after.d1 <= 1e-9
-        assert after.c2 * after.d2 <= 1e-9
-        assert after.x12 * after.x21 <= 1e-9
-        # net storage deltas preserved
-        for c_b, d_b, c_a, d_a in ((c1, d1, after.c1, after.d1),
-                                   (c2, d2, after.c2, after.d2)):
-            assert alpha * c_a - d_a == pytest.approx(
-                alpha * c_b - d_b, abs=1e-9)
-        # balance slack never decreases; exact when lossless
-        rb = neutralization_residuals(params, 0.0, 0.0, before)
-        ra = neutralization_residuals(params, 0.0, 0.0, after)
-        assert ra[0] >= rb[0] - 1e-9 and ra[1] >= rb[1] - 1e-9
-        if alpha == 1.0 and beta == 1.0:
-            assert ra[0] == pytest.approx(rb[0], abs=1e-9)
-            assert ra[1] == pytest.approx(rb[1], abs=1e-9)
-        # a normalized action is a fixed point
-        assert normalize_action(after, alpha) == after
+        assert (out[:, 2:4] * out[:, 4:6] <= 1e-9).all()
+        assert (out[:, 6] * out[:, 7] <= 1e-9).all()
+        for before, after in zip(map(ControlAction._make, block.tolist()),
+                                 map(ControlAction._make, out.tolist())):
+            # net storage deltas preserved
+            for c_b, d_b, c_a, d_a in (
+                    (before.c1, before.d1, after.c1, after.d1),
+                    (before.c2, before.d2, after.c2, after.d2)):
+                assert alpha * c_a - d_a == pytest.approx(
+                    alpha * c_b - d_b, abs=1e-9)
+            # balance slack never decreases; exact when lossless
+            rb = neutralization_residuals(params, 0.0, 0.0, before)
+            ra = neutralization_residuals(params, 0.0, 0.0, after)
+            assert ra[0] >= rb[0] - 1e-9 and ra[1] >= rb[1] - 1e-9
+            if alpha == 1.0 and beta == 1.0:
+                assert ra[0] == pytest.approx(rb[0], abs=1e-9)
+                assert ra[1] == pytest.approx(rb[1], abs=1e-9)
+        # a normalized block is a fixed point
+        assert np.array_equal(normalize_actions(out, alpha), out)
 
 
 class TestTotalCost:

@@ -16,7 +16,6 @@ from energycoop import (
     Trajectory,
     check_feasible,
     lp_solve,
-    normalize_action,
     run_greedy,
     run_hybrid_stream,
     add_gaussian_noise,
@@ -44,6 +43,7 @@ from helpers import rand_params, rand_profile
 from oracles import (
     dp_pair_cost,
     dp_single_cost,
+    normalize_action_ref,
     reference_planning_program,
 )
 
@@ -233,8 +233,9 @@ class TestExtraction:
     def assert_is_point(p, traj, x):
         n = p.n_slots
         assert traj.actions == tuple(
-            normalize_action(ControlAction(*raw), p.alpha)
+            normalize_action_ref(ControlAction(*raw), p.alpha)
             for raw in x[:8 * n].reshape(n, 8).tolist())
+        assert not np.signbit(traj.actions).any()
         assert traj.states == tuple(
             StorageState(*s) for s in
             np.clip(x[8 * n:], 0.0, p.s_max).reshape(n + 1, 2).tolist())
@@ -262,6 +263,17 @@ class TestExtraction:
         x[8:] = (-1e-12, 1.0 + 1e-12, 0.5, 1.0)
         traj = _extract_trajectory(p, x)
         assert traj.states == (StorageState(0.0, 1.0), StorageState(0.5, 1.0))
+
+    def test_action_dust_snapped_to_positive_zero(self):
+        p = SystemParams(0.9, 0.8, 1.0, 2)
+        x = np.zeros(16 + 6)
+        x[:16] = (-0.0, -1e-9, 0.3, -0.0, -0.0, 0.2, -1e-7, -0.0,
+                  2.0, -0.0, -1e-12, 0.0, 0.1, -0.0, 0.4, 0.4)
+        x[16:] = (0.0, 0.0, 0.0, 0.0, 0.1, 0.0)
+        traj = _extract_trajectory(p, x)
+        assert traj.actions == (ControlAction(c1=0.3, d2=0.2),
+                                ControlAction(w1=2.0, d1=0.1))
+        assert not np.signbit(traj.actions).any()
 
     def test_plan_single_bs_states_are_certified_storage(self):
         for p, prof in self.instances():

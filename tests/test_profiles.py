@@ -41,6 +41,16 @@ def test_non_finite_argument_named(name, bad):
         sinusoid(n_slots=24, **kw)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", 0, -1])
+def test_non_integer_or_empty_slot_count_rejected(bad):
+    with pytest.raises(ValueError, match="n_slots must be an integer >= 1"):
+        sinusoid(3.0, OMEGA, 0.5, bad)
+
+
+def test_numpy_integer_slot_count_accepted():
+    assert sinusoid(3.0, OMEGA, 0.5, np.int64(3)).n_slots == 3
+
+
 @given(theta=st.floats(-10.0, 10.0))
 @settings(max_examples=100)
 def test_periodicity_in_theta(theta):
