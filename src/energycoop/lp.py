@@ -6,26 +6,44 @@ per-variable bounds.  Only the non-zeros are stored, so a planning program
 takes memory linear in its horizon; the planners assemble the index and
 value arrays of these matrices with numpy in one pass.  An ``LpSession``
 passes them straight to the HiGHS solver scipy bundles, through its private
-binding ``scipy.optimize._highspy._core``, as the model and options (1e-10
-feasibility tolerances) that ``linprog(method="highs")`` would pass; the
-``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
+binding ``scipy.optimize._highspy._core``, loaded from its file to skip
+importing scipy.optimize, a third of start-up, as the model and options
+(1e-10 feasibility tolerances) that ``linprog(method="highs")`` would pass;
+the ``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
 scipy release that changes the binding fails there instead of silently
 moving a plan; a session re-solves edits of its last program warm.  Every
 point is then re-checked against every constraint at 1e-9, and only that
-certified optimum is returned; everything else raises: ``LpInfeasible``
-for an infeasible program, ``SolverError`` for an unbounded one, any other
+certified optimum is returned; everything else raises: ``LpInfeasible`` for
+an infeasible program, ``SolverError`` for an unbounded one, any other
 backend failure and a point that fails the re-check.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
-from scipy.optimize._highspy._core import (
+import scipy
+from scipy.sparse import csr_matrix, vstack
+
+
+def _load_highs() -> None:
+    """Load scipy's HiGHS binding into ``sys.modules``, not its package."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        where = f"{scipy.__path__[0]}/optimize/_highspy"
+        if (spec := machinery.PathFinder.find_spec(name, [where])) is None:
+            raise ImportError(f"scipy {scipy.__version__}: no {where}/_core")
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+
+
+_load_highs()  # a module in sys.modules is imported without its parents
+from scipy.optimize._highspy._core import (  # noqa: E402
     HighsDebugLevel, HighsLp, HighsModelStatus, HighsOptions, HighsStatus,
     MatrixFormat, _Highs, kHighsInf, simplex_constants)
-from scipy.sparse import csr_matrix, vstack
 
 FEAS_TOL = 1e-9
 

@@ -1,11 +1,17 @@
 """LP engine contract: certified optima, raised failures, invariants."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import _linprog_highs
 from scipy.optimize._highspy._core import (
     HighsModelStatus, HighsStatus, _Highs)
@@ -441,3 +447,51 @@ def test_failures_match_public_linprog(problem, status, error):
     with pytest.raises(error) as exc:
         lp_solve(problem)
     assert type(exc.value) is error
+
+
+_SOLVE_TINY = """
+import numpy as np
+from scipy.sparse import csr_matrix
+import energycoop
+no_rows = csr_matrix((0, 1))
+tiny = energycoop.LpProblem(np.ones(1), no_rows, np.zeros(0),
+                            csr_matrix([[-1.0]]), np.array([-1.0]),
+                            np.zeros(1), np.full(1, np.inf))
+assert energycoop.lp_solve(tiny).x.tolist() == [1.0]
+"""
+
+_SAME_BINDING = """
+assert energycoop.lp._Highs is sys.modules[
+    "scipy.optimize._highspy._core"]._Highs
+assert linprog([1.0], A_ub=[[-1.0]], b_ub=[-1.0]).status == 0
+"""
+
+
+def _run_fresh(code):
+    """Run ``code`` in a new interpreter with only ``src`` on its path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_binding_loads_without_scipy_optimize():
+    # importing scipy.optimize costs a third of every start-up; energycoop
+    # loads only the binding, and scipy.optimize imported later (or
+    # earlier) shares that very module rather than loading a second copy
+    _run_fresh("import sys\n" + _SOLVE_TINY
+               + "assert 'scipy.optimize' not in sys.modules\n"
+               + "from scipy.optimize import linprog\n" + _SAME_BINDING)
+    _run_fresh("import sys\nfrom scipy.optimize import linprog\n"
+               + _SOLVE_TINY + _SAME_BINDING)
+
+
+def test_missing_binding_raises_import_error(monkeypatch, tmp_path):
+    where = tmp_path / "optimize" / "_highspy"
+    where.mkdir(parents=True)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(
+            f"scipy {scipy.__version__}: no {where}/_core")):
+        lp._load_highs()
