@@ -2,11 +2,12 @@
 
 Each study maps its theta x s_max grid to rows through independent tasks
 and writes them with a metadata block, so a run is reproducible byte for
-byte from its spec.  The loss studies run a task per grid point, the
-hybrid one pricing all its noise seeds warm in one ``offline_costs`` call;
-the cost studies run a task per s_max column, pricing every theta warm.
-No LP session outlives its task.  Tasks go to a process pool; set
-ENERGYCOOP_WORKERS (at least 1) or pass ``workers=1`` to run serially.
+byte from its spec.  Each task makes one cold stage-1 solve and re-solves
+every other cost warm in its session: hybrid-vs-greedy runs a task per
+grid point, whose plan's stage 1 prices every noise seed; the other
+studies a task per s_max column, pricing every theta after the single-BS
+baseline (cost studies) or the first theta.  Tasks go to a process pool;
+set ENERGYCOOP_WORKERS (at least 1) or pass ``workers=1`` to run serially.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from statistics import mean, stdev
 
@@ -23,8 +25,9 @@ from . import __version__
 from .greedy import CASE_TOL, run_greedy
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
-from .offline import (EPS_LEX_FACTOR, offline_cost, offline_costs,
-                      plan_offline, single_bs_cost)
+from .lp import LpSession
+from .offline import (EPS_LEX_FACTOR, build_stage1, plan_and_price,
+                      restrict_single_bs, stage1_costs)
 from .profiles import add_gaussian_noise, sinusoid
 
 EXPERIMENT_IDS = ("cost-vs-storage", "saving-vs-theta",
@@ -177,32 +180,32 @@ def _pct(task, metric: str, change: float, base: float) -> float:
     return 100.0 * change / base
 
 
-def _column(task) -> list[ResultRow]:
-    """Rows of one s_max column: every theta (solved warm), then single-BS."""
+def _column(task) -> list[list[ResultRow]]:
+    """One s_max column: a row group per theta, every theta priced warm in
+    one session after one cold solve, then a cost study's single-BS row."""
     spec, s_max = task
     params = spec.params(s_max)
-    single = single_bs_cost(params, spec.profile(0.0).e1)
-    rows = []
-    for theta, cost in zip(spec.thetas, offline_costs(
-            params, [spec.profile(theta) for theta in spec.thetas])):
-        point, per_bs = (spec, theta, s_max), cost / 2.0
-        rows.append(ResultRow(theta, s_max, "cost_per_bs", per_bs)
-                    if spec.experiment == "cost-vs-storage" else
-                    ResultRow(theta, s_max, "saving_pct", _pct(
-                        point, "saving_pct", single - per_bs, single)))
-    return rows + [ResultRow(None, s_max, "single_bs_cost", single)]
-
-
-def _point_greedy_loss(task) -> list[ResultRow]:
-    spec, theta, s_max = task
-    params = spec.params(s_max)
-    profile = spec.profile(theta)
-    off = offline_cost(params, profile)
-    gre = total_cost(run_greedy(params, profile))
-    return [ResultRow(theta, s_max, "offline_cost", off),
-            ResultRow(theta, s_max, "greedy_cost", gre),
-            ResultRow(theta, s_max, "loss_pct",
-                      _pct(task, "loss_pct", gre - off, off))]
+    profiles = [spec.profile(theta) for theta in spec.thetas]
+    session, stage1 = LpSession(), build_stage1(params, spec.profile(0.0))
+    greedy = spec.experiment == "greedy-loss-vs-theta"
+    single = None if greedy else session.solve(  # the cold solve
+        restrict_single_bs(stage1)).objective_value
+    groups = []
+    for theta, profile, cost in zip(spec.thetas, profiles, stage1_costs(
+            session, stage1, params, profiles)):
+        row, point = partial(ResultRow, theta, s_max), (spec, theta, s_max)
+        if greedy:
+            gre = total_cost(run_greedy(params, profile))
+            groups.append([row("offline_cost", cost), row("greedy_cost", gre),
+                           row("loss_pct", _pct(point, "loss_pct",
+                                                gre - cost, cost))])
+        elif spec.experiment == "cost-vs-storage":
+            groups.append([row("cost_per_bs", cost / 2.0)])
+        else:
+            groups.append([row("saving_pct", _pct(
+                point, "saving_pct", single - cost / 2.0, single))])
+    return groups + ([] if greedy else
+                     [[ResultRow(None, s_max, "single_bs_cost", single)]])
 
 
 def _point_hybrid(task) -> list[ResultRow]:
@@ -215,12 +218,11 @@ def _point_hybrid(task) -> list[ResultRow]:
     spec, theta, s_max = task
     params = spec.params(s_max)
     deterministic = spec.profile(theta)
-    offline_det = plan_offline(params, deterministic)
     realizations = [add_gaussian_noise(deterministic, NOISE_SCALE, seed)
                     for seed in spec.seeds]
+    offline_det, costs = plan_and_price(params, deterministic, realizations)
     greedy_losses, hybrid_losses = [], []
-    for realized, off in zip(realizations,
-                             offline_costs(params, realizations)):
+    for realized, off in zip(realizations, costs):
         gre = total_cost(run_greedy(params, realized))
         hyb = total_cost(run_hybrid_stream(
             params, deterministic, zip(realized.e1, realized.e2),
@@ -239,14 +241,6 @@ def _point_hybrid(task) -> list[ResultRow]:
     return rows
 
 
-_TASKS = {
-    "cost-vs-storage": _column,
-    "saving-vs-theta": _column,
-    "greedy-loss-vs-theta": _point_greedy_loss,
-    "hybrid-vs-greedy": _point_hybrid,
-}
-
-
 def run_experiment(spec: ExperimentSpec,
                    workers: int | None = None) -> ExperimentResult:
     """Run one study over the whole theta x s_max grid.
@@ -255,10 +249,11 @@ def run_experiment(spec: ExperimentSpec,
     studies also append one ``single_bs_cost`` row per s_max; saving-vs-theta
     reports each pair cost as its percentage saving over that baseline.
     """
-    by_column = _TASKS[spec.experiment] is _column
+    by_column = spec.experiment != "hybrid-vs-greedy"
     tasks = ([(spec, sm) for sm in spec.s_max_grid] if by_column else
              [(spec, th, sm) for th in spec.thetas for sm in spec.s_max_grid])
-    batches = _run_tasks(_TASKS[spec.experiment], tasks, workers)
-    if by_column:  # columns to grid order, the single-BS rows last
-        batches = zip(*batches)
+    batches = _run_tasks(_column if by_column else _point_hybrid, tasks,
+                         workers)
+    if by_column:  # columns of row groups to grid order, single-BS rows last
+        batches = (group for groups in zip(*batches) for group in groups)
     return ExperimentResult(spec, tuple(r for b in batches for r in b))

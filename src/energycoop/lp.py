@@ -29,8 +29,9 @@ import scipy
 from scipy.sparse import csr_matrix, vstack
 
 
-def _load_highs() -> None:
-    """Load scipy's HiGHS binding into ``sys.modules``, not its package."""
+def _load_highs() -> str | None:
+    """Load scipy's HiGHS binding into ``sys.modules``, not its package;
+    returns its name if this call put it there."""
     name = "scipy.optimize._highspy._core"
     if name not in sys.modules:
         where = f"{scipy.__path__[0]}/optimize/_highspy"
@@ -38,12 +39,16 @@ def _load_highs() -> None:
             raise ImportError(f"scipy {scipy.__version__}: no {where}/_core")
         sys.modules[name] = util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
+        return name
+    return None
 
 
-_load_highs()  # a module in sys.modules is imported without its parents
+_loaded = _load_highs()  # a module in sys.modules imports without parents
 from scipy.optimize._highspy._core import (  # noqa: E402
     HighsDebugLevel, HighsLp, HighsModelStatus, HighsOptions, HighsStatus,
     MatrixFormat, _Highs, kHighsInf, simplex_constants)
+if _loaded:  # else it hides _core from its package; a later import loads
+    del sys.modules[_loaded]  # it there, sharing the cached extension
 
 FEAS_TOL = 1e-9
 

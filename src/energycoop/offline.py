@@ -7,20 +7,19 @@ offline program derives from the stage-1 program: a sparse constraint
 system with about 22 non-zeros per slot, assembled once per plan in one
 numpy pass, in time and memory linear in the horizon.  Stage 2 edits it
 into a new objective and one more ``cost_budget`` row and shares every
-other array; the single-BS baseline restricts it to one station (BS 2
-gets a zero profile and every column through which it could act is
-pinned to zero).  ``lp_solve`` returns a certified optimum or raises; an
+other array; ``restrict_single_bs`` restricts it to one station and shares
+both matrices.  ``lp_solve`` returns a certified optimum or raises; an
 infeasible stage 2 raises ``Stage2Infeasible``.  A plan is its certified
 point: the action columns normalized in one array pass and the storage
-columns clipped onto [0, s_max].  Plans are solved cold; ``offline_costs``
-re-solves stage 1 warm across profiles.
+columns clipped onto [0, s_max].  Plans solve both stages cold; other
+costs re-solve a stage-1 program warm in the session that solved it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, vstack
@@ -173,12 +172,10 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
                       tuple(map(StorageState._make, states.tolist())))
 
 
-def offline_costs(params: SystemParams,
-                  profiles: Sequence[NetEnergyProfile]) -> list[float]:
-    """``offline_cost`` of each profile: stage 1 is assembled once and each
-    later profile, which moves only its ub right-hand sides, solved warm."""
-    session = LpSession()
-    stage1 = build_stage1(params, profiles[0]) if profiles else None
+def stage1_costs(session: LpSession, stage1: LpProblem, params: SystemParams,
+                 profiles: Iterable[NetEnergyProfile]) -> list[float]:
+    """``offline_cost`` of each profile: ``stage1`` with its ub right-hand
+    sides, re-solved in ``session`` (warm after the session's first solve)."""
     return [session.solve(replace(stage1, b_ub=_ub_rhs(params, p)))
             .objective_value for p in profiles]
 
@@ -186,38 +183,50 @@ def offline_costs(params: SystemParams,
 def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
     """Certified minimum total grid draw (the stage-1 optimum), exact;
     ``plan_offline`` realizes it up to the eps_lex budget slack."""
-    return offline_costs(params, [profile])[0]
+    return lp_solve(build_stage1(params, profile)).objective_value
 
 
-def plan_offline(params: SystemParams, profile: NetEnergyProfile,
-                 ) -> Trajectory:
-    """Two-stage plan: minimal cost, then maximal terminal storage."""
+def plan_and_price(params: SystemParams, profile: NetEnergyProfile,
+                   realized: Sequence[NetEnergyProfile] = (),
+                   ) -> tuple[Trajectory, list[float]]:
+    """``plan_offline(params, profile)`` and the ``offline_cost`` of each
+    realized profile, solved warm in the session of the plan's stage 1."""
     stage1 = build_stage1(params, profile)
-    v1 = lp_solve(stage1).objective_value
+    v1, *costs = stage1_costs(LpSession(), stage1, params,
+                              [profile, *realized])
     try:
         sol2 = lp_solve(build_stage2(stage1, v1))
     except LpInfeasible as exc:
         raise Stage2Infeasible(
             f"stage 2 infeasible under budget {v1 + eps_lex(v1)} "
             f"(stage-1 cost {v1}): {exc}") from exc
-    return _extract_trajectory(params, sol2.x)
+    return _extract_trajectory(params, sol2.x), costs
+
+
+def plan_offline(params: SystemParams, profile: NetEnergyProfile,
+                 ) -> Trajectory:
+    """Two-stage plan: minimal cost, then maximal terminal storage."""
+    return plan_and_price(params, profile)[0]
+
+
+def restrict_single_bs(stage1: LpProblem) -> LpProblem:
+    """One-station restriction of a stage-1 program, sharing its matrices:
+    BS 2's neutral rows get a zero right-hand side and its w, c, d columns
+    and both transfers are pinned to 0 (HiGHS presolve removes them), so
+    only BS 1 acts and pays; the savings baseline."""
+    n = len(stage1.b_ub) // 4
+    objective, upper, b_ub = (a.copy() for a in (
+        stage1.objective, stage1.upper, stage1.b_ub))
+    objective[1:_N_ACTION * n:_N_ACTION] = 0.0  # w2
+    upper[:_N_ACTION * n].reshape(n, _N_ACTION)[:, _PINNED_SINGLE_BS] = 0.0
+    b_ub[1::4] = 0.0  # neutral2
+    return replace(stage1, objective=objective, upper=upper, b_ub=b_ub)
 
 
 def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
-    """One-station restriction of the stage-1 program (the savings baseline).
-
-    BS 2 sees a zero profile and its grid, charge and discharge columns are
-    pinned to zero together with both transfer columns, so only BS 1 can
-    act; the objective is BS 1's grid draw.  HiGHS presolve removes the
-    fixed columns.
-    """
-    n = params.n_slots
-    problem = build_stage1(params,
-                           NetEnergyProfile(e1=e, e2=(0.0,) * len(e)))
-    problem.objective[1:_N_ACTION * n:_N_ACTION] = 0.0  # w2
-    problem.upper[:_N_ACTION * n].reshape(n, _N_ACTION)[
-        :, _PINNED_SINGLE_BS] = 0.0
-    return problem
+    """``restrict_single_bs`` of the stage-1 program of the profile (e, 0)."""
+    return restrict_single_bs(build_stage1(
+        params, NetEnergyProfile(e1=e, e2=(0.0,) * len(e))))
 
 
 def single_bs_cost(params: SystemParams, e: Sequence[float]) -> float:

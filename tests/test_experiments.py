@@ -4,6 +4,7 @@ import csv
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from energycoop.experiments import (
@@ -16,8 +17,12 @@ from energycoop.experiments import (
     run_experiment,
     write_result,
 )
+from energycoop import experiments, lp
+from energycoop.greedy import run_greedy
+from energycoop.hybrid import run_hybrid_stream
 from energycoop.lp import lp_solve
-from energycoop.offline import build_single_bs, build_stage1
+from energycoop.model import total_cost
+from energycoop.offline import build_single_bs, build_stage1, plan_offline
 
 SMALL = dict(n_slots=48, thetas=(0.0, math.pi / 2, math.pi),
              s_max_grid=(0.5, 1.0))
@@ -111,8 +116,8 @@ def test_every_study_sweeps_the_storage_grid(experiment):
                        if experiment == "saving-vs-theta" else [])
 
 
-@pytest.mark.parametrize("experiment", ["cost-vs-storage",
-                                        "saving-vs-theta"])
+@pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta",
+                                        "greedy-loss-vs-theta"])
 def test_cost_studies_match_cold_recomputation(experiment):
     # each column prices its thetas warm in one session; every row equals
     # the cold per-point solve, and rows keep grid order
@@ -123,20 +128,72 @@ def test_cost_studies_match_cold_recomputation(experiment):
     expected = []
     for theta in spec.thetas:
         for sm in spec.s_max_grid:
-            pair = lp_solve(build_stage1(
-                spec.params(sm), spec.profile(theta))).objective_value / 2.0
-            expected.append(
-                (theta, sm, "cost_per_bs", pair)
-                if experiment == "cost-vs-storage" else
-                (theta, sm, "saving_pct",
-                 100.0 * (singles[sm] - pair) / singles[sm]))
-    expected += [(None, sm, "single_bs_cost", singles[sm])
-                 for sm in spec.s_max_grid]
+            params, profile = spec.params(sm), spec.profile(theta)
+            pair = lp_solve(build_stage1(params, profile)).objective_value
+            if experiment == "greedy-loss-vs-theta":
+                gre = total_cost(run_greedy(params, profile))
+                expected += [(theta, sm, "offline_cost", pair),
+                             (theta, sm, "greedy_cost", gre),
+                             (theta, sm, "loss_pct",
+                              100.0 * (gre - pair) / pair)]
+            else:
+                expected.append(
+                    (theta, sm, "cost_per_bs", pair / 2.0)
+                    if experiment == "cost-vs-storage" else
+                    (theta, sm, "saving_pct",
+                     100.0 * (singles[sm] - pair / 2.0) / singles[sm]))
+    if experiment != "greedy-loss-vs-theta":
+        expected += [(None, sm, "single_bs_cost", singles[sm])
+                     for sm in spec.s_max_grid]
     rows = run_experiment(spec, workers=1).rows
     assert [(r.theta, r.s_max, r.metric) for r in rows] == [
         e[:3] for e in expected]
     for row, (*_, value) in zip(rows, expected):
         assert abs(row.value - value) <= 1e-9 * max(1.0, abs(value))
+
+
+def _raw(traj):
+    """Every number of a trajectory as bytes, so -0.0 differs from 0.0."""
+    return np.array(traj.actions).tobytes() + np.array(traj.states).tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi])
+def test_hybrid_point_plans_as_plan_offline(monkeypatch, theta):
+    # the point's stage-1 session also prices its seeds; its plan is still
+    # exactly the cold two-stage plan, sign of zero included
+    spec = small_spec("hybrid-vs-greedy", n_slots=240)
+    plans = []
+
+    def spy(*args, offline_traj):
+        plans.append(_raw(offline_traj))
+        return run_hybrid_stream(*args, offline_traj=offline_traj)
+
+    monkeypatch.setattr(experiments, "run_hybrid_stream", spy)
+    experiments._point_hybrid((spec, theta, 3.5))
+    want = _raw(plan_offline(spec.params(3.5), spec.profile(theta)))
+    assert plans == [want] * len(spec.seeds)
+
+
+@pytest.mark.parametrize("run, task, cold", [
+    (experiments._point_hybrid,
+     (small_spec("hybrid-vs-greedy"), math.pi / 2, 3.5), 2),
+    (experiments._column, (small_spec("saving-vs-theta"), 1.0), 1),
+    (experiments._column, (small_spec("cost-vs-storage"), 0.5), 1),
+    (experiments._column, (small_spec("greedy-loss-vs-theta"), 1.0), 1),
+], ids=["hybrid-point", "saving-column", "cost-column", "greedy-column"])
+def test_cold_highs_instances_per_task(monkeypatch, run, task, cold):
+    # a hybrid point: stage 1 (every seed re-solved warm) and stage 2; a
+    # column: the single-BS baseline or first theta, every other theta warm
+    made = []
+
+    def counting():
+        made.append(None)
+        return highs()
+
+    highs = lp._Highs
+    monkeypatch.setattr(lp, "_Highs", counting)
+    run(task)
+    assert len(made) == cold
 
 
 def test_result_csv_round_trip(tmp_path):

@@ -487,6 +487,17 @@ def test_binding_loads_without_scipy_optimize():
                + _SOLVE_TINY + _SAME_BINDING)
 
 
+def test_binding_reachable_through_its_package():
+    # energycoop leaves no parentless entry behind: the binding imported by
+    # its dotted name afterwards is an attribute of its package, and the
+    # same extension energycoop solves with
+    _run_fresh("import sys\n" + _SOLVE_TINY
+               + "import scipy.optimize._highspy._core\n"
+               + "assert scipy.optimize._highspy._core._Highs"
+               + " is energycoop.lp._Highs\n"
+               + "from scipy.optimize import linprog\n" + _SAME_BINDING)
+
+
 def test_missing_binding_raises_import_error(monkeypatch, tmp_path):
     where = tmp_path / "optimize" / "_highspy"
     where.mkdir(parents=True)

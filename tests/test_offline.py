@@ -24,7 +24,7 @@ from energycoop import (
     total_cost,
 )
 from energycoop.experiments import DEFAULT_SEEDS, NOISE_SCALE, default_spec
-from energycoop.lp import FEAS_TOL, LpInfeasible
+from energycoop.lp import FEAS_TOL, LpInfeasible, LpSession
 from energycoop.offline import (
     Stage2Infeasible,
     _extract_trajectory,
@@ -33,10 +33,12 @@ from energycoop.offline import (
     build_stage2,
     eps_lex,
     offline_cost,
-    offline_costs,
+    plan_and_price,
     plan_offline,
     plan_single_bs,
+    restrict_single_bs,
     single_bs_cost,
+    stage1_costs,
 )
 
 from helpers import rand_params, rand_profile
@@ -301,15 +303,17 @@ def _idle(n):
      "deterministic profile"),
     (lambda params, profile: check_feasible(params, profile, _idle(24)),
      "profile"),
-    (lambda params, profile: offline_costs(
-        params, [sinusoid(3.0, 2 * math.pi / 24, 1.0, 24), profile]),
+    (lambda params, profile: stage1_costs(
+        LpSession(), build_stage1(
+            params, sinusoid(3.0, 2 * math.pi / 24, 1.0, 24)),
+        params, [profile]),
      "profile"),
     (lambda params, profile: save_trajectory(_idle(24), profile, os.devnull),
      "profile"),
     (lambda params, profile: NetEnergyProfile(e1=(0.0,) * 24, e2=profile.e2),
      "e2"),
 ], ids=["plan_offline", "offline_cost", "run_greedy", "single_bs_cost",
-        "run_hybrid_stream", "check_feasible", "offline_costs",
+        "run_hybrid_stream", "check_feasible", "stage1_costs",
         "save_trajectory",
         "NetEnergyProfile"])
 def test_wrong_length_profile_raises_length_mismatch(planner, what):
@@ -346,6 +350,37 @@ class TestSingleBs:
         prof = NetEnergyProfile(e1=e, e2=(0.0, 0.0, 0.0))
         assert check_feasible(p, prof, traj).ok
 
+    def test_restriction_shares_the_pair_matrices(self):
+        p = SystemParams(0.9, 0.8, 1.0, 24)
+        stage1 = build_stage1(p, sinusoid(3.0, 2 * math.pi / 24, 1.0, 24))
+        before = [a.copy() for a in (stage1.objective, stage1.upper,
+                                     stage1.b_ub)]
+        single = restrict_single_bs(stage1)
+        assert single.a_eq is stage1.a_eq and single.a_ub is stage1.a_ub
+        assert single.b_eq is stage1.b_eq and single.lower is stage1.lower
+        for got, want in zip((stage1.objective, stage1.upper, stage1.b_ub),
+                             before):
+            assert np.array_equal(got, want)  # the pair program is intact
+        assert not single.b_ub[1::4].any()
+        assert np.array_equal(single.b_ub[::4], stage1.b_ub[::4])
+
+    @pytest.mark.parametrize("alpha, beta", [(0.9, 0.8), (0.0, 0.8),
+                                             (0.9, 0.0)])
+    def test_same_solve_as_the_pinned_copy(self, alpha, beta):
+        # the restriction holds the values of the program it replaced:
+        # stage 1 of (e, 0) with w2's cost and BS 2's columns zeroed in place
+        n = 48
+        p = SystemParams(alpha, beta, 1.0, n)
+        e = add_gaussian_noise(sinusoid(3.0, 2 * math.pi / 24, 0.0, n),
+                               0.25, 3).e1
+        pinned = build_stage1(p, NetEnergyProfile(e1=e, e2=(0.0,) * n))
+        pinned.objective[1:8 * n:8] = 0.0
+        pinned.upper[:8 * n].reshape(n, 8)[:, [1, 3, 5, 6, 7]] = 0.0
+        want, got = lp_solve(pinned), lp_solve(build_single_bs(p, e))
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.iterations == want.iterations
+        assert plan_single_bs(p, e) == _extract_trajectory(p, want.x)
+
 
 class TestOfflineCosts:
     """Per-profile costs re-solved warm equal cold stage-1 solves."""
@@ -356,7 +391,8 @@ class TestOfflineCosts:
         deterministic = spec.profile(math.pi / 2)
         realized = [add_gaussian_noise(deterministic, NOISE_SCALE, seed)
                     for seed in DEFAULT_SEEDS]
-        warm = offline_costs(params, realized)
+        # priced in the session of the deterministic plan's stage 1
+        warm = plan_and_price(params, deterministic, realized)[1]
         assert len(warm) == len(DEFAULT_SEEDS) == 20
         for profile, cost in zip(realized, warm):
             cold = offline_cost(params, profile)
@@ -368,12 +404,13 @@ class TestOfflineCosts:
         rng = np.random.default_rng(17)
         p = rand_params(rng, 48)
         profiles = [rand_profile(rng, 48) for _ in range(4)]
-        costs = offline_costs(p, profiles)
+        stage1 = build_stage1(p, profiles[0])
+        costs = stage1_costs(LpSession(), stage1, p, profiles)
         assert costs[0] == offline_cost(p, profiles[0])
         for profile, cost in zip(profiles, costs):
             cold = offline_cost(p, profile)
             assert abs(cost - cold) <= 1e-9 * max(1.0, abs(cold))
-        assert offline_costs(p, []) == []
+        assert stage1_costs(LpSession(), stage1, p, []) == []
 
 
 class TestAssembly:
