@@ -94,22 +94,25 @@ def _cmd_hybrid(args) -> int:
     return EXIT_OK
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _grid(flag: str, text: str, kind=float) -> tuple:
+    try:  # an empty or malformed grid is an error naming its flag
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} {text!r}: want a list like 1,2") from None
 
 
 def _cmd_experiment(args) -> int:
     overrides: dict = {"alpha": args.alpha, "beta": args.beta}
-    if args.thetas:
-        overrides["thetas"] = _floats(args.thetas)
-    if args.smax_grid:
+    if args.thetas is not None:
+        overrides["thetas"] = _grid("--thetas", args.thetas)
+    if args.smax_grid is not None:
         if args.smax is not None:
             raise ValueError("give --smax or --smax-grid, not both")
-        overrides["s_max_grid"] = _floats(args.smax_grid)
+        overrides["s_max_grid"] = _grid("--smax-grid", args.smax_grid)
     elif args.smax is not None:
         overrides["s_max_grid"] = (args.smax,)
-    if args.seeds:
-        overrides["seeds"] = tuple(int(v) for v in args.seeds.split(","))
+    if args.seeds is not None:
+        overrides["seeds"] = _grid("--seeds", args.seeds, int)
     if args.n is not None:
         overrides["n_slots"] = args.n
     spec = default_spec(args.id, **overrides)

@@ -18,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from numbers import Integral
 from pathlib import Path
 from statistics import mean, stdev
 
@@ -159,11 +160,14 @@ def write_result(result: ExperimentResult, path: str | Path) -> None:
 
 
 def _run_tasks(fn, tasks, workers: int | None) -> list:
+    name, value = "workers", workers
     if workers is None:
-        cap = os.environ.get(WORKERS_ENV) or str(os.cpu_count() or 1)
-        if not cap.isdecimal() or int(cap) < 1:
-            raise ValueError(f"{WORKERS_ENV}={cap!r}: want an integer >= 1")
-        workers = int(cap)
+        name = WORKERS_ENV
+        value = os.environ.get(WORKERS_ENV) or str(os.cpu_count() or 1)
+        workers = int(value) if value.isdecimal() else None
+    if (isinstance(workers, bool) or not isinstance(workers, Integral)
+            or workers < 1):  # the rule of check_slot_count
+        raise ValueError(f"{name}={value!r}: want an integer >= 1")
     size = min(len(tasks), workers)
     if size <= 1:
         return [fn(t) for t in tasks]

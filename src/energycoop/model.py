@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
@@ -196,7 +197,8 @@ def neutralization_residuals(params: SystemParams, e1: float, e2: float,
     """Per-BS energy-balance slack; nonnegative means demand is covered.
 
     For BS 1 this is e1 + w1 - c1 + alpha*d1 - x12 + beta*x21: the net
-    energy plus everything the action contributes to the slot's balance.
+    energy plus everything the action contributes to the slot's balance
+    (elementwise, when ``check_feasible`` passes whole columns).
     The hybrid planner books the offline action against the realized
     energy this way to get the energy left for its greedy layer; with zero
     residual noise that is exactly the offline plan's slack, and the
@@ -216,47 +218,37 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
     """Check a trajectory against every model constraint.
 
     The report lists each violated constraint with its slot and residual
-    (negative residual = amount of violation).  An empty report certifies,
-    within ``DEFAULT_TOL``: nonnegative actions, d_i <= s_i, exact storage
-    dynamics, storage bounds, the declared initial state, and both energy
-    neutralization inequalities at every slot.
+    (negative = amount of violation; NaN fails too).  An empty report
+    certifies, within ``DEFAULT_TOL``: the declared initial state, finite
+    and nonnegative actions, d_i <= s_i, exact storage dynamics, both
+    energy neutralization inequalities and the storage bounds.  It lists
+    by constraint family in that order, then by slot, then by field or BS.
     """
     n = params.n_slots
     check_slots("profile", profile.n_slots, n)
     check_slots("trajectory", traj.n_slots, n)
-
-    bad: list[Violation] = []
-
-    def flag(name: str, slot: int, residual: float) -> None:
-        # written so that a NaN residual is flagged too
-        if not residual >= -DEFAULT_TOL:
-            bad.append(Violation(name, slot, residual))
-
-    for i, (s0, si) in enumerate(zip(traj.states[0], params.s_init)):
-        flag(f"initial_state_s{i + 1}", 0, -abs(s0 - si))
-
-    for t in range(n):
-        act = traj.actions[t]
-        s, s_next = traj.states[t], traj.states[t + 1]
-        for name, val in zip(ACTION_FIELDS, act):
-            flag(f"nonneg_{name}", t, val)
-        flag("discharge_le_storage_1", t, s.s1 - act.d1)
-        flag("discharge_le_storage_2", t, s.s2 - act.d2)
-        dyn1 = s_next.s1 - (s.s1 + params.alpha * act.c1 - act.d1)
-        dyn2 = s_next.s2 - (s.s2 + params.alpha * act.c2 - act.d2)
-        flag("dynamics_1", t, -abs(dyn1))
-        flag("dynamics_2", t, -abs(dyn2))
-        r1, r2 = neutralization_residuals(
-            params, profile.e1[t], profile.e2[t], act)
-        flag("neutralization_1", t, r1)
-        flag("neutralization_2", t, r2)
-
-    for t, s in enumerate(traj.states):
-        flag("storage_lower_1", t, s.s1)
-        flag("storage_lower_2", t, s.s2)
-        flag("storage_upper_1", t, params.s_max - s.s1)
-        flag("storage_upper_2", t, params.s_max - s.s2)
-
+    act, s = (np.fromiter(chain.from_iterable(rows), float, k * len(rows))
+              .reshape(-1, k)
+              for rows, k in ((traj.actions, 8), (traj.states, 2)))
+    c, d, bs = act[:, 2:4], act[:, 4:6], "12"  # bs names the two stations
+    with np.errstate(all="ignore"):  # inf and NaN entries are reported
+        families = (
+            ("initial_state_s", bs, -np.abs(s[:1] - params.s_init)),
+            ("finite_", ACTION_FIELDS,
+             np.where(np.isfinite(act), 0.0, -np.abs(act))),
+            ("nonneg_", ACTION_FIELDS, act),
+            ("discharge_le_storage_", bs, s[:-1] - d),
+            ("dynamics_", bs,
+             -np.abs(s[1:] - (s[:-1] + params.alpha * c - d))),
+            ("neutralization_", bs, np.column_stack(neutralization_residuals(
+                params, profile.e1, profile.e2, ControlAction._make(act.T)))),
+            ("storage_lower_", bs, s),
+            ("storage_upper_", bs, params.s_max - s))
+    bad = []
+    for prefix, names, r in families:
+        slots, cols = np.nonzero(~(r >= -DEFAULT_TOL))
+        bad += [Violation(prefix + names[k], t, v) for t, k, v in zip(
+            slots.tolist(), cols.tolist(), r[slots, cols].tolist())]
     return FeasibilityReport(tuple(bad))
 
 

@@ -9,6 +9,13 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from energycoop import NetEnergyProfile, StorageState, SystemParams
+from energycoop.model import (
+    ACTION_FIELDS,
+    DEFAULT_TOL,
+    Violation,
+    check_slots,
+    neutralization_residuals,
+)
 from energycoop.lp import LpProblem
 
 
@@ -65,3 +72,45 @@ def rand_profile(rng, n_slots, e1_range=(-3.0, 3.0), e2_range=(-3.0, 3.0),
 
 def rand_state(rng, s_max) -> StorageState:
     return StorageState(rng.uniform(0.0, s_max), rng.uniform(0.0, s_max))
+
+
+def check_feasible_ref(params, profile, traj) -> list[Violation]:
+    """Per-slot reference for ``check_feasible``: every constraint but
+    ``finite_*``, slot by slot, in plain Python floats."""
+    n = params.n_slots
+    check_slots("profile", profile.n_slots, n)
+    check_slots("trajectory", traj.n_slots, n)
+
+    bad: list[Violation] = []
+
+    def flag(name: str, slot: int, residual: float) -> None:
+        # written so that a NaN residual is flagged too
+        if not residual >= -DEFAULT_TOL:
+            bad.append(Violation(name, slot, residual))
+
+    for i, (s0, si) in enumerate(zip(traj.states[0], params.s_init)):
+        flag(f"initial_state_s{i + 1}", 0, -abs(s0 - si))
+
+    for t in range(n):
+        act = traj.actions[t]
+        s, s_next = traj.states[t], traj.states[t + 1]
+        for name, val in zip(ACTION_FIELDS, act):
+            flag(f"nonneg_{name}", t, val)
+        flag("discharge_le_storage_1", t, s.s1 - act.d1)
+        flag("discharge_le_storage_2", t, s.s2 - act.d2)
+        dyn1 = s_next.s1 - (s.s1 + params.alpha * act.c1 - act.d1)
+        dyn2 = s_next.s2 - (s.s2 + params.alpha * act.c2 - act.d2)
+        flag("dynamics_1", t, -abs(dyn1))
+        flag("dynamics_2", t, -abs(dyn2))
+        r1, r2 = neutralization_residuals(
+            params, profile.e1[t], profile.e2[t], act)
+        flag("neutralization_1", t, r1)
+        flag("neutralization_2", t, r2)
+
+    for t, s in enumerate(traj.states):
+        flag("storage_lower_1", t, s.s1)
+        flag("storage_lower_2", t, s.s2)
+        flag("storage_upper_1", t, params.s_max - s.s1)
+        flag("storage_upper_2", t, params.s_max - s.s2)
+
+    return bad

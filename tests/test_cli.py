@@ -165,6 +165,24 @@ def test_valid_workers_variable_runs(tmp_path, monkeypatch):
     assert out.exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["--thetas", ""], "--thetas ''"),
+    (["--thetas", "0.0,"], "--thetas '0.0,'"),
+    (["--smax-grid", ""], "--smax-grid ''"),
+    (["--smax-grid", "", "--smax", "2.0"], "--smax or --smax-grid"),
+    (["--seeds", ""], "--seeds ''"),
+    (["--seeds", "1.5"], "--seeds '1.5'")])
+def test_empty_or_malformed_grid_exits_2(tmp_path, capsys, argv, err):
+    # an empty grid used to fall back to the study's defaults
+    out = tmp_path / "exp.csv"
+    if "--thetas" not in argv:
+        argv = argv + ["--thetas", "0.0"]
+    assert main(["experiment", "hybrid-vs-greedy", "--n", "24", "--serial",
+                 "--out", str(out), *argv]) == 2
+    assert err in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_smax_with_smax_grid_rejected(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert main(["experiment", "saving-vs-theta", "--smax", "2.0",

@@ -196,6 +196,14 @@ def test_cold_highs_instances_per_task(monkeypatch, run, task, cold):
     assert len(made) == cold
 
 
+@pytest.mark.parametrize("workers", [0, -5, True, False, 1.0, "2"])
+def test_bad_workers_argument_rejected(workers):
+    # the rule of ENERGYCOOP_WORKERS: an integer >= 1, and a bool is not
+    with pytest.raises(ValueError, match=f"workers={workers!r}: want an "
+                                         "integer >= 1"):
+        run_experiment(small_spec("saving-vs-theta"), workers=workers)
+
+
 def test_result_csv_round_trip(tmp_path):
     result = run_experiment(small_spec("cost-vs-storage"), workers=1)
     path = tmp_path / "out.csv"

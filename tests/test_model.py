@@ -2,6 +2,7 @@
 
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from energycoop import (
     Trajectory,
     check_feasible,
     normalize_actions,
+    plan_offline,
     run_greedy,
     save_trajectory,
     total_cost,
@@ -27,6 +29,7 @@ from energycoop.model import (
     TRAJECTORY_HEADER,
     neutralization_residuals,
 )
+from helpers import check_feasible_ref
 from oracles import normalize_action_ref
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
@@ -201,6 +204,112 @@ class TestCheckFeasible:
         names = [v.constraint for v in
                  check_feasible(params, prof, traj).violations]
         assert "initial_state_s1" in names
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("w1", math.inf), ("w2", math.inf), ("c1", math.nan)])
+    def test_non_finite_action_flagged(self, field, value):
+        # +inf in w satisfies both nonneg and the >= balance row, so only
+        # the finite rule stops an infinite grid draw
+        params = SystemParams(0.9, 0.8, 1.0, 1)
+        prof = NetEnergyProfile(e1=(-1.0,), e2=(-1.0,))
+        act = ControlAction(w1=1.0, w2=1.0)._replace(**{field: value})
+        traj = Trajectory((act,), (StorageState(0, 0), StorageState(0, 0)))
+        report = check_feasible(params, prof, traj)
+        assert not report.ok
+        v = report.violations[0]
+        assert (v.constraint, v.slot) == (f"finite_{field}", 0)
+        assert v.residual == -math.inf or math.isnan(value)
+        if math.isinf(value):
+            assert len(report.violations) == 1
+
+    def test_report_ordered_by_family_then_slot(self):
+        params = SystemParams(0.9, 0.8, 1.0, 3)
+        prof = NetEnergyProfile(e1=(-1.0,) * 3, e2=(0.0,) * 3)
+        traj = Trajectory((ControlAction(w2=-1.0),) * 3,
+                          (StorageState(0, 0),) * 4)
+        got = [(v.constraint, v.slot)
+               for v in check_feasible(params, prof, traj).violations]
+        assert got == ([("nonneg_w2", t) for t in range(3)]
+                       + [(f"neutralization_{i}", t) for t in range(3)
+                          for i in (1, 2)])
+
+
+def violation_counts(violations, drop_prefix=None):
+    """Multiset of (constraint, slot, residual); NaN residuals by repr."""
+    return Counter((v.constraint, v.slot, repr(float(v.residual)))
+                   for v in violations
+                   if drop_prefix is None
+                   or not v.constraint.startswith(drop_prefix))
+
+
+def assert_matches_reference(params, prof, traj):
+    got = check_feasible(params, prof, traj).violations
+    assert (violation_counts(got, drop_prefix="finite_")
+            == violation_counts(check_feasible_ref(params, prof, traj)))
+    return got
+
+
+class TestCheckFeasibleMatchesPerSlotReference:
+    def test_every_constraint_name_emitted(self):
+        params = SystemParams(0.5, 0.8, 1.0, 1, (0.5, 0.5))
+        prof = NetEnergyProfile(e1=(-1.0,), e2=(-1.0,))
+        nan = ControlAction(*[math.nan] * 8)
+        # negative everything, then discharges and terminal states that
+        # break the remaining rows, then all-NaN fields
+        trajs = [
+            Trajectory((ControlAction(*[-1.0] * 8),),
+                       (StorageState(-1.0, -1.0), StorageState(3.0, 3.0))),
+            Trajectory((ControlAction(d1=2.0, d2=2.0),),
+                       (StorageState(0.5, 0.5), StorageState(-1.5, -1.5))),
+            Trajectory((nan,), (StorageState(0.5, 0.5),) * 2)]
+        names = set()
+        for traj in trajs:
+            names |= {v.constraint for v in
+                      assert_matches_reference(params, prof, traj)}
+        fields = [f"{fam}_{f}" for fam in ("finite", "nonneg")
+                  for f in ACTION_FIELDS]
+        pairs = [f"{fam}_{i}" for fam in (
+            "discharge_le_storage", "dynamics", "neutralization",
+            "storage_lower", "storage_upper") for i in (1, 2)]
+        assert names == {"initial_state_s1", "initial_state_s2",
+                         *fields, *pairs}
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_instances(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        alpha = data.draw(st.sampled_from([0.0, 0.6, 0.9, 1.0]))
+        beta = data.draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+        s_max = data.draw(st.sampled_from([0.5, 2.0, math.inf]))
+        s_init = data.draw(st.sampled_from([(0.0, 0.0), (0.4, 0.25)]))
+        params = SystemParams(alpha, beta, s_max, n, s_init)
+        energy = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        prof = NetEnergyProfile(data.draw(energy), data.draw(energy))
+        if data.draw(st.booleans(), label="offline"):
+            traj = plan_offline(params, prof)
+        else:
+            mode = ("no_storage" if alpha == 0.0 else
+                    "no_transfer" if beta == 0.0 else "standard")
+            traj = run_greedy(params, prof, mode=mode)
+        assert check_feasible(params, prof, traj).ok
+        kind = data.draw(st.sampled_from(
+            ["none", "negative", "nan", "inf", "shift", "initial"]))
+        actions, states = list(traj.actions), list(traj.states)
+        if kind == "initial":
+            states[0] = StorageState(s_init[0] + 0.5, s_init[1])
+        elif kind != "none":
+            t = data.draw(st.integers(0, n - 1), label="t")
+            on_state = data.draw(st.booleans(), label="on_state")
+            seq, i = ((states, t + 1) if on_state else (actions, t))
+            k = data.draw(st.integers(0, len(seq[i]) - 1), label="k")
+            v = seq[i][k]
+            v = {"negative": -abs(v) - 0.5, "nan": math.nan, "inf": math.inf,
+                 "shift": v + data.draw(st.sampled_from([-0.7, 0.3, 1.5]))
+                 }[kind]
+            seq[i] = seq[i]._replace(**{seq[i]._fields[k]: v})
+        assert_matches_reference(params, prof,
+                                 Trajectory(tuple(actions), tuple(states)))
 
 
 def normalize_one(action, alpha):
