@@ -1,21 +1,21 @@
 """Bounded-variable linear programs and a certified solve routine.
 
-``LpProblem`` carries a minimization objective, sparse (CSR) equality and
-upper-bound constraint matrices with their right-hand sides, and
-per-variable bounds.  Only the non-zeros are stored, so a planning program
-takes memory linear in its horizon; the planners assemble the index and
-value arrays of these matrices with numpy in one pass.  An ``LpSession``
-passes them straight to the HiGHS solver scipy bundles, through its private
+``LpProblem`` is a program in the form HiGHS takes: a minimization
+objective, one sparse (CSR) matrix whose rows each carry a lower and an
+upper bound (equal on an equality row, ``-inf`` below a ``<=`` row), and
+per-variable bounds.  Only the non-zeros are stored, so a planning
+program takes memory linear in its horizon.  An ``LpSession`` passes the
+arrays straight to the HiGHS solver scipy bundles, through its private
 binding ``scipy.optimize._highspy._core``, loaded from its file to skip
-importing scipy.optimize, a third of start-up, as the model and options
-(1e-10 feasibility tolerances) that ``linprog(method="highs")`` would pass;
-the ``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
+importing scipy.optimize, a third of start-up, with the options (1e-10
+feasibility tolerances) that ``linprog(method="highs")`` would pass; the
+``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
 scipy release that changes the binding fails there instead of silently
 moving a plan; a session re-solves edits of its last program warm.  Every
 point is then re-checked against every constraint at 1e-9, and only that
-certified optimum is returned; everything else raises: ``LpInfeasible`` for
-an infeasible program, ``SolverError`` for an unbounded one, any other
-backend failure and a point that fails the re-check.
+certified optimum is returned; everything else raises: ``LpInfeasible``
+for an infeasible program, ``SolverError`` for an unbounded one, any
+other backend failure and a point that fails the re-check.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from importlib import machinery, util
+from math import inf
 
 import numpy as np
 import scipy
-from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import csr_matrix
 
 
 def _load_highs() -> str | None:
@@ -46,7 +47,7 @@ def _load_highs() -> str | None:
 _loaded = _load_highs()  # a module in sys.modules imports without parents
 from scipy.optimize._highspy._core import (  # noqa: E402
     HighsDebugLevel, HighsLp, HighsModelStatus, HighsOptions, HighsStatus,
-    MatrixFormat, _Highs, kHighsInf, simplex_constants)
+    MatrixFormat, _Highs, simplex_constants)
 if _loaded:  # else it hides _core from its package; a later import loads
     del sys.modules[_loaded]  # it there, sharing the cached extension
 
@@ -75,47 +76,49 @@ class LpInfeasible(SolverError):
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min objective . x  subject to eq rows, ub rows and box bounds.
+    """min objective . x  subject to row_lower <= a x <= row_upper and
+    lower <= x <= upper.
 
-    ``a_eq`` / ``a_ub`` are CSR matrices with one column per variable and
-    one row per entry of ``b_eq`` / ``b_ub``; a ub row means row . x <= rhs.
-    ``lower`` and ``upper`` bound each variable; lower may be ``-inf`` and
-    upper ``+inf``, and every other value must be finite.
+    ``a`` is a CSR matrix with one column per variable and one row per
+    entry of ``row_lower`` / ``row_upper``: an equality row has equal
+    bounds, a ``<=`` row a lower bound of ``-inf``, a ``>=`` row an upper
+    bound of ``+inf``; a row with no finite bound is rejected.  ``lower``
+    and ``upper`` bound each variable.  Every bound is finite but a lower
+    ``-inf`` and an upper ``+inf``.
     """
 
     objective: np.ndarray
-    a_eq: csr_matrix
-    b_eq: np.ndarray
-    a_ub: csr_matrix
-    b_ub: np.ndarray
+    a: csr_matrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        if len(self.lower) != n or len(self.upper) != n:
-            raise ValueError(f"{len(self.lower)}/{len(self.upper)} bounds "
-                             f"for {n} variables")
-        bad = np.flatnonzero(~(self.lower <= self.upper))
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(f"bound lower {self.lower[j]} exceeds upper "
-                             f"{self.upper[j]}")
-        for a, b in ((self.a_eq, self.b_eq), (self.a_ub, self.b_ub)):
-            if a.shape != (len(b), n):
-                raise ValueError(f"constraint matrix of shape {a.shape}, "
-                                 f"want ({len(b)}, {n})")
+        if getattr(self.a, "format", None) != "csr":  # HiGHS reads indptr
+            raise ValueError(f"a must be a CSR matrix, not {type(self.a)}")
+        if self.a.shape[1] != n:
+            raise ValueError(f"a has {self.a.shape[1]} columns, want {n}")
         # HiGHS does not reject these: a NaN cost comes back "optimal"
         for name, values in (("objective", self.objective),
-                             ("b_eq", self.b_eq), ("b_ub", self.b_ub),
-                             ("a_eq", self.a_eq.data),
-                             ("a_ub", self.a_ub.data)):
+                             ("a", self.a.data)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} has a non-finite value")
-        if np.any(self.lower == np.inf):
-            raise ValueError("lower has a value of +inf")
-        if np.any(self.upper == -np.inf):
-            raise ValueError("upper has a value of -inf")
+        for size, pair in ((self.a.shape[0], ("row_lower", "row_upper")),
+                           (n, ("lower", "upper"))):
+            lo, hi = (getattr(self, name) for name in pair)
+            if len(lo) != size or len(hi) != size:
+                raise ValueError(f"{pair[0]}/{pair[1]} of length "
+                                 f"{len(lo)}/{len(hi)}, want {size}")
+            for name, values, wrong in zip(pair, (lo, hi), (inf, -inf)):
+                if (bad := values[np.isnan(values) | (values == wrong)]).size:
+                    raise ValueError(f"{name} has a value of {bad[0]}")
+            if (bad := np.flatnonzero(lo > hi)).size:
+                raise ValueError(f"{pair[0]} {lo[bad[0]]} exceeds "
+                                 f"{pair[1]} {hi[bad[0]]}")
+        if (free := np.isinf(self.row_lower) & np.isinf(self.row_upper)).any():
+            raise ValueError(f"row {np.argmax(free)} has no finite bound")
 
     @property
     def n_vars(self) -> int:
@@ -137,11 +140,10 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
     ``argmax`` picks the first NaN and ``not ... <= FEAS_TOL`` rejects it,
     so a point with a NaN entry is never certified.
     """
-    lower, upper = problem.lower, problem.upper
-    for kind, resid in (
-            ("eq constraint", np.abs(problem.a_eq @ x - problem.b_eq)),
-            ("ub constraint", problem.a_ub @ x - problem.b_ub),
-            ("bound of variable", np.maximum(lower - x, x - upper))):
+    for kind, lower, y, upper in (
+            ("row", problem.row_lower, problem.a @ x, problem.row_upper),
+            ("bound of variable", problem.lower, x, problem.upper)):
+        resid = np.maximum(lower - y, y - upper)
         if resid.size:
             worst = int(np.argmax(resid))
             if not resid[worst] <= FEAS_TOL:
@@ -150,39 +152,34 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
                     "after solve")
 
 
-def _bounds(problem: LpProblem) -> tuple[np.ndarray, ...]:
-    """HiGHS column and row bounds of ``problem``, rows ``[a_ub; a_eq]``."""
-    return (np.clip(problem.lower, -kHighsInf, kHighsInf),
-            np.clip(problem.upper, -kHighsInf, kHighsInf),
-            np.append(np.full(len(problem.b_ub), -kHighsInf), problem.b_eq),
-            np.append(problem.b_ub, problem.b_eq))
-
-
 class LpSession:
-    """One HiGHS instance.  A program whose ``a_eq`` and ``a_ub`` are the
-    very objects of the last one solved is pushed as the costs and bounds
-    that differ and re-solved from its optimal basis; any other, and any
-    after a failed solve, is passed cold to a fresh instance."""
+    """One HiGHS instance.  A program whose ``a`` is the very object of the
+    last one solved is pushed as the costs and bounds that differ and
+    re-solved from its optimal basis; any other, and any after a failed
+    solve, is passed cold to a fresh instance."""
 
     _highs = _last = None  # the instance and the last program it solved
 
     def solve(self, problem: LpProblem) -> LpSolution:
         """Certified minimizer of ``problem``; raises as ``lp_solve``."""
-        last, self._last, new = self._last, None, _bounds(problem)
-        if (last is not None and problem.a_eq is last.a_eq
-                and problem.a_ub is last.a_ub):
-            highs, old = self._highs, _bounds(last)
+        last, self._last = self._last, None
+        if last is not None and problem.a is last.a:
+            highs = self._highs
             cols = np.flatnonzero(problem.objective != last.objective)
             done = [highs.changeColsCost(len(cols), cols,
                                          problem.objective[cols])]
-            cols = np.flatnonzero((new[0] != old[0]) | (new[1] != old[1]))
-            done.append(highs.changeColsBounds(len(cols), cols, new[0][cols],
-                                               new[1][cols]))
-            done += [highs.changeRowBounds(row, new[2][row], new[3][row])
-                     for row in np.flatnonzero(new[3] != old[3]).tolist()]
+            cols = np.flatnonzero((problem.lower != last.lower)
+                                  | (problem.upper != last.upper))
+            done.append(highs.changeColsBounds(
+                len(cols), cols, problem.lower[cols], problem.upper[cols]))
+            rows = np.flatnonzero((problem.row_lower != last.row_lower)
+                                  | (problem.row_upper != last.row_upper))
+            done += map(highs.changeRowBounds, rows.tolist(),
+                        problem.row_lower[rows], problem.row_upper[rows])
         else:
-            a = vstack((problem.a_ub, problem.a_eq), format="csr")
+            a = problem.a
             if not a.has_canonical_format:  # HiGHS rejects duplicate entries
+                a = a.copy()
                 a.sum_duplicates()
             lp = HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
@@ -192,7 +189,8 @@ class LpSession:
             lp.a_matrix_.index_ = a.indices
             lp.a_matrix_.value_ = a.data
             lp.col_cost_ = problem.objective
-            lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_ = new
+            lp.col_lower_, lp.col_upper_ = problem.lower, problem.upper
+            lp.row_lower_, lp.row_upper_ = problem.row_lower, problem.row_upper
             highs = self._highs = _Highs()
             highs.passOptions(_OPTIONS)
             done = [highs.passModel(lp)]

@@ -3,16 +3,16 @@
 Stage 1 minimizes total grid energy over the whole horizon; stage 2
 re-solves with the stage-1 cost as a budget and maximizes the terminal
 storage sum, so leftover flexibility is banked for later horizons.  Every
-offline program derives from the stage-1 program: a sparse constraint
-system with about 22 non-zeros per slot, assembled once per plan in one
-numpy pass, in time and memory linear in the horizon.  Stage 2 edits it
-into a new objective and one more ``cost_budget`` row and shares every
-other array; ``restrict_single_bs`` restricts it to one station and shares
-both matrices.  ``lp_solve`` returns a certified optimum or raises; an
-infeasible stage 2 raises ``Stage2Infeasible``.  A plan is its certified
-point: the action columns normalized in one array pass and the storage
-columns clipped onto [0, s_max].  Plans solve both stages cold; other
-costs re-solve a stage-1 program warm in the session that solved it.
+offline program derives from the stage-1 program: one sparse matrix with
+about 22 non-zeros per slot and a lower and upper bound on each row,
+assembled once per plan in one numpy pass, in time and memory linear in
+the horizon.  The others edit its costs and bounds and share its matrix,
+but stage 2, which inserts one ``cost_budget`` row.  ``lp_solve`` returns
+a certified optimum or raises; an infeasible stage 2 raises
+``Stage2Infeasible``.  A plan is its certified point: the action columns
+normalized in one array pass and the storage columns clipped onto
+[0, s_max].  Plans solve both stages cold; other costs re-solve a stage-1
+program warm in the session that solved it.
 """
 
 from __future__ import annotations
@@ -77,20 +77,14 @@ def _per_slot(n: int, rows: Sequence[tuple],
     return indptr, indices.ravel(), np.tile(value, n)
 
 
-def _csr(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-         n_vars: int) -> csr_matrix:
-    a = csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, n_vars))
-    # explicit zeros (alpha = 0, beta = 0) are dropped so the backend sees
-    # only structural non-zeros
-    a.eliminate_zeros()
-    return a
-
-
-def _ub_rhs(params: SystemParams, profile: NetEnergyProfile) -> np.ndarray:
-    """Stage-1 ub right-hand sides: e1, e2 on the neutral rows, else 0."""
-    check_slots("profile", profile.n_slots, params.n_slots)
-    zeros = np.zeros((params.n_slots, 2))
-    return np.column_stack((profile.e1, profile.e2, zeros)).ravel()
+def _row_upper(params: SystemParams, profile: NetEnergyProfile,
+               ) -> np.ndarray:
+    """Stage-1 row upper bounds: e1, e2 on the neutral rows, s_init on the
+    init rows, else 0."""
+    n = params.n_slots
+    check_slots("profile", profile.n_slots, n)
+    neutral = np.column_stack((profile.e1, profile.e2, np.zeros((n, 2))))
+    return np.concatenate((neutral.ravel(), params.s_init, np.zeros(2 * n)))
 
 
 def build_stage1(params: SystemParams, profile: NetEnergyProfile,
@@ -99,12 +93,13 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
 
     Columns: the actions w1 w2 c1 c2 d1 d2 x12 x21 of slot t at 8t + k,
     then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
-    Eq rows: init_s1, init_s2, then dyn1[t], dyn2[t] at 2 + 2t + bs.  Ub
-    rows: neutral1[t], neutral2[t], d1_le_s1[t], d2_le_s2[t] at 4t + k.
-    All index arrays are computed at once; the caller owns them.
+    Rows, the ``<=`` rows first: neutral1[t], neutral2[t], d1_le_s1[t],
+    d2_le_s2[t] at 4t + k; then the equalities init_s1, init_s2 at 4N,
+    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  All index arrays are
+    computed at once; the caller owns them.
     """
     n = params.n_slots
-    b_ub = _ub_rhs(params, profile)
+    row_upper = _row_upper(params, profile)
     a, b = params.alpha, params.beta
     n_vars = _N_ACTION * n + 2 * (n + 1)
 
@@ -122,12 +117,16 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
         ((_ACT, 4, 1.0), (_STO, 0, -1.0)),
         ((_ACT, 5, 1.0), (_STO, 1, -1.0))))
 
-    s0 = _N_ACTION * n
-    a_eq = _csr(np.concatenate(([0, 1], 2 + dyn_ptr)),
-                np.concatenate(([s0, s0 + 1], dyn_idx)),
-                np.concatenate(([1.0, 1.0], dyn_val)), n_vars)
-    b_eq = np.zeros(2 + 2 * n)
-    b_eq[:2] = params.s_init
+    s0, nnz = _N_ACTION * n, ub_ptr[-1]
+    matrix = csr_matrix((np.concatenate((ub_val, [1.0, 1.0], dyn_val)),
+                         np.concatenate((ub_idx, [s0, s0 + 1], dyn_idx)),
+                         np.concatenate((ub_ptr[:-1], [nnz, nnz + 1],
+                                         nnz + 2 + dyn_ptr))),
+                        shape=(len(row_upper), n_vars))
+    # explicit zeros (alpha = 0, beta = 0) are dropped so the backend sees
+    # only structural non-zeros
+    matrix.eliminate_zeros()
+    row_lower = np.append(np.full(4 * n, -math.inf), row_upper[4 * n:])
 
     upper = np.full(n_vars, math.inf)
     upper[s0:] = params.s_max
@@ -140,8 +139,7 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
     objective[:s0].reshape(n, _N_ACTION)[:, :2] = 1.0  # w1, w2
     return LpProblem(
         objective=objective,
-        a_eq=a_eq, b_eq=b_eq,
-        a_ub=_csr(ub_ptr, ub_idx, ub_val, n_vars), b_ub=b_ub,
+        a=matrix, row_lower=row_lower, row_upper=row_upper,
         lower=np.zeros(n_vars), upper=upper)
 
 
@@ -150,15 +148,17 @@ def build_stage2(stage1: LpProblem, v1: float) -> LpProblem:
 
     Maximizes s1(N) + s2(N) subject to total grid draw <= v1 + eps_lex(v1),
     ``v1`` the optimum of ``stage1``.  Returns ``stage1`` with that
-    objective and one more ``cost_budget`` row, sharing every other array.
+    objective and a ``cost_budget`` row inserted at 4N, its last ``<=`` row.
     """
     terminal = np.zeros(stage1.n_vars)
     terminal[-2:] = -1.0  # s1[N], s2[N]
+    a, row = stage1.a, 4 * (len(stage1.row_upper) // 6)  # 6N + 2 rows
     budget = csr_matrix(stage1.objective)  # the stage-1 cost as a row
     return replace(
         stage1, objective=terminal,
-        a_ub=vstack((stage1.a_ub, budget), format="csr"),
-        b_ub=np.append(stage1.b_ub, v1 + eps_lex(v1)))
+        a=vstack((a[:row], budget, a[row:]), format="csr"),
+        row_lower=np.insert(stage1.row_lower, row, -math.inf),
+        row_upper=np.insert(stage1.row_upper, row, v1 + eps_lex(v1)))
 
 
 def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
@@ -174,9 +174,10 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
 
 def stage1_costs(session: LpSession, stage1: LpProblem, params: SystemParams,
                  profiles: Iterable[NetEnergyProfile]) -> list[float]:
-    """``offline_cost`` of each profile: ``stage1`` with its ub right-hand
-    sides, re-solved in ``session`` (warm after the session's first solve)."""
-    return [session.solve(replace(stage1, b_ub=_ub_rhs(params, p)))
+    """``offline_cost`` of each profile: ``stage1`` with its row upper
+    bounds, re-solved in ``session`` (warm after the session's first
+    solve)."""
+    return [session.solve(replace(stage1, row_upper=_row_upper(params, p)))
             .objective_value for p in profiles]
 
 
@@ -210,17 +211,18 @@ def plan_offline(params: SystemParams, profile: NetEnergyProfile,
 
 
 def restrict_single_bs(stage1: LpProblem) -> LpProblem:
-    """One-station restriction of a stage-1 program, sharing its matrices:
-    BS 2's neutral rows get a zero right-hand side and its w, c, d columns
-    and both transfers are pinned to 0 (HiGHS presolve removes them), so
-    only BS 1 acts and pays; the savings baseline."""
-    n = len(stage1.b_ub) // 4
-    objective, upper, b_ub = (a.copy() for a in (
-        stage1.objective, stage1.upper, stage1.b_ub))
+    """One-station restriction of a stage-1 program, sharing its matrix:
+    BS 2's neutral rows get a zero upper bound and its w, c, d columns and
+    both transfers are pinned to 0 (HiGHS presolve removes them), so only
+    BS 1 acts and pays; the savings baseline."""
+    n = len(stage1.row_upper) // 6  # 6N + 2 rows
+    objective, upper, row_upper = (a.copy() for a in (
+        stage1.objective, stage1.upper, stage1.row_upper))
     objective[1:_N_ACTION * n:_N_ACTION] = 0.0  # w2
     upper[:_N_ACTION * n].reshape(n, _N_ACTION)[:, _PINNED_SINGLE_BS] = 0.0
-    b_ub[1::4] = 0.0  # neutral2
-    return replace(stage1, objective=objective, upper=upper, b_ub=b_ub)
+    row_upper[1:4 * n:4] = 0.0  # neutral2
+    return replace(stage1, objective=objective, upper=upper,
+                   row_upper=row_upper)
 
 
 def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:

@@ -74,8 +74,8 @@ def add_gaussian_noise(profile: NetEnergyProfile, scale: float,
 
 
 def load_profile(path: str | Path) -> NetEnergyProfile:
-    """Read a profile CSV in either the net or the RE/DE form."""
-    with open(path, newline="") as fh:
+    """Read a UTF-8 profile CSV (BOM allowed) in the net or RE/DE form."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParseError(f"{path}: empty file")

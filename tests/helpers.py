@@ -22,23 +22,21 @@ from energycoop.lp import LpProblem
 def make_problem(c, eq=(), ub=(), bounds=()) -> LpProblem:
     """Sparse ``LpProblem`` from dense (row, rhs) tuples.
 
-    ``bounds`` holds one (lower, upper) pair per variable and defaults to
-    [0, inf) throughout.
+    The ``<=`` rows ``ub`` come first, then the equalities ``eq``, the
+    order in which ``linprog`` stacks them for HiGHS.  ``bounds`` holds
+    one (lower, upper) pair per variable and defaults to [0, inf)
+    throughout.
     """
     n = len(c)
-
-    def matrix(rows):
-        if not rows:
-            return csr_matrix((0, n)), np.zeros(0)
-        return (csr_matrix(np.array([r for r, _ in rows], dtype=float)),
-                np.array([b for _, b in rows], dtype=float))
-
-    a_eq, b_eq = matrix(eq)
-    a_ub, b_ub = matrix(ub)
+    rows = [*ub, *eq]
+    a = (csr_matrix(np.array([r for r, _ in rows], dtype=float)) if rows
+         else csr_matrix((0, n)))
+    rhs = np.array([b for _, b in rows], dtype=float)
     bounds = np.asarray(bounds or [(0.0, math.inf)] * n, dtype=float)
-    return LpProblem(objective=np.asarray(c, dtype=float),
-                     a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                     lower=bounds[:, 0], upper=bounds[:, 1])
+    return LpProblem(objective=np.asarray(c, dtype=float), a=a,
+                     row_lower=np.where(np.arange(len(rows)) < len(ub),
+                                        -math.inf, rhs),
+                     row_upper=rhs, lower=bounds[:, 0], upper=bounds[:, 1])
 
 
 def save_profile(profile: NetEnergyProfile, path) -> None:

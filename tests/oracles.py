@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, vstack
 
 from energycoop.model import (
     DEFAULT_TOL,
@@ -107,12 +107,20 @@ def enumerate_lp_optimum(c, eq, ub, bounds):
 def linprog_reference(problem):
     """Public ``linprog(method="highs")`` on a program's fields.
 
-    ``problem`` is anything with the ``LpProblem`` fields; the options
-    are the engine's, so an exact translation of the program returns the
-    same point and iteration count.
+    ``problem`` is anything with the ``LpProblem`` fields.  Its rows with
+    a ``-inf`` lower bound become ``A_ub``; every other row must be an
+    equality, or this raises ValueError.  ``linprog`` hands HiGHS the rows
+    ``[A_ub; A_eq]`` with the engine's options, so a program whose ``<=``
+    rows come first is translated exactly and returns the same point and
+    iteration count.
     """
-    return linprog(problem.objective, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                   A_eq=problem.a_eq, b_eq=problem.b_eq,
+    ub = problem.row_lower == -math.inf
+    eq = ~ub
+    if not np.array_equal(problem.row_lower[eq], problem.row_upper[eq]):
+        raise ValueError("linprog takes only <= rows and equalities")
+    return linprog(problem.objective,
+                   A_ub=problem.a[ub], b_ub=problem.row_upper[ub],
+                   A_eq=problem.a[eq], b_eq=problem.row_upper[eq],
                    bounds=np.column_stack((problem.lower, problem.upper)),
                    method="highs", options=_HIGHS_OPTIONS)
 
@@ -292,7 +300,8 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
     storage under the budget v1 + 1e-9 * max(1, |v1|)) or "single_bs"
     (BS 1 alone: e2 is replaced by zeros and BS 2's grid, charge and
     discharge columns and both transfer columns are pinned to zero).
-    Returns a dict with the ``LpProblem`` field names as keys.
+    Returns a dict with the ``LpProblem`` field names as keys: the ``<=``
+    rows stacked over the equalities.
     """
     n = params.n_slots
     a, b = params.alpha, params.beta
@@ -347,9 +356,11 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
     else:
         raise ValueError(f"unknown program kind {kind!r}")
 
+    b_ub, b_eq = (np.asarray(rows.rhs, dtype=float) for rows in (ub, eq))
     return {
         "objective": objective,
-        "a_eq": eq.matrix(n_vars), "b_eq": np.asarray(eq.rhs, dtype=float),
-        "a_ub": ub.matrix(n_vars), "b_ub": np.asarray(ub.rhs, dtype=float),
+        "a": vstack((ub.matrix(n_vars), eq.matrix(n_vars)), format="csr"),
+        "row_lower": np.concatenate((np.full(len(b_ub), -math.inf), b_eq)),
+        "row_upper": np.concatenate((b_ub, b_eq)),
         "lower": np.zeros(n_vars), "upper": upper,
     }

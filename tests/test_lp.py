@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 
 from energycoop import SystemParams, lp, sinusoid
 from energycoop.lp import (
-    FEAS_TOL, LpInfeasible, LpSession, SolverError, lp_solve)
+    FEAS_TOL, LpInfeasible, LpProblem, LpSession, SolverError, lp_solve)
 from energycoop.offline import build_single_bs, build_stage1, build_stage2
 
 from helpers import make_problem
@@ -176,10 +176,10 @@ def _mutated_backend(monkeypatch, status=None, x=None):
 def _armed_session(problem, armed, warm):
     """A session whose next solve of ``problem`` runs mutated: cold on a
     fresh session, or warm after a clean solve of ``problem`` with looser
-    ub rows."""
+    ``<=`` rows."""
     session = LpSession()
     if warm:
-        session.solve(replace(problem, b_ub=problem.b_ub + 1.0))
+        session.solve(replace(problem, row_upper=problem.row_upper + 1.0))
     armed.append(True)
     return session
 
@@ -196,6 +196,19 @@ def test_nan_point_not_certified(monkeypatch):
         with pytest.raises(SolverError, match="violated by nan"):
             session.solve(problem)
         assert len(created) == 1  # a warm run reused the first instance
+
+
+def test_point_below_a_ge_row_not_certified(monkeypatch):
+    # x1 + x2 >= 1 is a row with a finite lower bound only; a point under
+    # it fails the re-check like one over a <= row
+    problem = replace(make_problem([1.0, 1.0], bounds=[(0.0, 1.0)] * 2),
+                      a=csr_matrix(np.ones((1, 2))), row_lower=np.ones(1),
+                      row_upper=np.full(1, math.inf))
+    armed, _ = _mutated_backend(monkeypatch, x=np.array([0.25, 0.25]))
+    assert lp_solve(problem).objective_value == pytest.approx(1.0)
+    armed.append(True)
+    with pytest.raises(SolverError, match="row 0 violated by 5.000e-01"):
+        lp_solve(problem)
 
 
 @pytest.mark.parametrize("status, error, match", [
@@ -230,15 +243,20 @@ def _feasible_program(rng):
 
 
 def _random_edit(problem, rng):
-    """``problem`` with some right-hand sides, bounds or costs moved; the
-    constraint matrices are the same objects."""
+    """``problem`` with some row bounds, column bounds or costs moved; the
+    constraint matrix is the same object.  A ``<=`` row moves its upper
+    bound, an equality both."""
     n = problem.n_vars
     pick = rng.random(n) < 0.5
     changes = {}
-    for field, scale in (("b_ub", 0.3), ("b_eq", 0.1)):
-        rhs = getattr(problem, field)
-        if len(rhs) and rng.random() < 0.6:
-            changes[field] = rhs + rng.normal(scale=scale, size=len(rhs))
+    ub = problem.row_lower == -math.inf
+    shift = np.zeros(len(ub))
+    for rows, scale in ((ub, 0.3), (~ub, 0.1)):
+        if rows.any() and rng.random() < 0.6:
+            shift[rows] = rng.normal(scale=scale, size=rows.sum())
+    if shift.any():
+        changes["row_lower"] = problem.row_lower + shift
+        changes["row_upper"] = problem.row_upper + shift
     if rng.random() < 0.5:
         # lower and upper bounds move on independent columns
         upper = np.where(pick, problem.upper + rng.uniform(-0.3, 0.5, n),
@@ -252,6 +270,15 @@ def _random_edit(problem, rng):
         changes["objective"] = np.where(pick, rng.normal(size=n),
                                         problem.objective)
     return replace(problem, **changes)
+
+
+def _assert_feasible(problem, x):
+    """Every row and column bound of ``problem`` holds at x to FEAS_TOL."""
+    ax = problem.a @ x
+    assert np.all((problem.row_lower - FEAS_TOL <= ax)
+                  & (ax <= problem.row_upper + FEAS_TOL))
+    assert np.all((problem.lower - FEAS_TOL <= x)
+                  & (x <= problem.upper + FEAS_TOL))
 
 
 def test_session_warm_resolves_match_cold():
@@ -276,13 +303,102 @@ def test_session_warm_resolves_match_cold():
             warm_solves += session._highs is highs
             assert abs(sol.objective_value - cold) <= 1e-9 * max(1.0,
                                                                  abs(cold))
-            x = sol.x
-            assert np.all(edited.a_ub @ x - edited.b_ub <= FEAS_TOL)
-            assert np.all(np.abs(edited.a_eq @ x - edited.b_eq) <= FEAS_TOL)
-            assert np.all((edited.lower - FEAS_TOL <= x)
-                          & (x <= edited.upper + FEAS_TOL))
+            _assert_feasible(edited, sol.x)
             problem = edited
     assert warm_solves >= 100
+
+
+def test_optimal_face_resolves_warm(monkeypatch):
+    # a new cost on the optimal face of a solved program: some tight <=
+    # rows become equalities and some columns at a bound are fixed there;
+    # a replace edit shares ``a``, so the session re-solves it warm on its
+    # one HiGHS instance, and the certified optimum is the cold one and
+    # the vertex oracle's
+    _, created = _mutated_backend(monkeypatch)
+    rng = np.random.default_rng(19)
+    checked = rows_fixed = cols_fixed = 0
+    for _ in range(80):
+        c, eq, ub, bounds = random_program(rng)
+        problem = make_problem(c, eq, ub, bounds)
+        session, before = LpSession(), len(created)
+        try:
+            x = session.solve(problem).x
+        except LpInfeasible:
+            continue
+        slack = problem.row_upper - problem.a @ x
+        tight = ((problem.row_lower == -math.inf) & (slack <= FEAS_TOL)
+                 & (rng.random(len(slack)) < 0.7))
+        at_lower = (np.abs(x - problem.lower) <= FEAS_TOL) & (rng.random(
+            len(x)) < 0.7)
+        at_upper = (np.abs(x - problem.upper) <= FEAS_TOL) & (rng.random(
+            len(x)) < 0.7)
+        face = replace(
+            problem, objective=rng.normal(size=len(x)),
+            row_lower=np.where(tight, problem.row_upper, problem.row_lower),
+            lower=np.where(at_upper, problem.upper, problem.lower),
+            upper=np.where(at_lower, problem.lower, problem.upper))
+        sol = session.solve(face)
+        assert face.a is problem.a and len(created) == before + 1
+        cold = lp_solve(face)
+        assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * max(
+            1.0, abs(cold.objective_value))
+        _assert_feasible(face, sol.x)
+        face_eq = eq + [row for row, t in zip(ub, tight) if t]
+        face_ub = [row for row, t in zip(ub, tight) if not t]
+        status, value = enumerate_lp_optimum(
+            face.objective, face_eq, face_ub,
+            np.column_stack((face.lower, face.upper)))
+        assert status == "Optimal"
+        assert sol.objective_value == pytest.approx(value, abs=1e-7)
+        checked += 1
+        rows_fixed += tight.any()
+        cols_fixed += (at_lower | at_upper).any()
+    assert checked >= 50 and rows_fixed >= 20 and cols_fixed >= 40
+
+
+def _random_ranged_program(rng):
+    """A random program with a >= row, a two-sided row and up to two more
+    rows of either kind or equalities, in the row form and in the dense
+    (eq, ub) form the vertex oracle takes."""
+    n = int(rng.integers(2, 6))
+    c = rng.normal(size=n)
+    bounds = list(zip(rng.uniform(-2, 0, n), rng.uniform(0.5, 3, n)))
+    kinds = ["ge", "range", *rng.choice(["ge", "range", "eq"],
+                                        size=int(rng.integers(0, 3)))]
+    rows, lower, upper, eq, ub = [], [], [], [], []
+    for kind in kinds:
+        row, lo = rng.normal(size=n), rng.normal()
+        hi = {"ge": math.inf, "range": lo + rng.uniform(0.0, 1.5),
+              "eq": lo}[kind]
+        rows.append(row)
+        lower.append(lo)
+        upper.append(hi)
+        if kind == "eq":
+            eq.append((row, lo))
+            continue
+        ub.append((-row, -lo))
+        if hi < math.inf:
+            ub.append((row, hi))
+    problem = LpProblem(c, csr_matrix(np.array(rows)), np.array(lower),
+                        np.array(upper), *np.array(bounds).T)
+    return problem, (c, eq, ub, bounds)
+
+
+def test_ge_and_two_sided_rows_match_vertex_oracle():
+    rng = np.random.default_rng(23)
+    optimal = 0
+    for _ in range(60):
+        problem, dense = _random_ranged_program(rng)
+        status, value = enumerate_lp_optimum(*dense)
+        if status == "Infeasible":
+            with pytest.raises(LpInfeasible):
+                lp_solve(problem)
+            continue
+        sol = lp_solve(problem)
+        assert sol.objective_value == pytest.approx(value, abs=1e-7)
+        _assert_feasible(problem, sol.x)
+        optimal += 1
+    assert optimal >= 30
 
 
 def test_session_new_matrices_solve_cold():
@@ -292,8 +408,7 @@ def test_session_new_matrices_solve_cold():
     session = LpSession()
     for _ in range(20):
         problem = _feasible_program(rng)
-        copy = replace(problem, a_eq=problem.a_eq.copy(),
-                       a_ub=problem.a_ub.copy())
+        copy = replace(problem, a=problem.a.copy())
         for fresh in (problem, copy):
             highs = session._highs
             sol = session.solve(fresh)
@@ -311,7 +426,7 @@ def test_session_warm_infeasible_edit_raises():
     assert session.solve(problem).objective_value == pytest.approx(-1.5)
     highs = session._highs
     with pytest.raises(LpInfeasible):
-        session.solve(replace(problem, b_ub=np.array([0.5])))
+        session.solve(replace(problem, row_upper=np.array([0.5])))
     assert session._highs is highs  # the infeasible solve ran warm
     # after a failure the next program is passed cold
     again = session.solve(problem)
@@ -340,31 +455,106 @@ def test_rejected_model_or_edit_raises(monkeypatch):
     session = LpSession()
     assert session.solve(problem).objective_value == pytest.approx(1.0)
     with pytest.raises(SolverError, match="HiGHS status kModelError"):
-        session.solve(replace(problem, b_ub=np.array([-2.0])))
+        session.solve(replace(problem, row_upper=np.array([-2.0])))
 
 
 def _full_problem():
-    """One eq row, one ub row and finite bounds, every field non-empty."""
+    """A ``<=`` row (row 0), an equality (row 1) and finite bounds, every
+    field non-empty."""
     return make_problem([1.0, 2.0], eq=[(np.array([1.0, 1.0]), 1.0)],
                         ub=[(np.array([1.0, -1.0]), 0.5)],
                         bounds=[(0.0, 1.0), (0.0, 1.0)])
+
+
+# The error that rejects each value the split form rejected in a right-hand
+# side: b_eq held both bounds of an equality, b_ub the upper bound of a row
+# whose lower bound is -inf (so b_ub = inf leaves the row free).
+_RHS_REJECTED = {
+    ("b_eq", "nan"): "row_lower has a value of nan",
+    ("b_eq", "inf"): "row_lower has a value of inf",
+    ("b_eq", "-inf"): "row_upper has a value of -inf",
+    ("b_ub", "nan"): "row_upper has a value of nan",
+    ("b_ub", "inf"): "row 0 has no finite bound",
+    ("b_ub", "-inf"): "row_upper has a value of -inf",
+}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["objective", "b_eq", "b_ub",
                                    "a_eq", "a_ub"])
 def test_non_finite_data_rejected(field, bad):
+    # ``field`` names where the split form kept the value; the row form
+    # puts it in the same row of ``a`` or its bounds and still rejects it
     base = _full_problem()
-    value = getattr(base, field).copy()
-    (value.data if field.startswith("a_") else value)[0] = bad
-    with pytest.raises(ValueError, match=f"^{field} has a non-finite"):
-        replace(base, **{field: value})
+    row = 1 if field.endswith("_eq") else 0
+    if field == "objective":
+        objective = base.objective.copy()
+        objective[0] = bad
+        changes = {"objective": objective}
+        error = "objective has a non-finite value"
+    elif field.startswith("a_"):
+        a = base.a.copy()
+        a.data[a.indptr[row]] = bad
+        changes, error = {"a": a}, "a has a non-finite value"
+    else:
+        lower, upper = base.row_lower.copy(), base.row_upper.copy()
+        upper[row] = bad
+        if field == "b_eq":
+            lower[row] = bad
+        changes = {"row_lower": lower, "row_upper": upper}
+        error = _RHS_REJECTED[field, str(bad)]
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+        replace(base, **changes)
+
+
+def _set(name, index, value):
+    """Edit of ``_full_problem`` with ``name[index]`` set to ``value``."""
+    def edit(base):
+        array = getattr(base, name).copy()
+        array[index] = value
+        return {name: array}
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda base: {"row_lower": np.full(2, -math.inf),
+                   "row_upper": np.array([0.5, math.inf])},
+     "row 1 has no finite bound"),
+    (_set("row_lower", 1, math.nan), "row_lower has a value of nan"),
+    (_set("row_upper", 1, math.nan), "row_upper has a value of nan"),
+    (_set("lower", 0, math.nan), "lower has a value of nan"),
+    (_set("upper", 1, math.nan), "upper has a value of nan"),
+    (_set("row_lower", 1, 2.0), "row_lower 2.0 exceeds row_upper 1.0"),
+    (_set("lower", 0, 1.5), "lower 1.5 exceeds upper 1.0"),
+    (lambda base: {"row_upper": np.ones(1)},
+     "row_lower/row_upper of length 2/1, want 2"),
+    (lambda base: {"upper": np.ones(3)}, "lower/upper of length 2/3, want 2"),
+    (lambda base: {"a": csr_matrix((2, 3))}, "a has 3 columns, want 2"),
+    (lambda base: {"a": base.a.tocsc()}, "a must be a CSR matrix"),
+    (lambda base: {"a": base.a.tocoo()}, "a must be a CSR matrix"),
+    (lambda base: {"a": base.a.toarray()}, "a must be a CSR matrix"),
+], ids=["free_row", "nan_row_lower", "nan_row_upper", "nan_lower",
+        "nan_upper", "crossed_row", "crossed_bound", "row_bounds_length",
+        "bounds_length", "columns", "csc", "coo", "dense"])
+def test_row_form_rejections(edit, error):
+    # wrong-side infinities are in the test below; a CSC matrix's indptr
+    # would reach HiGHS as row starts
+    base = _full_problem()
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
+        replace(base, **edit(base))
 
 
 @pytest.mark.parametrize("field, bad", [("lower", math.inf),
-                                        ("upper", -math.inf)])
+                                        ("upper", -math.inf),
+                                        ("row_lower", math.inf),
+                                        ("row_upper", -math.inf)])
 def test_infinite_bound_on_the_wrong_side_rejected(field, bad):
     base = make_problem([1.0, 1.0], bounds=[(-math.inf, math.inf)] * 2)
+    rows = {"row_lower": (0.0, math.inf), "row_upper": (-math.inf, 1.0)}
+    if field in rows:  # a >= row or a <= row
+        base = replace(base, a=csr_matrix(np.ones((1, 2))),
+                       row_lower=np.array(rows[field][:1]),
+                       row_upper=np.array(rows[field][1:]))
     value = getattr(base, field).copy()
     value[0] = bad  # the other bound is infinite, so lower <= upper holds
     with pytest.raises(ValueError, match=f"^{field} has a value of"):
@@ -377,7 +567,7 @@ def test_duplicate_entries_are_summed():
                       np.array([0, 3])), shape=(1, 2))
     summed = make_problem([-1.0, -1.0], ub=[(np.array([2.0, 1.0]), 2.0)],
                           bounds=[(0.0, 1.0), (0.0, 1.0)])
-    problem = replace(summed, a_ub=dup)
+    problem = replace(summed, a=dup)
     sol = lp_solve(problem)
     assert np.array_equal(sol.x, lp_solve(summed).x)
     assert dup.nnz == 3  # the caller's matrix is left as it was
@@ -453,9 +643,8 @@ _SOLVE_TINY = """
 import numpy as np
 from scipy.sparse import csr_matrix
 import energycoop
-no_rows = csr_matrix((0, 1))
-tiny = energycoop.LpProblem(np.ones(1), no_rows, np.zeros(0),
-                            csr_matrix([[-1.0]]), np.array([-1.0]),
+tiny = energycoop.LpProblem(np.ones(1), csr_matrix([[-1.0]]),
+                            np.array([-np.inf]), np.array([-1.0]),
                             np.zeros(1), np.full(1, np.inf))
 assert energycoop.lp_solve(tiny).x.tolist() == [1.0]
 """

@@ -96,7 +96,7 @@ class TestStage1:
         n = 8760
         prob = build_stage1(SystemParams(0.9, 0.8, 1.0, n),
                             sinusoid(3.0, omega, math.pi / 2, n))
-        assert prob.a_eq.nnz + prob.a_ub.nnz == 22 * n + 2
+        assert prob.a.nnz == 22 * n + 2
         # a 24-slot periodic profile: ten 240-slot horizons cost ten times
         # one, and the long program is solved and certified in one piece
         day = offline_cost(SystemParams(0.9, 0.8, 1.0, 240),
@@ -142,10 +142,19 @@ class TestStage2:
         stage1 = build_stage1(SystemParams(0.9, 0.8, 1.0, 24),
                               sinusoid(3.0, 2 * math.pi / 24, 1.0, 24))
         stage2 = build_stage2(stage1, 5.0)
-        for name in ("a_eq", "b_eq", "lower", "upper"):
+        for name in ("lower", "upper"):
             assert getattr(stage2, name) is getattr(stage1, name), name
-        assert stage2.a_ub.shape[0] == stage1.a_ub.shape[0] + 1
-        assert stage2.b_ub[-1] == 5.0 + eps_lex(5.0)
+        # the budget row is inserted at 4N, after the last <= row
+        budget, kept = 4 * 24, np.r_[:4 * 24, 4 * 24 + 1:6 * 24 + 3]
+        assert stage2.a.shape[0] == stage1.a.shape[0] + 1
+        assert (stage2.a[kept] != stage1.a).nnz == 0
+        assert np.array_equal(stage2.a[budget].toarray()[0],
+                              stage1.objective)
+        assert stage2.row_lower[budget] == -math.inf
+        assert stage2.row_upper[budget] == 5.0 + eps_lex(5.0)
+        for name in ("row_lower", "row_upper"):
+            assert np.array_equal(getattr(stage2, name)[kept],
+                                  getattr(stage1, name))
 
 
 class TestPlanOffline:
@@ -354,15 +363,17 @@ class TestSingleBs:
         p = SystemParams(0.9, 0.8, 1.0, 24)
         stage1 = build_stage1(p, sinusoid(3.0, 2 * math.pi / 24, 1.0, 24))
         before = [a.copy() for a in (stage1.objective, stage1.upper,
-                                     stage1.b_ub)]
+                                     stage1.row_upper)]
         single = restrict_single_bs(stage1)
-        assert single.a_eq is stage1.a_eq and single.a_ub is stage1.a_ub
-        assert single.b_eq is stage1.b_eq and single.lower is stage1.lower
-        for got, want in zip((stage1.objective, stage1.upper, stage1.b_ub),
-                             before):
+        assert single.a is stage1.a and single.row_lower is stage1.row_lower
+        assert single.lower is stage1.lower
+        for got, want in zip((stage1.objective, stage1.upper,
+                              stage1.row_upper), before):
             assert np.array_equal(got, want)  # the pair program is intact
-        assert not single.b_ub[1::4].any()
-        assert np.array_equal(single.b_ub[::4], stage1.b_ub[::4])
+        neutral2 = np.s_[1:4 * 24:4]  # the only rows whose bounds move
+        assert not single.row_upper[neutral2].any()
+        assert np.array_equal(np.delete(single.row_upper, neutral2),
+                              np.delete(stage1.row_upper, neutral2))
 
     @pytest.mark.parametrize("alpha, beta", [(0.9, 0.8), (0.0, 0.8),
                                              (0.9, 0.0)])
@@ -418,14 +429,14 @@ class TestAssembly:
 
     @staticmethod
     def assert_same_program(problem, ref):
-        for name in ("a_eq", "a_ub"):
-            got, want = getattr(problem, name), ref[name]
-            assert got.shape == want.shape
-            for part in ("indptr", "indices", "data"):
-                got_part, want_part = getattr(got, part), getattr(want, part)
-                assert got_part.dtype == want_part.dtype
-                assert np.array_equal(got_part, want_part)
-        for name in ("objective", "b_eq", "b_ub", "lower", "upper"):
+        got, want = problem.a, ref["a"]
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            got_part, want_part = getattr(got, part), getattr(want, part)
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part)
+        for name in ("objective", "row_lower", "row_upper", "lower",
+                     "upper"):
             assert np.array_equal(getattr(problem, name), ref[name]), name
 
     @pytest.mark.parametrize("n", [1, 2, 24, 240])

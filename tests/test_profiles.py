@@ -163,6 +163,18 @@ class TestCsv:
             with pytest.raises(ParseError, match="line 3: RE and DE must be"):
                 load_profile(path)
 
+    @pytest.mark.parametrize("text, e1, e2", [
+        ("t,E1,E2\n0,1.5,-2.0\n", (1.5,), (-2.0,)),
+        ("t,RE1,DE1,RE2,DE2\n0,2.0,0.5,1.0,3.0\n", (1.5,), (-2.0,))],
+        ids=["net", "re_de"])
+    def test_byte_order_mark_skipped(self, tmp_path, text, e1, e2):
+        # spreadsheets save "CSV UTF-8" with a BOM before the header
+        path = tmp_path / "profile.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        prof = load_profile(path)
+        assert (prof.e1, prof.e2) == (e1, e2)
+
     def test_re_de_form_saved_as_net(self, tmp_path):
         src, out = tmp_path / "split.csv", tmp_path / "net.csv"
         src.write_text("t,RE1,DE1,RE2,DE2\n0,1.0,0.5,0.0,2.0\n"
