@@ -23,7 +23,7 @@ from pathlib import Path
 from statistics import mean, stdev
 
 from . import __version__
-from .greedy import CASE_TOL, run_greedy
+from .greedy import CASE_TOL, check_mode, run_greedy
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
 from .lp import LpSession
@@ -67,6 +67,8 @@ class ExperimentSpec:
         if bool(self.seeds) != (self.experiment == "hybrid-vs-greedy"):
             raise ValueError(f"{self.experiment}: only hybrid-vs-greedy takes "
                              "seeds, and it needs them")
+        if self.experiment in EXPERIMENT_IDS[2:]:  # greedy runs, standard
+            check_mode("standard", self.alpha, self.beta)
 
     def params(self, s_max: float) -> SystemParams:
         return SystemParams(self.alpha, self.beta, s_max, self.n_slots)

@@ -15,6 +15,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .greedy import capped_step, check_mode
 from .model import (
     ControlAction,
@@ -46,12 +48,10 @@ def residual_profile(decomposed: DecomposedProfile, offline_traj: Trajectory,
     """Per-slot energies the greedy layer must neutralize."""
     realized = decomposed.realized
     check_slots("offline trajectory", offline_traj.n_slots, realized.n_slots)
-    g1, g2 = [], []
-    for e1, e2, action in zip(realized.e1, realized.e2, offline_traj.actions):
-        r1, r2 = neutralization_residuals(params, e1, e2, action)
-        g1.append(r1)
-        g2.append(r2)
-    return NetEnergyProfile(e1=tuple(g1), e2=tuple(g2))
+    g1, g2 = neutralization_residuals(
+        params, realized.e1, realized.e2,
+        ControlAction._make(np.reshape(offline_traj.actions, (-1, 8)).T))
+    return NetEnergyProfile(e1=g1, e2=g2)
 
 
 @dataclass(frozen=True)

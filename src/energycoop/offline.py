@@ -5,10 +5,11 @@ re-solves with the stage-1 cost as a budget and maximizes the terminal
 storage sum, so leftover flexibility is banked for later horizons.  Every
 offline program derives from the stage-1 program: one sparse matrix with
 about 22 non-zeros per slot and a lower and upper bound on each row,
-assembled once per plan in one numpy pass, in time and memory linear in
-the horizon.  The others edit its costs and bounds and share its matrix,
-but stage 2, which inserts one ``cost_budget`` row.  ``lp_solve`` returns
-a certified optimum or raises; an infeasible stage 2 raises
+assembled once per plan from one table of (row, column, value) entries
+written as arrays over the slots, in time and memory linear in the
+horizon.  The others edit its costs and bounds and share its matrix, but
+stage 2, which inserts one ``cost_budget`` row.  ``lp_solve`` returns a
+certified optimum or raises; an infeasible stage 2 raises
 ``Stage2Infeasible``.  A plan is its certified point: the action columns
 normalized in one array pass and the storage columns clipped onto
 [0, s_max].  Plans solve both stages cold; other costs re-solve a stage-1
@@ -53,30 +54,6 @@ class Stage2Infeasible(LpInfeasible):
     """Stage 2 rejected a budget that stage 1 certified as attainable."""
 
 
-# Column of a constraint entry, counted from slot t's first action column
-# (8t) or from its storage pair (s1[t] at 8N + 2t, s2[t] one further).
-_ACT, _STO = 0, 1
-
-
-def _per_slot(n: int, rows: Sequence[tuple],
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR index arrays of constraint rows repeated every slot.
-
-    ``rows`` lists each row's entries (base, offset, value) in ascending
-    column order, the order CSR keeps within a row.  Returns indptr (with
-    the end), column indices and values, slot-major.
-    """
-    base, offset, value = (np.array(v) for v in zip(
-        *(entry for entries in rows for entry in entries)))
-    t = np.arange(n)[:, None]
-    indices = np.where(base == _STO, _N_ACTION * n + 2 * t,
-                       _N_ACTION * t) + offset
-    starts = np.cumsum([0] + [len(entries) for entries in rows])
-    indptr = np.append((len(value) * t + starts[:-1]).ravel(),
-                       len(value) * n)
-    return indptr, indices.ravel(), np.tile(value, n)
-
-
 def _row_upper(params: SystemParams, profile: NetEnergyProfile,
                ) -> np.ndarray:
     """Stage-1 row upper bounds: e1, e2 on the neutral rows, s_init on the
@@ -95,36 +72,41 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
     then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
     Rows, the ``<=`` rows first: neutral1[t], neutral2[t], d1_le_s1[t],
     d2_le_s2[t] at 4t + k; then the equalities init_s1, init_s2 at 4N,
-    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  All index arrays are
-    computed at once; the caller owns them.
+    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  The matrix is one
+    table of (row, column, value) entries whose rows and columns are
+    arrays over t; the caller owns every array.
     """
     n = params.n_slots
     row_upper = _row_upper(params, profile)
     a, b = params.alpha, params.beta
-    n_vars = _N_ACTION * n + 2 * (n + 1)
+    s0 = _N_ACTION * n
+    n_vars = s0 + 2 * (n + 1)
 
-    # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
-    dyn_ptr, dyn_idx, dyn_val = _per_slot(n, (
-        ((_ACT, 2, -a), (_ACT, 4, 1.0), (_STO, 0, -1.0), (_STO, 2, 1.0)),
-        ((_ACT, 3, -a), (_ACT, 5, 1.0), (_STO, 1, -1.0), (_STO, 3, 1.0))))
-    # energy neutralization, written as <= rows; then cannot discharge
-    # more than is stored
-    ub_ptr, ub_idx, ub_val = _per_slot(n, (
-        ((_ACT, 0, -1.0), (_ACT, 2, 1.0), (_ACT, 4, -a), (_ACT, 6, 1.0),
-         (_ACT, 7, -b)),
-        ((_ACT, 1, -1.0), (_ACT, 3, 1.0), (_ACT, 5, -a), (_ACT, 6, -b),
-         (_ACT, 7, 1.0)),
-        ((_ACT, 4, 1.0), (_STO, 0, -1.0)),
-        ((_ACT, 5, 1.0), (_STO, 1, -1.0))))
-
-    s0, nnz = _N_ACTION * n, ub_ptr[-1]
-    matrix = csr_matrix((np.concatenate((ub_val, [1.0, 1.0], dyn_val)),
-                         np.concatenate((ub_idx, [s0, s0 + 1], dyn_idx)),
-                         np.concatenate((ub_ptr[:-1], [nnz, nnz + 1],
-                                         nnz + 2 + dyn_ptr))),
+    t, bs = np.arange(n), np.arange(2)
+    act, s, ub, dyn = _N_ACTION * t, s0 + 2 * t, 4 * t, 4 * n + 2 + 2 * t
+    entries = (
+        # energy neutralization, written as <= rows
+        (ub, act, -1.0), (ub, act + 2, 1.0), (ub, act + 4, -a),
+        (ub, act + 6, 1.0), (ub, act + 7, -b),
+        (ub + 1, act + 1, -1.0), (ub + 1, act + 3, 1.0),
+        (ub + 1, act + 5, -a), (ub + 1, act + 6, -b), (ub + 1, act + 7, 1.0),
+        # cannot discharge more than is stored
+        (ub + 2, act + 4, 1.0), (ub + 2, s, -1.0),
+        (ub + 3, act + 5, 1.0), (ub + 3, s + 1, -1.0),
+        # storage starts at s_init
+        (4 * n + bs, s0 + bs, 1.0),
+        # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
+        (dyn, act + 2, -a), (dyn, act + 4, 1.0), (dyn, s, -1.0),
+        (dyn, s + 2, 1.0),
+        (dyn + 1, act + 3, -a), (dyn + 1, act + 5, 1.0),
+        (dyn + 1, s + 1, -1.0), (dyn + 1, s + 3, 1.0))
+    rows, cols, values = zip(*entries)
+    data = np.concatenate([np.full(len(r), v) for r, v in zip(rows, values)])
+    # scipy sums duplicates and sorts each row's columns, the order CSR
+    # keeps; explicit zeros (alpha = 0, beta = 0) are dropped so the
+    # backend sees only structural non-zeros
+    matrix = csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
                         shape=(len(row_upper), n_vars))
-    # explicit zeros (alpha = 0, beta = 0) are dropped so the backend sees
-    # only structural non-zeros
     matrix.eliminate_zeros()
     row_lower = np.append(np.full(4 * n, -math.inf), row_upper[4 * n:])
 
@@ -132,8 +114,7 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
     upper[s0:] = params.s_max
     if a == 0.0:
         # charging stores nothing; pin it to keep solutions clean
-        upper[2:s0:_N_ACTION] = 0.0
-        upper[3:s0:_N_ACTION] = 0.0
+        upper[:s0].reshape(n, _N_ACTION)[:, 2:4] = 0.0  # c1, c2
 
     objective = np.zeros(n_vars)
     objective[:s0].reshape(n, _N_ACTION)[:, :2] = 1.0  # w1, w2

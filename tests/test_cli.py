@@ -106,6 +106,15 @@ def test_non_finite_theta_exits_2(tmp_path, capsys, theta):
     assert "Warning" not in captured.err
 
 
+def test_greedy_study_zero_efficiency_exits_2(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "hybrid-vs-greedy", "--alpha", "0",
+                 "--n", "24", "--thetas", "0", "--seeds", "0",
+                 "--out", str(out)]) == 2
+    assert "mode 'standard' needs alpha > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["offline", "--profile", "P", "--seed", "1"],
     ["greedy", "--profile", "P", "--n", "48"],

@@ -49,6 +49,27 @@ def test_spec_validation():
                        seeds=(0,))
 
 
+@pytest.mark.parametrize("efficiencies", [{"alpha": 0.0}, {"beta": 0.0}])
+@pytest.mark.parametrize("experiment", ["greedy-loss-vs-theta",
+                                        "hybrid-vs-greedy"])
+def test_greedy_studies_reject_zero_efficiency_before_any_solve(
+        monkeypatch, experiment, efficiencies):
+    # the greedy layer runs in standard mode; its mode check comes when
+    # the spec is built, not after the stage-1 LPs of every grid point
+    def no_solve(self, problem):
+        raise AssertionError("LP solved before the mode check")
+
+    monkeypatch.setattr(lp.LpSession, "solve", no_solve)
+    with pytest.raises(ValueError, match="mode 'standard' needs alpha > 0"):
+        run_experiment(small_spec(experiment, **efficiencies), workers=1)
+
+
+@pytest.mark.parametrize("efficiencies", [{"alpha": 0.0}, {"beta": 0.0}])
+@pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta"])
+def test_cost_studies_take_zero_efficiency(experiment, efficiencies):
+    assert small_spec(experiment, **efficiencies).experiment == experiment
+
+
 @pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta",
                                         "greedy-loss-vs-theta"])
 def test_noise_scale_only_for_hybrid(experiment):
