@@ -4,8 +4,10 @@ Per slot the controller minimizes the grid draw and, among equal-cost
 choices, maximizes the stored-energy sum.  ``greedy_step_with_case`` does
 this with closed-form case rules keyed on the signs of the two net
 energies and on whether the line (efficiency beta) beats the
-charge/discharge round trip (alpha squared).  The tests check it against
-a one-slot LP oracle.
+charge/discharge round trip (alpha squared).  Every rule returns one step
+record, the eight action fields, s1, s2 after the slot and the case label,
+which ``capped_step`` alone unpacks.  The tests check it against a
+one-slot LP oracle.
 """
 
 from __future__ import annotations
@@ -152,18 +154,16 @@ def _dispatch(alpha: float, beta: float, cap1: float, cap2: float,
     e1, e2 = _clean(e1), _clean(e2)
     if e1 >= 0.0 and e2 >= 0.0:
         return _case1(alpha, beta, cap1, cap2, s1, s2, e1, e2)
+    if e1 < 0.0 and e2 < 0.0:
+        return _case4(alpha, beta, cap1, cap2, s1, s2, e1, e2, force_2a)
+    case2 = _case2a if force_2a or beta >= alpha * alpha else _case2b
     if e1 >= 0.0:
-        if force_2a or beta >= alpha * alpha:
-            return _case2a(alpha, beta, cap1, cap2, s1, s2, e1, e2)
-        return _case2b(alpha, beta, cap1, cap2, s1, s2, e1, e2)
-    if e2 >= 0.0:
-        if force_2a or beta >= alpha * alpha:
-            return _mirror(_case2a(alpha, beta, cap2, cap1, s2, s1, e2, e1))
-        return _mirror(_case2b(alpha, beta, cap2, cap1, s2, s1, e2, e1))
-    return _case4(alpha, beta, cap1, cap2, s1, s2, e1, e2, force_2a)
+        return case2(alpha, beta, cap1, cap2, s1, s2, e1, e2)
+    return _mirror(case2(alpha, beta, cap2, cap1, s2, s1, e2, e1))
 
 
-def _step_no_storage(beta: float, e1: float, e2: float):
+def _step_no_storage(beta: float, s1: float, s2: float,
+                     e1: float, e2: float):
     e1, e2 = _clean(e1), _clean(e2)
     w1 = w2 = x12 = x21 = 0.0
     if e1 < 0.0 and e2 < 0.0:
@@ -176,7 +176,7 @@ def _step_no_storage(beta: float, e1: float, e2: float):
         if beta > 0.0:
             x21 = min(e2, -e1 / beta)
         w1 = max(0.0, -(e1 + beta * x21))
-    return (w1, w2, 0.0, 0.0, 0.0, 0.0, x12, x21)
+    return (w1, w2, 0.0, 0.0, 0.0, 0.0, x12, x21, s1, s2, "no_storage")
 
 
 def _step_no_transfer(alpha: float, cap1: float, cap2: float,
@@ -194,7 +194,7 @@ def _step_no_transfer(alpha: float, cap1: float, cap2: float,
             w = max(0.0, -(e + alpha * d))
         out.append((w, c, d, s))
     (w1, c1, d1, s1), (w2, c2, d2, s2) = out
-    return (w1, w2, c1, c2, d1, d2, 0.0, 0.0, s1, s2)
+    return (w1, w2, c1, c2, d1, d2, 0.0, 0.0, s1, s2, "no_transfer")
 
 
 def check_mode(mode: str, alpha: float, beta: float) -> None:
@@ -229,14 +229,12 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
     s2 = min(max(s2, 0.0), cap2)
 
     if mode == "no_storage":
-        r = _step_no_storage(beta, e1, e2)
-        return ControlAction._make(r), StorageState(s1, s2), mode
-    if mode == "no_transfer":
+        r = _step_no_storage(beta, s1, s2, e1, e2)
+    elif mode == "no_transfer":
         r = _step_no_transfer(alpha, cap1, cap2, s1, s2, e1, e2)
-        return ControlAction._make(r[:8]), StorageState(r[8], r[9]), mode
-
-    r = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1, e2,
-                  force_2a=(mode == "force_case_2a"))
+    else:
+        r = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1, e2,
+                      force_2a=(mode == "force_case_2a"))
     return ControlAction._make(r[:8]), StorageState(r[8], r[9]), r[10]
 
 

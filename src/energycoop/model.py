@@ -141,9 +141,8 @@ class StorageState(NamedTuple):
         return tuple(self)
 
 
-ACTION_FIELDS = ControlAction._fields
-
-TRAJECTORY_HEADER = ("t", "E1", "E2", *ACTION_FIELDS, *StorageState._fields)
+TRAJECTORY_HEADER = ("t", "E1", "E2", *ControlAction._fields,
+                     *StorageState._fields)
 
 
 @dataclass(frozen=True)
@@ -234,9 +233,9 @@ def check_feasible(params: SystemParams, profile: NetEnergyProfile,
     with np.errstate(all="ignore"):  # inf and NaN entries are reported
         families = (
             ("initial_state_s", bs, -np.abs(s[:1] - params.s_init)),
-            ("finite_", ACTION_FIELDS,
+            ("finite_", ControlAction._fields,
              np.where(np.isfinite(act), 0.0, -np.abs(act))),
-            ("nonneg_", ACTION_FIELDS, act),
+            ("nonneg_", ControlAction._fields, act),
             ("discharge_le_storage_", bs, s[:-1] - d),
             ("dynamics_", bs,
              -np.abs(s[1:] - (s[:-1] + params.alpha * c - d))),
@@ -298,24 +297,12 @@ def save_trajectory(traj: Trajectory, profile: NetEnergyProfile,
     appends a ``case`` column when the trajectory recorded decision cases.
     """
     check_slots("profile", profile.n_slots, traj.n_slots)
-    cases = traj.cases if (with_cases and traj.cases is not None) else None
+    rows = chain([TRAJECTORY_HEADER], (
+        map(repr, (t, e1, e2, *act, *s)) for t, (e1, e2, act, s)
+        in enumerate(zip(profile.e1, profile.e2, traj.actions, traj.states))),
+        [(traj.n_slots, *[""] * 10, *map(repr, traj.states[-1]))])
+    if with_cases and traj.cases is not None:
+        rows = ((*row, case)
+                for row, case in zip(rows, ("case", *traj.cases, "")))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = list(TRAJECTORY_HEADER)
-        if cases is not None:
-            header.append("case")
-        writer.writerow(header)
-        for t, act in enumerate(traj.actions):
-            s = traj.states[t]
-            row = [t, repr(profile.e1[t]), repr(profile.e2[t])]
-            row += [repr(v) for v in act]
-            row += [repr(s.s1), repr(s.s2)]
-            if cases is not None:
-                row.append(cases[t])
-            writer.writerow(row)
-        final = traj.states[-1]
-        row = [traj.n_slots] + [""] * 10 + [repr(final.s1), repr(final.s2)]
-        if cases is not None:
-            row.append("")
-        writer.writerow(row)
-
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -74,7 +74,8 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
     d2_le_s2[t] at 4t + k; then the equalities init_s1, init_s2 at 4N,
     4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  The matrix is one
     table of (row, column, value) entries whose rows and columns are
-    arrays over t; the caller owns every array.
+    arrays over t, written once per station k, which sends on column
+    8t + 6 + k and receives on 8t + 7 - k; the caller owns every array.
     """
     n = params.n_slots
     row_upper = _row_upper(params, profile)
@@ -84,22 +85,19 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
 
     t, bs = np.arange(n), np.arange(2)
     act, s, ub, dyn = _N_ACTION * t, s0 + 2 * t, 4 * t, 4 * n + 2 + 2 * t
-    entries = (
-        # energy neutralization, written as <= rows
-        (ub, act, -1.0), (ub, act + 2, 1.0), (ub, act + 4, -a),
-        (ub, act + 6, 1.0), (ub, act + 7, -b),
-        (ub + 1, act + 1, -1.0), (ub + 1, act + 3, 1.0),
-        (ub + 1, act + 5, -a), (ub + 1, act + 6, -b), (ub + 1, act + 7, 1.0),
-        # cannot discharge more than is stored
-        (ub + 2, act + 4, 1.0), (ub + 2, s, -1.0),
-        (ub + 3, act + 5, 1.0), (ub + 3, s + 1, -1.0),
-        # storage starts at s_init
-        (4 * n + bs, s0 + bs, 1.0),
-        # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
-        (dyn, act + 2, -a), (dyn, act + 4, 1.0), (dyn, s, -1.0),
-        (dyn, s + 2, 1.0),
-        (dyn + 1, act + 3, -a), (dyn + 1, act + 5, 1.0),
-        (dyn + 1, s + 1, -1.0), (dyn + 1, s + 3, 1.0))
+    # storage starts at s_init
+    entries = [(4 * n + bs, s0 + bs, 1.0)]
+    for k in (0, 1):
+        row, w, c, d = ub + k, act + k, act + 2 + k, act + 4 + k
+        entries += [
+            # energy neutralization, written as <= rows
+            (row, w, -1.0), (row, c, 1.0), (row, d, -a),
+            (row, act + 6 + k, 1.0), (row, act + 7 - k, -b),
+            # cannot discharge more than is stored
+            (row + 2, d, 1.0), (row + 2, s + k, -1.0),
+            # storage dynamics s(t+1) = s(t) + alpha c(t) - d(t)
+            (dyn + k, c, -a), (dyn + k, d, 1.0), (dyn + k, s + k, -1.0),
+            (dyn + k, s + 2 + k, 1.0)]
     rows, cols, values = zip(*entries)
     data = np.concatenate([np.full(len(r), v) for r, v in zip(rows, values)])
     # scipy sums duplicates and sorts each row's columns, the order CSR

@@ -8,9 +8,9 @@ import math
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from energycoop import NetEnergyProfile, StorageState, SystemParams
+from energycoop import (ControlAction, NetEnergyProfile, StorageState,
+                        SystemParams)
 from energycoop.model import (
-    ACTION_FIELDS,
     DEFAULT_TOL,
     Violation,
     check_slots,
@@ -92,7 +92,7 @@ def check_feasible_ref(params, profile, traj) -> list[Violation]:
     for t in range(n):
         act = traj.actions[t]
         s, s_next = traj.states[t], traj.states[t + 1]
-        for name, val in zip(ACTION_FIELDS, act):
+        for name, val in zip(ControlAction._fields, act):
             flag(f"nonneg_{name}", t, val)
         flag("discharge_le_storage_1", t, s.s1 - act.d1)
         flag("discharge_le_storage_2", t, s.s2 - act.d2)

@@ -106,6 +106,13 @@ def test_non_finite_theta_exits_2(tmp_path, capsys, theta):
     assert "Warning" not in captured.err
 
 
+def test_experiment_without_out_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "saving-vs-theta", "--n", "24"])
+    assert exc.value.code == 2
+    assert "experiment requires --out" in capsys.readouterr().err
+
+
 def test_greedy_study_zero_efficiency_exits_2(tmp_path, capsys):
     out = tmp_path / "exp.csv"
     assert main(["experiment", "hybrid-vs-greedy", "--alpha", "0",

@@ -13,6 +13,7 @@ from energycoop.experiments import (
     OMEGA,
     ExperimentResult,
     ExperimentSpec,
+    ResultRow,
     default_spec,
     run_experiment,
     write_result,
@@ -114,6 +115,17 @@ def test_metadata_records_required_keys():
         keys = [key for key, _ in result.metadata()]
         assert keys == ["experiment", "alpha", "beta", "s_max_grid",
                         "n_slots", "amplitude", "omega", *extra, "version"]
+
+
+@pytest.mark.parametrize("rows, hits", [
+    ((), 0),
+    ((ResultRow(0.0, 1.0, "cost_per_bs", 1.0),
+      ResultRow(0.0, 1.0, "cost_per_bs", 2.0)), 2),
+])
+def test_value_needs_exactly_one_row(rows, hits):
+    result = ExperimentResult(small_spec("cost-vs-storage"), rows)
+    with pytest.raises(KeyError, match=f"{hits} rows for metric=cost_per_bs"):
+        result.value("cost_per_bs", theta=0.0)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENT_IDS)

@@ -24,7 +24,6 @@ from energycoop import (
     total_cost,
 )
 from energycoop.model import (
-    ACTION_FIELDS,
     DEFAULT_TOL,
     TRAJECTORY_HEADER,
     neutralization_residuals,
@@ -101,11 +100,23 @@ class TestParams:
 
 class TestRecords:
     def test_field_order_and_defaults(self):
-        assert ControlAction._fields == ACTION_FIELDS
+        assert ControlAction._fields == (
+            "w1", "w2", "c1", "c2", "d1", "d2", "x12", "x21")
         assert ControlAction() == (0.0,) * 8
         assert StorageState._fields == ("s1", "s2")
         with pytest.raises(TypeError):
             StorageState(1.0)
+
+    @pytest.mark.parametrize("n_states, cases, match", [
+        (1, None, "1 states for 1 actions"),
+        (3, None, "3 states for 1 actions"),
+        (2, (), "cases length"),
+        (2, ("1", "1"), "cases length"),
+    ])
+    def test_trajectory_lengths_checked(self, n_states, cases, match):
+        with pytest.raises(LengthMismatch, match=match):
+            Trajectory((ControlAction(),), (StorageState(0.0, 0.0),)
+                       * n_states, cases)
 
     def test_keyword_construction(self):
         act = ControlAction(x12=math.nan)
@@ -268,7 +279,7 @@ class TestCheckFeasibleMatchesPerSlotReference:
             names |= {v.constraint for v in
                       assert_matches_reference(params, prof, traj)}
         fields = [f"{fam}_{f}" for fam in ("finite", "nonneg")
-                  for f in ACTION_FIELDS]
+                  for f in ControlAction._fields]
         pairs = [f"{fam}_{i}" for fam in (
             "discharge_le_storage", "dynamics", "neutralization",
             "storage_lower", "storage_upper") for i in (1, 2)]
@@ -481,6 +492,31 @@ class TestTrajectoryCsv:
             assert StorageState(*map(float, row[11:13])) == traj.states[t]
             assert row[13] == traj.cases[t]
         assert StorageState(*map(float, final[11:13])) == traj.states[-1]
+
+    @pytest.mark.parametrize("cases, with_cases, case_column", [
+        (("1", "2A"), True, True),
+        (("1", "2A"), False, False),
+        (None, True, False),
+    ], ids=["cases_written", "cases_not_asked", "no_cases_recorded"])
+    def test_exact_text(self, tmp_path, cases, with_cases, case_column):
+        prof = NetEnergyProfile(e1=(1.0, -0.25), e2=(0.5, 1 / 3))
+        actions = (ControlAction(w1=0.125, c1=0.5),
+                   ControlAction(d1=0.45, x12=0.1))
+        states = (StorageState(0.0, 0.0), StorageState(0.45, 0.0),
+                  StorageState(0.0, 0.0))
+        path = tmp_path / "traj.csv"
+        save_trajectory(Trajectory(actions, states, cases), prof, path,
+                        with_cases=with_cases)
+        lines = ["t,E1,E2,w1,w2,c1,c2,d1,d2,x12,x21,s1,s2",
+                 "0,1.0,0.5,0.125,0.0,0.5,0.0,0.0,0.0,0.0,0.0,0.0,0.0",
+                 "1,-0.25,0.3333333333333333,0.0,0.0,0.0,0.0,0.45,0.0,0.1,"
+                 "0.0,0.45,0.0",
+                 "2,,,,,,,,,,,0.0,0.0"]
+        if case_column:
+            lines = [line + "," + c
+                     for line, c in zip(lines, ("case", "1", "2A", ""))]
+        assert path.read_bytes() == "".join(
+            line + "\n" for line in lines).encode()
 
     def test_final_row_is_terminal_state(self, tmp_path):
         params = SystemParams(0.9, 0.8, 1.0, 1)

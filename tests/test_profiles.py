@@ -1,6 +1,7 @@
 """Profile generation, seeded noise, and CSV round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ class TestCsv:
         path.write_text("t,RE1,DE1,RE2,DE2\n0,1.0,0.0,1.0,0.0\n\n"
                         "1,0.0,1.0,0.0,1.0\n")
         assert load_profile(path).e1 == (1.0, -1.0)
+
+    @pytest.mark.parametrize("text, err", [
+        ("", "empty file"), ("t,E1,E2\n", "no data rows"),
+        ("t,E1,E2\n\n", "no data rows")], ids=["empty", "header", "blank"])
+    def test_no_data_names_path(self, tmp_path, text, err):
+        path = tmp_path / "profile.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                                             f"{err}$"):
+            load_profile(path)
 
     def test_unknown_header(self, tmp_path):
         path = tmp_path / "profile.csv"
