@@ -1,10 +1,10 @@
 """Experiment sweeps reproducing the four simulation studies, as CSV.
 
-Each study maps its theta x s_max grid to rows through independent tasks
-and writes them with a metadata block, so a run is reproducible byte for
-byte from its spec.  Each task makes one cold stage-1 solve and re-solves
-every other cost warm in its session: hybrid-vs-greedy runs a task per
-grid point, whose plan's stage 1 prices every noise seed; the other
+Each study is one row of ``_STUDIES``: its defaults and the constants its
+CSV's metadata block records, so a run is reproducible byte for byte from
+its spec.  Each task makes one cold stage-1 solve and re-solves every
+other cost warm in its session: the seeded hybrid-vs-greedy runs a task
+per grid point, whose plan's stage 1 prices every noise seed; the other
 studies a task per s_max column, pricing every theta after the single-BS
 baseline (cost studies) or the first theta.  Tasks go to a process pool;
 set ENERGYCOOP_WORKERS (at least 1) or pass ``workers=1`` to run serially.
@@ -31,9 +31,6 @@ from .offline import (EPS_LEX_FACTOR, build_stage1, plan_and_price,
                       restrict_single_bs, stage1_costs)
 from .profiles import add_gaussian_noise, sinusoid
 
-EXPERIMENT_IDS = ("cost-vs-storage", "saving-vs-theta",
-                  "greedy-loss-vs-theta", "hybrid-vs-greedy")
-
 WORKERS_ENV = "ENERGYCOOP_WORKERS"
 
 DEFAULT_THETAS = tuple(k * math.pi / 8 for k in range(17))
@@ -42,6 +39,21 @@ FIG2_THETAS = (math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
 DEFAULT_SEEDS = tuple(range(20))
 OMEGA = 2 * math.pi / 24  # one period per 24 slots in every study
 NOISE_SCALE = 0.125  # residual noise of hybrid-vs-greedy and the CLI
+
+# Per study: defaults beyond the shared grid, and the constants its CSV
+# records beyond the spec.  A study records noise_scale and seeds if it adds
+# noise, and then takes seeds and runs a task per grid point; case_tol if the
+# greedy controller runs, in standard mode; eps_lex_factor if it plans.
+_STUDIES = {
+    "cost-vs-storage": (
+        {"thetas": FIG2_THETAS, "s_max_grid": DEFAULT_SMAX_GRID}, ()),
+    "saving-vs-theta": ({}, ()),
+    "greedy-loss-vs-theta": ({}, ("case_tol",)),
+    "hybrid-vs-greedy": (
+        {"s_max_grid": (3.5,), "amplitude": 5.0, "seeds": DEFAULT_SEEDS},
+        ("noise_scale", "eps_lex_factor", "case_tol", "seeds")),
+}
+EXPERIMENT_IDS = tuple(_STUDIES)
 
 
 @dataclass(frozen=True)
@@ -64,11 +76,17 @@ class ExperimentSpec:
                 f"expected one of {EXPERIMENT_IDS}")
         if not self.thetas or not self.s_max_grid:
             raise ValueError("theta and s_max grids must be non-empty")
-        if bool(self.seeds) != (self.experiment == "hybrid-vs-greedy"):
+        _, records = _STUDIES[self.experiment]
+        if bool(self.seeds) != ("seeds" in records):
             raise ValueError(f"{self.experiment}: only hybrid-vs-greedy takes "
                              "seeds, and it needs them")
-        if self.experiment in EXPERIMENT_IDS[2:]:  # greedy runs, standard
+        if "case_tol" in records:  # the greedy controller runs, standard
             check_mode("standard", self.alpha, self.beta)
+        for s_max in self.s_max_grid:  # each grid point's system is valid
+            self.params(s_max)
+        for v in self.seeds:  # the rule of check_slot_count, from 0
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
+                raise ValueError(f"seed {v!r}: want an integer >= 0")
 
     def params(self, s_max: float) -> SystemParams:
         return SystemParams(self.alpha, self.beta, s_max, self.n_slots)
@@ -79,25 +97,9 @@ class ExperimentSpec:
 
 def default_spec(experiment: str, **overrides) -> ExperimentSpec:
     """Reference defaults for each study; keyword overrides win."""
-    base: dict = {"experiment": experiment, "thetas": DEFAULT_THETAS,
-                  "s_max_grid": (1.0,)}
-    if experiment == "cost-vs-storage":
-        base.update(thetas=FIG2_THETAS, s_max_grid=DEFAULT_SMAX_GRID)
-    elif experiment == "hybrid-vs-greedy":
-        base.update(s_max_grid=(3.5,), amplitude=5.0, seeds=DEFAULT_SEEDS)
-    base.update(overrides)
-    return ExperimentSpec(**base)
-
-
-# Metadata beyond the spec's grid and system that each study reads: noise
-# and seeds only where noise is added, case_tol where the greedy controller
-# runs, eps_lex_factor where a stage-2 plan is made.
-_STUDY_METADATA = {
-    "cost-vs-storage": (), "saving-vs-theta": (),
-    "greedy-loss-vs-theta": ("case_tol",),
-    "hybrid-vs-greedy": ("noise_scale", "eps_lex_factor", "case_tol",
-                         "seeds"),
-}
+    row, _ = _STUDIES.get(experiment, ({}, ()))  # others: the spec raises
+    return ExperimentSpec(**{"experiment": experiment, "s_max_grid": (1.0,),
+                             "thetas": DEFAULT_THETAS, **row, **overrides})
 
 
 @dataclass(frozen=True)
@@ -142,7 +144,7 @@ class ExperimentResult:
             ("n_slots", str(s.n_slots)),
             ("amplitude", repr(s.amplitude)),
             ("omega", repr(OMEGA)),
-            *((key, used[key]) for key in _STUDY_METADATA[s.experiment]),
+            *((key, used[key]) for key in _STUDIES[s.experiment][1]),
             ("version", __version__),
         ]
 
@@ -255,7 +257,7 @@ def run_experiment(spec: ExperimentSpec,
     studies also append one ``single_bs_cost`` row per s_max; saving-vs-theta
     reports each pair cost as its percentage saving over that baseline.
     """
-    by_column = spec.experiment != "hybrid-vs-greedy"
+    by_column = not spec.seeds  # a seeded study runs per grid point
     tasks = ([(spec, sm) for sm in spec.s_max_grid] if by_column else
              [(spec, th, sm) for th in spec.thetas for sm in spec.s_max_grid])
     batches = _run_tasks(_column if by_column else _point_hybrid, tasks,

@@ -190,18 +190,15 @@ def plan_offline(params: SystemParams, profile: NetEnergyProfile,
 
 
 def restrict_single_bs(stage1: LpProblem) -> LpProblem:
-    """One-station restriction of a stage-1 program, sharing its matrix:
-    BS 2's neutral rows get a zero upper bound and its w, c, d columns and
-    both transfers are pinned to 0 (HiGHS presolve removes them), so only
-    BS 1 acts and pays; the savings baseline."""
+    """Restriction of a stage-1 program to BS 1 by upper bounds alone,
+    sharing all else: BS 2's neutral rows get a zero upper bound and its
+    w, c, d columns and both transfers are pinned to 0 (HiGHS presolve
+    removes them), so only BS 1 acts and pays; the savings baseline."""
     n = len(stage1.row_upper) // 6  # 6N + 2 rows
-    objective, upper, row_upper = (a.copy() for a in (
-        stage1.objective, stage1.upper, stage1.row_upper))
-    objective[1:_N_ACTION * n:_N_ACTION] = 0.0  # w2
+    upper, row_upper = stage1.upper.copy(), stage1.row_upper.copy()
     upper[:_N_ACTION * n].reshape(n, _N_ACTION)[:, _PINNED_SINGLE_BS] = 0.0
     row_upper[1:4 * n:4] = 0.0  # neutral2
-    return replace(stage1, objective=objective, upper=upper,
-                   row_upper=row_upper)
+    return replace(stage1, upper=upper, row_upper=row_upper)
 
 
 def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:

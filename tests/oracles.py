@@ -298,8 +298,9 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
 
     ``kind`` is "stage1" (min total grid draw), "stage2" (max terminal
     storage under the budget v1 + 1e-9 * max(1, |v1|)) or "single_bs"
-    (BS 1 alone: e2 is replaced by zeros and BS 2's grid, charge and
-    discharge columns and both transfer columns are pinned to zero).
+    (BS 1 alone: stage 1 with e2 replaced by zeros and BS 2's grid, charge
+    and discharge columns and both transfer columns pinned to zero; w2
+    keeps its stage-1 cost, which its zero bound makes moot).
     Returns a dict with the ``LpProblem`` field names as keys: the ``<=``
     rows stacked over the equalities.
     """
@@ -339,20 +340,18 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
             upper[c1] = 0.0
             upper[c2] = 0.0
 
-    if kind == "stage1":
-        for t in range(n):
-            objective[slot(t, 0)] = 1.0
-            objective[slot(t, 1)] = 1.0
-    elif kind == "stage2":
+    if kind == "stage2":
         objective[state(n, 0)] = -1.0
         objective[state(n, 1)] = -1.0
         budget = {slot(t, k): 1.0 for t in range(n) for k in (0, 1)}
         ub.add(budget, v1 + 1e-9 * max(1.0, abs(v1)))
-    elif kind == "single_bs":
+    elif kind in ("stage1", "single_bs"):
         for t in range(n):
             objective[slot(t, 0)] = 1.0
-            for k in (1, 3, 5, 6, 7):
-                upper[slot(t, k)] = 0.0
+            objective[slot(t, 1)] = 1.0
+            if kind == "single_bs":
+                for k in (1, 3, 5, 6, 7):
+                    upper[slot(t, k)] = 0.0
     else:
         raise ValueError(f"unknown program kind {kind!r}")
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from energycoop import sinusoid
+from energycoop import lp, sinusoid
 from energycoop.cli import main
 from energycoop.lp import SolverError
 from helpers import save_profile
@@ -119,6 +119,26 @@ def test_greedy_study_zero_efficiency_exits_2(tmp_path, capsys):
                  "--n", "24", "--thetas", "0", "--seeds", "0",
                  "--out", str(out)]) == 2
     assert "mode 'standard' needs alpha > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, argv, err", [
+    ("saving-vs-theta", ["--smax-grid", "1,-1"],
+     "s_max must be >= 0, got -1.0"),
+    ("cost-vs-storage", ["--smax-grid", "1,-1"],
+     "s_max must be >= 0, got -1.0"),
+    ("hybrid-vs-greedy", ["--seeds", "0,-1"],
+     "seed -1: want an integer >= 0")])
+def test_bad_grid_point_or_seed_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, experiment, argv, err):
+    def no_solve(self, problem):
+        raise AssertionError("LP solved before the spec was checked")
+
+    monkeypatch.setattr(lp.LpSession, "solve", no_solve)
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", experiment, "--n", "24", "--thetas", "0",
+                 "--serial", "--out", str(out), *argv]) == 2
+    assert f"error: {err}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -50,6 +50,34 @@ def test_spec_validation():
                        seeds=(0,))
 
 
+@pytest.mark.parametrize("overrides, err", [
+    ({"s_max_grid": (1.0, -1.0)}, "s_max must be >= 0, got -1.0"),
+    ({"s_max_grid": (1.0, math.nan)}, "s_max must be >= 0, got nan"),
+    ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
+    ({"beta": -0.5}, "beta must be in [0, 1], got -0.5"),
+    ({"n_slots": 0}, "n_slots must be an integer >= 1, got 0")])
+@pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta"])
+def test_every_grid_point_checked_when_built(experiment, overrides, err):
+    # a bad s_max used to fail in its own column, after the columns
+    # before it were solved (in other workers, in a pool)
+    with pytest.raises(ValueError) as exc:
+        small_spec(experiment, **overrides)
+    assert str(exc.value) == err
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "1", None])
+def test_bad_seed_named_when_built(seed):
+    # numpy's own message named neither the flag nor the seed
+    with pytest.raises(ValueError) as exc:
+        small_spec("hybrid-vs-greedy", seeds=(0, seed))
+    assert str(exc.value) == f"seed {seed!r}: want an integer >= 0"
+
+
+def test_numpy_integer_seeds_taken():
+    seeds = tuple(np.arange(3))
+    assert small_spec("hybrid-vs-greedy", seeds=seeds).seeds == seeds
+
+
 @pytest.mark.parametrize("efficiencies", [{"alpha": 0.0}, {"beta": 0.0}])
 @pytest.mark.parametrize("experiment", ["greedy-loss-vs-theta",
                                         "hybrid-vs-greedy"])
@@ -115,6 +143,31 @@ def test_metadata_records_required_keys():
         keys = [key for key, _ in result.metadata()]
         assert keys == ["experiment", "alpha", "beta", "s_max_grid",
                         "n_slots", "amplitude", "omega", *extra, "version"]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENT_IDS)
+def test_recorded_keys_follow_behaviour(monkeypatch, experiment):
+    # what the CSV says a study used is what it ran: case_tol exactly when
+    # the standard-mode greedy check rejects alpha = 0, seeds exactly when
+    # seeds are required and the study runs a task per grid point
+    spec = small_spec(experiment)
+    keys = {key for key, _ in ExperimentResult(spec, ()).metadata()}
+
+    def rejects(**overrides):
+        try:
+            small_spec(experiment, **overrides)
+        except ValueError:
+            return True
+        return False
+
+    tasks = []
+    monkeypatch.setattr(experiments, "_run_tasks",
+                        lambda fn, ts, workers: tasks.extend(ts) or [])
+    run_experiment(spec, workers=1)
+    per_point = len(tasks) == len(spec.thetas) * len(spec.s_max_grid)
+    assert len(spec.thetas) > 1
+    assert ("case_tol" in keys) == rejects(alpha=0.0)
+    assert ("seeds" in keys) == rejects(seeds=()) == per_point
 
 
 @pytest.mark.parametrize("rows, hits", [

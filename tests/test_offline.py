@@ -367,6 +367,7 @@ class TestSingleBs:
         single = restrict_single_bs(stage1)
         assert single.a is stage1.a and single.row_lower is stage1.row_lower
         assert single.lower is stage1.lower
+        assert single.objective is stage1.objective  # w2 keeps its cost
         for got, want in zip((stage1.objective, stage1.upper,
                               stage1.row_upper), before):
             assert np.array_equal(got, want)  # the pair program is intact
