@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from numbers import Integral
@@ -84,6 +83,8 @@ class ExperimentSpec:
             check_mode("standard", self.alpha, self.beta)
         for s_max in self.s_max_grid:  # each grid point's system is valid
             self.params(s_max)
+        for theta in self.thetas:  # and its profile
+            self.profile(theta)
         for v in self.seeds:  # the rule of check_slot_count, from 0
             if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
                 raise ValueError(f"seed {v!r}: want an integer >= 0")
@@ -175,6 +176,7 @@ def _run_tasks(fn, tasks, workers: int | None) -> list:
     size = min(len(tasks), workers)
     if size <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # pools only
     with ProcessPoolExecutor(max_workers=size) as pool:
         return list(pool.map(fn, tasks))
 

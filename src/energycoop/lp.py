@@ -4,7 +4,10 @@
 objective, one sparse (CSR) matrix whose rows each carry a lower and an
 upper bound (equal on an equality row, ``-inf`` below a ``<=`` row), and
 per-variable bounds.  Only the non-zeros are stored, so a planning
-program takes memory linear in its horizon.  An ``LpSession`` passes the
+program takes memory linear in its horizon.  The matrix is a ``Csr``, its
+arrays read in numpy, so scipy.sparse (whose array-API layer imports
+most of numpy's submodules) is never imported; a scipy ``csr_matrix``
+has the same attributes and is taken too.  An ``LpSession`` passes the
 arrays straight to the HiGHS solver scipy bundles, through its private
 binding ``scipy.optimize._highspy._core``, loaded from its file to skip
 importing scipy.optimize, a third of start-up, with the options (1e-10
@@ -27,7 +30,6 @@ from math import inf
 
 import numpy as np
 import scipy
-from scipy.sparse import csr_matrix
 
 
 def _load_highs() -> str | None:
@@ -66,6 +68,27 @@ _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A compressed sparse row matrix: row i holds ``data[k]`` in column
+    ``indices[k]`` for k in ``range(indptr[i], indptr[i + 1])``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+    format = "csr"
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _entry_rows(a: Csr) -> np.ndarray:
+    """The row of each stored entry of the CSR matrix ``a``."""
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+
 class SolverError(Exception):
     """The backend failed or returned a point that fails certification."""
 
@@ -79,16 +102,16 @@ class LpProblem:
     """min objective . x  subject to row_lower <= a x <= row_upper and
     lower <= x <= upper.
 
-    ``a`` is a CSR matrix with one column per variable and one row per
-    entry of ``row_lower`` / ``row_upper``: an equality row has equal
-    bounds, a ``<=`` row a lower bound of ``-inf``, a ``>=`` row an upper
-    bound of ``+inf``; a row with no finite bound is rejected.  ``lower``
-    and ``upper`` bound each variable.  Every bound is finite but a lower
-    ``-inf`` and an upper ``+inf``.
+    ``a`` is a CSR matrix (``format == "csr"``) with one column per
+    variable and one row per entry of ``row_lower`` / ``row_upper``: an
+    equality row has equal bounds, a ``<=`` row a lower bound of ``-inf``,
+    a ``>=`` row an upper bound of ``+inf``; a row with no finite bound is
+    rejected.  ``lower`` and ``upper`` bound each variable.  Every bound
+    is finite but a lower ``-inf`` and an upper ``+inf``.
     """
 
     objective: np.ndarray
-    a: csr_matrix
+    a: Csr
     row_lower: np.ndarray
     row_upper: np.ndarray
     lower: np.ndarray
@@ -138,10 +161,13 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
     """Raise SolverError unless x is primal feasible within FEAS_TOL.
 
     ``argmax`` picks the first NaN and ``not ... <= FEAS_TOL`` rejects it,
-    so a point with a NaN entry is never certified.
+    so a point with a NaN entry is never certified.  ``a x`` sums each
+    row's products in entry order, as scipy's CSR product does.
     """
+    a = problem.a
+    ax = np.bincount(_entry_rows(a), a.data * x[a.indices], a.shape[0])
     for kind, lower, y, upper in (
-            ("row", problem.row_lower, problem.a @ x, problem.row_upper),
+            ("row", problem.row_lower, ax, problem.row_upper),
             ("bound of variable", problem.lower, x, problem.upper)):
         resid = np.maximum(lower - y, y - upper)
         if resid.size:
@@ -177,17 +203,22 @@ class LpSession:
             done += map(highs.changeRowBounds, rows.tolist(),
                         problem.row_lower[rows], problem.row_upper[rows])
         else:
-            a = problem.a
-            if not a.has_canonical_format:  # HiGHS rejects duplicate entries
-                a = a.copy()
-                a.sum_duplicates()
+            a, rows = problem.a, _entry_rows(problem.a)
+            start, index, value = a.indptr, a.indices, a.data
+            key = rows * problem.n_vars + index  # HiGHS rejects duplicates:
+            if (np.diff(key) <= 0).any():  # sort and sum them into copies
+                _, first, inverse = np.unique(
+                    key, return_index=True, return_inverse=True)
+                index, value = index[first], np.bincount(inverse, value)
+                start = np.append(0, np.cumsum(np.bincount(
+                    rows[first], minlength=a.shape[0])))
             lp = HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
             lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
             lp.a_matrix_.format_ = MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = a.indptr
-            lp.a_matrix_.index_ = a.indices
-            lp.a_matrix_.value_ = a.data
+            lp.a_matrix_.start_ = start
+            lp.a_matrix_.index_ = index
+            lp.a_matrix_.value_ = value
             lp.col_cost_ = problem.objective
             lp.col_lower_, lp.col_upper_ = problem.lower, problem.upper
             lp.row_lower_, lp.row_upper_ = problem.row_lower, problem.row_upper

@@ -23,9 +23,8 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, vstack
 
-from .lp import LpInfeasible, LpProblem, LpSession, lp_solve
+from .lp import Csr, LpInfeasible, LpProblem, LpSession, lp_solve
 from .model import (
     ControlAction,
     NetEnergyProfile,
@@ -64,25 +63,13 @@ def _row_upper(params: SystemParams, profile: NetEnergyProfile,
     return np.concatenate((neutral.ravel(), params.s_init, np.zeros(2 * n)))
 
 
-def build_stage1(params: SystemParams, profile: NetEnergyProfile,
-                 ) -> LpProblem:
-    """Cost-minimizing program: min total grid draw over the horizon.
-
-    Columns: the actions w1 w2 c1 c2 d1 d2 x12 x21 of slot t at 8t + k,
-    then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
-    Rows, the ``<=`` rows first: neutral1[t], neutral2[t], d1_le_s1[t],
-    d2_le_s2[t] at 4t + k; then the equalities init_s1, init_s2 at 4N,
-    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  The matrix is one
-    table of (row, column, value) entries whose rows and columns are
-    arrays over t, written once per station k, which sends on column
-    8t + 6 + k and receives on 8t + 7 - k; the caller owns every array.
-    """
-    n = params.n_slots
-    row_upper = _row_upper(params, profile)
-    a, b = params.alpha, params.beta
+def _stage1_entries(params: SystemParams) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the stage-1 matrix's entries: a table
+    whose rows and columns are arrays over t, written once per station k,
+    which sends on column 8t + 6 + k and receives on 8t + 7 - k.  No
+    (row, column) pair repeats; a zero efficiency writes explicit zeros."""
+    n, a, b = params.n_slots, params.alpha, params.beta
     s0 = _N_ACTION * n
-    n_vars = s0 + 2 * (n + 1)
-
     t, bs = np.arange(n), np.arange(2)
     act, s, ub, dyn = _N_ACTION * t, s0 + 2 * t, 4 * t, 4 * n + 2 + 2 * t
     # storage starts at s_init
@@ -99,18 +86,38 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
             (dyn + k, c, -a), (dyn + k, d, 1.0), (dyn + k, s + k, -1.0),
             (dyn + k, s + 2 + k, 1.0)]
     rows, cols, values = zip(*entries)
-    data = np.concatenate([np.full(len(r), v) for r, v in zip(rows, values)])
-    # scipy sums duplicates and sorts each row's columns, the order CSR
-    # keeps; explicit zeros (alpha = 0, beta = 0) are dropped so the
-    # backend sees only structural non-zeros
-    matrix = csr_matrix((data, (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(len(row_upper), n_vars))
-    matrix.eliminate_zeros()
+    return (np.concatenate(rows), np.concatenate(cols),
+            np.concatenate([np.full(len(r), v) for r, v in zip(rows, values)]))
+
+
+def build_stage1(params: SystemParams, profile: NetEnergyProfile,
+                 ) -> LpProblem:
+    """Cost-minimizing program: min total grid draw over the horizon.
+
+    Columns: the actions w1 w2 c1 c2 d1 d2 x12 x21 of slot t at 8t + k,
+    then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
+    Rows, the ``<=`` rows first: neutral1[t], neutral2[t], d1_le_s1[t],
+    d2_le_s2[t] at 4t + k; then the equalities init_s1, init_s2 at 4N,
+    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  The matrix is the
+    ``_stage1_entries`` table in CSR form, the caller's to keep: sorted
+    by row, then column, with int32 indices, as scipy would assemble it.
+    """
+    n = params.n_slots
+    row_upper = _row_upper(params, profile)
+    s0 = _N_ACTION * n
+    n_vars, m = s0 + 2 * (n + 1), len(row_upper)
+    rows, cols, data = _stage1_entries(params)
+    order = np.argsort(rows * n_vars + cols)
+    # explicit zeros are dropped: the backend sees only structural non-zeros
+    order = order[data[order] != 0.0]
+    counts = np.bincount(rows[order], minlength=m)
+    matrix = Csr(np.concatenate(([0], np.cumsum(counts)), dtype=np.int32),
+                 cols[order].astype(np.int32), data[order], (m, n_vars))
     row_lower = np.append(np.full(4 * n, -math.inf), row_upper[4 * n:])
 
     upper = np.full(n_vars, math.inf)
     upper[s0:] = params.s_max
-    if a == 0.0:
+    if params.alpha == 0.0:
         # charging stores nothing; pin it to keep solutions clean
         upper[:s0].reshape(n, _N_ACTION)[:, 2:4] = 0.0  # c1, c2
 
@@ -132,10 +139,14 @@ def build_stage2(stage1: LpProblem, v1: float) -> LpProblem:
     terminal = np.zeros(stage1.n_vars)
     terminal[-2:] = -1.0  # s1[N], s2[N]
     a, row = stage1.a, 4 * (len(stage1.row_upper) // 6)  # 6N + 2 rows
-    budget = csr_matrix(stage1.objective)  # the stage-1 cost as a row
+    cols, cut = np.flatnonzero(stage1.objective), a.indptr[row]
+    matrix = Csr(  # the stage-1 cost as a row
+        np.append(a.indptr[:row + 1], a.indptr[row:] + len(cols)),
+        np.insert(a.indices, cut, cols),
+        np.insert(a.data, cut, stage1.objective[cols]),
+        (a.shape[0] + 1, a.shape[1]))
     return replace(
-        stage1, objective=terminal,
-        a=vstack((a[:row], budget, a[row:]), format="csr"),
+        stage1, objective=terminal, a=matrix,
         row_lower=np.insert(stage1.row_lower, row, -math.inf),
         row_upper=np.insert(stage1.row_upper, row, v1 + eps_lex(v1)))
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix, vstack
+from scipy.sparse import coo_matrix, csr_matrix, vstack
 
 from energycoop.model import (
     DEFAULT_TOL,
@@ -118,9 +118,11 @@ def linprog_reference(problem):
     eq = ~ub
     if not np.array_equal(problem.row_lower[eq], problem.row_upper[eq]):
         raise ValueError("linprog takes only <= rows and equalities")
+    a = problem.a
+    a = csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
     return linprog(problem.objective,
-                   A_ub=problem.a[ub], b_ub=problem.row_upper[ub],
-                   A_eq=problem.a[eq], b_eq=problem.row_upper[eq],
+                   A_ub=a[ub], b_ub=problem.row_upper[ub],
+                   A_eq=a[eq], b_eq=problem.row_upper[eq],
                    bounds=np.column_stack((problem.lower, problem.upper)),
                    method="highs", options=_HIGHS_OPTIONS)
 

@@ -106,6 +106,24 @@ def test_non_finite_theta_exits_2(tmp_path, capsys, theta):
     assert "Warning" not in captured.err
 
 
+def test_nan_theta_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the spec builds every theta's profile, so the finite first theta
+    # of a seeded study is not planned before the NaN one is rejected
+    solves, solve = [], lp.LpSession.solve
+
+    def counting_solve(self, problem):
+        solves.append(problem)
+        return solve(self, problem)
+
+    monkeypatch.setattr(lp.LpSession, "solve", counting_solve)
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "hybrid-vs-greedy", "--n", "24",
+                 "--thetas", "0,nan", "--seeds", "0,1,2", "--serial",
+                 "--out", str(out)]) == 2
+    assert "theta must be finite" in capsys.readouterr().err
+    assert solves == [] and not out.exists()
+
+
 def test_experiment_without_out_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "saving-vs-theta", "--n", "24"])

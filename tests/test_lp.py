@@ -676,6 +676,22 @@ def test_binding_loads_without_scipy_optimize():
                + _SOLVE_TINY + _SAME_BINDING)
 
 
+def test_library_imports_without_scipy_sparse_or_special():
+    # scipy.sparse and scipy.special each import scipy's array-API layer,
+    # which imports numpy.f2py, numpy.testing and more, over half of a
+    # fresh `import energycoop`.  A plan and a noise draw need neither,
+    # and a scipy csr_matrix program still solves once the caller has
+    # imported scipy.sparse
+    _run_fresh("import math, sys\nimport energycoop as ec\n"
+               "params = ec.SystemParams(0.9, 0.8, 1.0, 24)\n"
+               "profile = ec.sinusoid(3.0, 2 * math.pi / 24, 1.0, 24)\n"
+               "ec.plan_offline(params, profile)\n"
+               "ec.add_gaussian_noise(profile, 0.125, 0)\n"
+               "for name in ('scipy.sparse', 'scipy.special',\n"
+               "             'scipy._lib._array_api'):\n"
+               "    assert name not in sys.modules, name\n" + _SOLVE_TINY)
+
+
 def test_binding_reachable_through_its_package():
     # energycoop leaves no parentless entry behind: the binding imported by
     # its dotted name afterwards is an attribute of its package, and the

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, vstack
 
 from energycoop import (
     ControlAction,
@@ -28,6 +29,7 @@ from energycoop.lp import FEAS_TOL, LpInfeasible, LpSession
 from energycoop.offline import (
     Stage2Infeasible,
     _extract_trajectory,
+    _stage1_entries,
     build_single_bs,
     build_stage1,
     build_stage2,
@@ -146,9 +148,11 @@ class TestStage2:
             assert getattr(stage2, name) is getattr(stage1, name), name
         # the budget row is inserted at 4N, after the last <= row
         budget, kept = 4 * 24, np.r_[:4 * 24, 4 * 24 + 1:6 * 24 + 3]
-        assert stage2.a.shape[0] == stage1.a.shape[0] + 1
-        assert (stage2.a[kept] != stage1.a).nnz == 0
-        assert np.array_equal(stage2.a[budget].toarray()[0],
+        a1, a2 = (csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+                  for a in (stage1.a, stage2.a))
+        assert a2.shape[0] == a1.shape[0] + 1
+        assert (a2[kept] != a1).nnz == 0
+        assert np.array_equal(a2[budget].toarray()[0],
                               stage1.objective)
         assert stage2.row_lower[budget] == -math.inf
         assert stage2.row_upper[budget] == 5.0 + eps_lex(5.0)
@@ -423,6 +427,33 @@ class TestOfflineCosts:
             cold = offline_cost(p, profile)
             assert abs(cost - cold) <= 1e-9 * max(1.0, abs(cold))
         assert stage1_costs(LpSession(), stage1, p, []) == []
+
+
+class TestCsrMatchesScipy:
+    """The CSR arrays, their values and dtypes are the ones scipy assembles
+    from the same entry table (scipy is the oracle, not a dependency)."""
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            got_part, want_part = getattr(got, part), getattr(want, part)
+            assert got_part.dtype == want_part.dtype, part
+            assert got_part.tobytes() == want_part.tobytes(), part
+
+    @pytest.mark.parametrize("n", [1, 2, 24, 961])
+    @pytest.mark.parametrize("alpha", [0.0, 0.8, 0.9, 1.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.8, 0.9, 1.0])
+    def test_stage1_and_stage2(self, n, alpha, beta):
+        params = SystemParams(alpha, beta, 2.0, n, (0.5, 1.25))
+        stage1 = build_stage1(params, sinusoid(3.0, 0.3, 1.0, n))
+        rows, cols, data = _stage1_entries(params)
+        want = csr_matrix((data, (rows, cols)), shape=stage1.a.shape)
+        want.eliminate_zeros()
+        self.assert_same_csr(stage1.a, want)
+        budget = csr_matrix(stage1.objective)
+        self.assert_same_csr(build_stage2(stage1, 17.5).a, vstack(
+            (want[:4 * n], budget, want[4 * n:]), format="csr"))
 
 
 class TestAssembly:

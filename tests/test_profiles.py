@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from energycoop import NetEnergyProfile, add_gaussian_noise, sinusoid
-from energycoop.profiles import ParseError, load_profile
+from energycoop.profiles import (ParseError, _ndtri, _standard_normals,
+                                 load_profile)
 from helpers import save_profile
 
 OMEGA = 2 * math.pi / 24
@@ -96,6 +98,36 @@ class TestNoise:
     def test_zero_scale_returns_profile(self):
         prof = sinusoid(3.0, OMEGA, 1.0, 30)
         assert add_gaussian_noise(prof, 0.0, seed=5) is prof
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+def test_normals_are_scipy_ndtri_bitwise():
+    # scipy.special is the oracle the port replaces: 2**20 uniforms of the
+    # pinned construction, as _standard_normals makes them
+    for seed, shape in ((0, (2 ** 20,)), (7, (2, 4096))):
+        words = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
+        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        assert _same_bits(_standard_normals(seed, shape), ndtri(u))
+
+
+def test_ndtri_port_tails_and_branch_points_bitwise():
+    # 2001 mantissas in every binade of each tail: down to 2**-54, the
+    # smallest uniform, and up to 1 - 2**-53, the largest below 1
+    mantissas = np.linspace(1.0, 2.0, 2001)[:, None]
+    low = np.ldexp(mantissas, -np.arange(2, 55)).ravel()
+    high = 1.0 - np.ldexp(mantissas, -np.arange(2, 54)).ravel()
+    points = np.array([2.0 ** -54, 0.5, math.exp(-2), 1 - math.exp(-2),
+                       1 - 2.0 ** -53, 1.0])
+    for u in (low, high, points):
+        assert _same_bits(_ndtri(u), ndtri(u))
+    # the all-ones word rounds up to u = 1.0, which maps to +inf
+    top = (float(np.uint64(2 ** 64 - 1) >> np.uint64(11)) + 0.5) * 2.0 ** -53
+    assert top == 1.0 and _ndtri(np.array([top]))[0] == math.inf
 
 
 class TestCsv:
