@@ -5,9 +5,12 @@ choices, maximizes the stored-energy sum.  ``greedy_step_with_case`` does
 this with closed-form case rules keyed on the signs of the two net
 energies and on whether the line (efficiency beta) beats the
 charge/discharge round trip (alpha squared).  Every rule returns one step
-record, the eight action fields, s1, s2 after the slot and the case label,
-which ``capped_step`` alone unpacks.  The tests check it against a
-one-slot LP oracle.
+record, the eight action fields, s1, s2 after the slot and the case label.
+``_step`` guards each rule: every slot's storage must lie within its caps
+and its net energies must be finite.  A rollout (``run_greedy``, and the
+hybrid planner's greedy layer) checks its mode once, keeps the raw records
+and makes the named tuples from them after its last slot.  The tests check
+the rules against a one-slot LP oracle.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from .model import (
     SystemParams,
     Trajectory,
     check_slots,
+    trajectory_from_rows,
 )
 
 # Net energies within this band of zero are classified as exactly zero so
 # the case split is deterministic.
 CASE_TOL = 1e-12
-
-MODES = ("standard", "force_case_2a", "no_storage", "no_transfer")
 
 
 def _clean(e: float) -> float:
@@ -162,8 +164,9 @@ def _dispatch(alpha: float, beta: float, cap1: float, cap2: float,
     return _mirror(case2(alpha, beta, cap2, cap1, s2, s1, e2, e1))
 
 
-def _step_no_storage(beta: float, s1: float, s2: float,
-                     e1: float, e2: float):
+def _step_no_storage(alpha: float, beta: float, cap1: float, cap2: float,
+                     s1: float, s2: float, e1: float, e2: float,
+                     force_2a: bool):
     e1, e2 = _clean(e1), _clean(e2)
     w1 = w2 = x12 = x21 = 0.0
     if e1 < 0.0 and e2 < 0.0:
@@ -179,8 +182,9 @@ def _step_no_storage(beta: float, s1: float, s2: float,
     return (w1, w2, 0.0, 0.0, 0.0, 0.0, x12, x21, s1, s2, "no_storage")
 
 
-def _step_no_transfer(alpha: float, cap1: float, cap2: float,
-                      s1: float, s2: float, e1: float, e2: float):
+def _step_no_transfer(alpha: float, beta: float, cap1: float, cap2: float,
+                      s1: float, s2: float, e1: float, e2: float,
+                      force_2a: bool):
     out = []
     for cap, s, e in ((cap1, s1, _clean(e1)), (cap2, s2, _clean(e2))):
         w = c = d = 0.0
@@ -197,6 +201,12 @@ def _step_no_transfer(alpha: float, cap1: float, cap2: float,
     return (w1, w2, c1, c2, d1, d2, 0.0, 0.0, s1, s2, "no_transfer")
 
 
+# each mode's rule; all take _dispatch's arguments
+_RULES = {"standard": _dispatch, "force_case_2a": _dispatch,
+          "no_storage": _step_no_storage, "no_transfer": _step_no_transfer}
+MODES = tuple(_RULES)
+
+
 def check_mode(mode: str, alpha: float, beta: float) -> None:
     """Raise ValueError unless ``mode`` is known and allows (alpha, beta):
     the case rules of the first two ``MODES`` divide by both efficiencies."""
@@ -207,6 +217,28 @@ def check_mode(mode: str, alpha: float, beta: float) -> None:
                          f"got alpha = {alpha}, beta = {beta}")
 
 
+def _step(rule, alpha: float, beta: float, cap1: float, cap2: float,
+          s1: float, s2: float, e1: float, e2: float, force_2a: bool):
+    """``rule``'s step record from storage (s1, s2) under caps (cap1, cap2).
+
+    A pair outside the caps by more than CASE_TOL raises InvalidState and
+    non-finite net energies raise ValueError; the pair is then clamped onto
+    [0, cap1] x [0, cap2].
+    """
+    if not (-CASE_TOL <= s1 <= cap1 + CASE_TOL
+            and -CASE_TOL <= s2 <= cap2 + CASE_TOL):
+        raise InvalidState(
+            f"storage ({s1}, {s2}) outside caps ({cap1}, {cap2})")
+    if not (math.isfinite(e1) and math.isfinite(e2)):
+        raise ValueError(f"net energies ({e1}, {e2}) are not finite")
+    # min(max(s, 0.0), cap) without the builtins' call cost: max(a, b) is
+    # b only if b > a, and min(a, b) is b only if b < a
+    s1 = 0.0 if 0.0 > s1 else s1
+    s2 = 0.0 if 0.0 > s2 else s2
+    return rule(alpha, beta, cap1, cap2, cap1 if cap1 < s1 else s1,
+                cap2 if cap2 < s2 else s2, e1, e2, force_2a)
+
+
 def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
                 s1: float, s2: float, e1: float, e2: float,
                 mode: str = "standard",
@@ -214,27 +246,13 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
     """One greedy step with independent per-station storage caps.
 
     The caps replace the shared capacity everywhere the decision rules
-    reference it; the hybrid planner uses this to run the controller inside
+    reference it; the hybrid planner runs the controller this way inside
     the storage head-room its offline component leaves free.  Non-finite
     net energies raise ValueError.
     """
     check_mode(mode, alpha, beta)
-    if not (-CASE_TOL <= s1 <= cap1 + CASE_TOL
-            and -CASE_TOL <= s2 <= cap2 + CASE_TOL):
-        raise InvalidState(
-            f"storage ({s1}, {s2}) outside caps ({cap1}, {cap2})")
-    if not (math.isfinite(e1) and math.isfinite(e2)):
-        raise ValueError(f"net energies ({e1}, {e2}) are not finite")
-    s1 = min(max(s1, 0.0), cap1)
-    s2 = min(max(s2, 0.0), cap2)
-
-    if mode == "no_storage":
-        r = _step_no_storage(beta, s1, s2, e1, e2)
-    elif mode == "no_transfer":
-        r = _step_no_transfer(alpha, cap1, cap2, s1, s2, e1, e2)
-    else:
-        r = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1, e2,
-                      force_2a=(mode == "force_case_2a"))
+    r = _step(_RULES[mode], alpha, beta, cap1, cap2, s1, s2, e1, e2,
+              mode == "force_case_2a")
     return ControlAction._make(r[:8]), StorageState(r[8], r[9]), r[10]
 
 
@@ -246,6 +264,13 @@ def greedy_step_with_case(params: SystemParams, state: StorageState,
                        params.s_max, state.s1, state.s2, e1, e2, mode)
 
 
+def _rollout(s_init: tuple[float, float], records: list) -> Trajectory:
+    """The trajectory of step ``records`` taken from storage ``s_init``."""
+    return trajectory_from_rows([r[:8] for r in records],
+                                [s_init, *[r[8:10] for r in records]],
+                                tuple([r[10] for r in records]))
+
+
 def run_greedy(params: SystemParams, profile: NetEnergyProfile,
                mode: str = "standard") -> Trajectory:
     """Roll the greedy controller over the whole horizon.
@@ -254,17 +279,17 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
     (transfer-first rule applied to every mixed-sign slot, optimal when one
     station is always in surplus and the other always in deficit),
     ``no_storage`` and ``no_transfer``; the last two take any alpha and
-    beta, the first two need both positive.
+    beta, the first two need both positive.  The mode is checked once, the
+    storage and net energies of every slot as in ``capped_step``.
     """
     check_slots("profile", profile.n_slots, params.n_slots)
     check_mode(mode, params.alpha, params.beta)
-
-    state = StorageState(*params.s_init)
-    actions, states, cases = [], [state], []
+    rule, force_2a = _RULES[mode], mode == "force_case_2a"
+    alpha, beta, cap = params.alpha, params.beta, params.s_max
+    s1, s2 = params.s_init
+    records = []
     for e1, e2 in zip(profile.e1, profile.e2):
-        action, state, label = greedy_step_with_case(
-            params, state, e1, e2, mode)
-        actions.append(action)
-        states.append(state)
-        cases.append(label)
-    return Trajectory(tuple(actions), tuple(states), tuple(cases))
+        r = _step(rule, alpha, beta, cap, cap, s1, s2, e1, e2, force_2a)
+        records.append(r)
+        s1, s2 = r[8], r[9]
+    return _rollout(params.s_init, records)

@@ -5,7 +5,8 @@ horizon and a residual revealed causally.  An offline plan is computed once
 for the deterministic component; per slot, the greedy controller then
 covers whatever the realized energy leaves over, inside the storage
 head-room the offline plan does not occupy.  The emitted trajectory is the
-exact field-wise sum of the two components.
+exact field-wise sum of the two components.  The greedy layer's mode is
+checked once per stream, its storage and energies in every slot.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .greedy import capped_step, check_mode
+from .greedy import _dispatch, _rollout, _step, check_mode
 from .model import (
     ControlAction,
     LengthMismatch,
     NetEnergyProfile,
-    StorageState,
     SystemParams,
     Trajectory,
     check_slots,
     neutralization_residuals,
+    trajectory_from_rows,
 )
 from .offline import plan_offline
 
@@ -94,49 +95,48 @@ def run_hybrid_stream(params: SystemParams,
         offline_traj = plan_offline(params, deterministic)
     check_slots("offline trajectory", offline_traj.n_slots, n)
 
-    g_state = StorageState(0.0, 0.0)
-    g_actions, g_states, g_energies, cases = [], [g_state], [], []
-
+    alpha, beta, s_max = params.alpha, params.beta, params.s_max
+    s1 = s2 = 0.0  # the greedy layer's storage
+    records, g_energies = [], []
     it: Iterator[tuple[float, float]] = iter(realized_slots)
-    for t in range(n):
+    for act_d, (s_d1, s_d2) in zip(offline_traj.actions,
+                                   offline_traj.states[1:]):
         try:
             e1, e2 = next(it)
         except StopIteration:
-            raise LengthMismatch(
-                f"realized energies ended at slot {t}, want {n}") from None
+            raise LengthMismatch(f"realized energies ended at slot "
+                                 f"{len(records)}, want {n}") from None
         if not (math.isfinite(e1) and math.isfinite(e2)):
-            raise ValueError(
-                f"realized energies at slot {t} are not finite: ({e1}, {e2})")
-        act_d = offline_traj.actions[t]
+            raise ValueError(f"realized energies at slot {len(records)} "
+                             f"are not finite: ({e1}, {e2})")
         g1, g2 = neutralization_residuals(params, e1, e2, act_d)
 
-        s_d_next = offline_traj.states[t + 1]
-        cap1 = max(0.0, params.s_max - s_d_next.s1)
-        cap2 = max(0.0, params.s_max - s_d_next.s2)
-        q1 = max(0.0, g_state.s1 - cap1)
-        q2 = max(0.0, g_state.s2 - cap2)
-        g1 += params.alpha * q1
-        g2 += params.alpha * q2
+        # each cap and release is max(0.0, v), which is v only if v > 0.0
+        cap1, cap2 = s_max - s_d1, s_max - s_d2
+        cap1 = cap1 if cap1 > 0.0 else 0.0
+        cap2 = cap2 if cap2 > 0.0 else 0.0
+        q1, q2 = s1 - cap1, s2 - cap2
+        q1 = q1 if q1 > 0.0 else 0.0
+        q2 = q2 if q2 > 0.0 else 0.0
+        g1 += alpha * q1
+        g2 += alpha * q2
 
-        act_g, g_state, label = capped_step(
-            params.alpha, params.beta, cap1, cap2,
-            g_state.s1 - q1, g_state.s2 - q2, g1, g2)
-        w1, w2, c1, c2, d1, d2, x12, x21 = act_g
-        act_g = ControlAction(w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21)
-
-        g_actions.append(act_g)
-        g_states.append(g_state)
+        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = _step(
+            _dispatch, alpha, beta, cap1, cap2, s1 - q1, s2 - q2, g1, g2,
+            False)
+        records.append(
+            (w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21, s1, s2, label))
         g_energies.append((g1, g2))
-        cases.append(label)
 
     if next(it, None) is not None:
         raise LengthMismatch(f"realized energies run past {n} slots")
-    greedy_traj = Trajectory(tuple(g_actions), tuple(g_states), tuple(cases))
-    combined = Trajectory(
-        tuple([ControlAction._make(map(operator.add, a, b))
-               for a, b in zip(offline_traj.actions, g_actions)]),
-        tuple([StorageState(s1 + z1, s2 + z2) for (s1, s2), (z1, z2)
-               in zip(offline_traj.states, g_states)]),
+    greedy_traj = _rollout((0.0, 0.0), records)
+    add = operator.add
+    combined = trajectory_from_rows(
+        [map(add, a, b)
+         for a, b in zip(offline_traj.actions, greedy_traj.actions)],
+        [map(add, a, b)
+         for a, b in zip(offline_traj.states, greedy_traj.states)],
         greedy_traj.cases)
     greedy_profile = NetEnergyProfile(
         e1=tuple(g1 for g1, _ in g_energies),

@@ -123,6 +123,22 @@ class LpProblem:
             raise ValueError(f"a must be a CSR matrix, not {type(self.a)}")
         if self.a.shape[1] != n:
             raise ValueError(f"a has {self.a.shape[1]} columns, want {n}")
+        # scipy checks a matrix's structure when it builds one, Csr does not
+        ptr, cols = self.a.indptr, self.a.indices
+        if len(ptr) != self.a.shape[0] + 1:
+            raise ValueError(f"a.indptr has {len(ptr)} entries, "
+                             f"want {self.a.shape[0] + 1}")
+        if ptr[0] != 0:
+            raise ValueError(f"a.indptr starts at {ptr[0]}, want 0")
+        if (drop := np.flatnonzero(np.diff(ptr) < 0)).size:
+            raise ValueError(f"a.indptr decreases after entry {drop[0]}")
+        for name, values in (("indices", cols), ("data", self.a.data)):
+            if len(values) != ptr[-1]:
+                raise ValueError(f"a.{name} has {len(values)} entries, "
+                                 f"a.indptr ends at {ptr[-1]}")
+        if (bad := cols[(cols < 0) | (cols >= n)]).size:
+            raise ValueError(f"a.indices has column {bad[0]} outside "
+                             f"[0, {n})")
         # HiGHS does not reject these: a NaN cost comes back "optimal"
         for name, values in (("objective", self.objective),
                              ("a", self.a.data)):

@@ -26,13 +26,12 @@ import numpy as np
 
 from .lp import Csr, LpInfeasible, LpProblem, LpSession, lp_solve
 from .model import (
-    ControlAction,
     NetEnergyProfile,
-    StorageState,
     SystemParams,
     Trajectory,
     check_slots,
     normalize_actions,
+    trajectory_from_rows,
 )
 
 # Relative slack on the stage-2 cost budget.  Large enough that stage 2 is
@@ -158,8 +157,7 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
     actions = normalize_actions(x[:_N_ACTION * n].reshape(n, _N_ACTION),
                                 params.alpha)
     states = np.clip(x[_N_ACTION * n:], 0.0, params.s_max).reshape(n + 1, 2)
-    return Trajectory(tuple(map(ControlAction._make, actions.tolist())),
-                      tuple(map(StorageState._make, states.tolist())))
+    return trajectory_from_rows(actions.tolist(), states.tolist())
 
 
 def stage1_costs(session: LpSession, stage1: LpProblem, params: SystemParams,

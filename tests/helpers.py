@@ -9,7 +9,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from energycoop import (ControlAction, NetEnergyProfile, StorageState,
-                        SystemParams)
+                        SystemParams, Trajectory)
+from energycoop.greedy import capped_step
 from energycoop.model import (
     DEFAULT_TOL,
     Violation,
@@ -112,3 +113,51 @@ def check_feasible_ref(params, profile, traj) -> list[Violation]:
         flag("storage_upper_2", t, params.s_max - s.s2)
 
     return bad
+
+
+def hex_fields(traj) -> tuple:
+    """Each action and state of ``traj`` as its type's name and its fields
+    in ``float.hex``, which, unlike ==, tells -0.0 from 0.0; then the
+    cases."""
+    return tuple((type(row).__name__, *map(float.hex, row))
+                 for row in (*traj.actions, *traj.states)), traj.cases
+
+
+def hybrid_stream_ref(params, offline_traj, realized):
+    """Slot-by-slot reference for ``run_hybrid_stream`` on a given plan:
+    ``capped_step`` per slot, ``neutralization_residuals`` for the
+    residual, the ``max``/``min`` builtins for caps, releases and the
+    storage clamp.  Returns the combined and greedy trajectories and the
+    greedy layer's energies (e1, e2)."""
+    g_state = StorageState(0.0, 0.0)
+    g_actions, g_states, cases, g1s, g2s = [], [g_state], [], [], []
+    for t, (e1, e2) in enumerate(zip(realized.e1, realized.e2)):
+        g1, g2 = neutralization_residuals(params, e1, e2,
+                                          offline_traj.actions[t])
+        s_d_next = offline_traj.states[t + 1]
+        cap1 = max(0.0, params.s_max - s_d_next.s1)
+        cap2 = max(0.0, params.s_max - s_d_next.s2)
+        q1 = max(0.0, g_state.s1 - cap1)
+        q2 = max(0.0, g_state.s2 - cap2)
+        g1 += params.alpha * q1
+        g2 += params.alpha * q2
+        # capped_step's clamp as first written; after it, its own is a no-op
+        s1 = min(max(g_state.s1 - q1, 0.0), cap1)
+        s2 = min(max(g_state.s2 - q2, 0.0), cap2)
+        act, g_state, label = capped_step(params.alpha, params.beta,
+                                          cap1, cap2, s1, s2, g1, g2)
+        w1, w2, c1, c2, d1, d2, x12, x21 = act
+        g_actions.append(
+            ControlAction(w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21))
+        g_states.append(g_state)
+        cases.append(label)
+        g1s.append(g1)
+        g2s.append(g2)
+    greedy = Trajectory(tuple(g_actions), tuple(g_states), tuple(cases))
+    combined = Trajectory(
+        tuple(ControlAction(*(a + b for a, b in zip(ad, ag)))
+              for ad, ag in zip(offline_traj.actions, g_actions)),
+        tuple(StorageState(sd.s1 + sg.s1, sd.s2 + sg.s2)
+              for sd, sg in zip(offline_traj.states, g_states)),
+        greedy.cases)
+    return combined, greedy, (tuple(g1s), tuple(g2s))

@@ -10,6 +10,7 @@ from energycoop import (
     NetEnergyProfile,
     StorageState,
     SystemParams,
+    Trajectory,
     check_feasible,
     greedy_step_with_case,
     lp_solve,
@@ -20,7 +21,8 @@ from energycoop.greedy import MODES, capped_step
 from energycoop.model import InvalidState, neutralization_residuals
 from energycoop.offline import build_stage1, offline_cost
 
-from helpers import rand_params, rand_profile, rand_state, rand_unit_open
+from helpers import (hex_fields, rand_params, rand_profile, rand_state,
+                     rand_unit_open)
 from oracles import greedy_step_lp
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
@@ -269,10 +271,9 @@ class TestRollout:
             states.append(state)
             cases.append(label)
         traj = run_greedy(p, prof, mode)
-        # == on every float field: the rollout is bit for bit its steps
-        assert traj.actions == tuple(actions)
-        assert traj.states == tuple(states)
-        assert traj.cases == tuple(cases)
+        # the rollout is bit for bit its steps, signs of zero included
+        assert hex_fields(traj) == hex_fields(
+            Trajectory(tuple(actions), tuple(states), tuple(cases)))
         assert len(set(cases)) > 1 or mode.startswith("no_")
         assert check_feasible(p, prof, traj).ok
 

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from energycoop import (
     ControlAction,
@@ -22,6 +24,8 @@ from energycoop import (
     total_cost,
 )
 from energycoop.model import neutralization_residuals
+
+from helpers import hex_fields, hybrid_stream_ref
 
 OMEGA = 2 * math.pi / 24
 SECT5 = SystemParams(0.9, 0.8, 3.5, 240)
@@ -168,6 +172,50 @@ class TestRunHybrid:
         final = result.combined.states[2]
         assert final.s1 <= params.s_max + 1e-6
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_stream_matches_slot_reference(self, data):
+        # bit for bit, on a planned offline component or on an arbitrary
+        # one whose storage path forces releases in most draws; s_max -0.0
+        # gives caps of -0.0 before max(0.0, .) makes them 0.0
+        n = data.draw(st.integers(1, 8), label="n")
+        alpha, beta = (data.draw(st.floats(0.05, 1.0), label=name)
+                       for name in ("alpha", "beta"))
+        s_max = data.draw(st.sampled_from([0.0, -0.0, 1.0, 3.5])
+                          | st.floats(0.0, 4.0), label="s_max")
+        share = st.floats(0.0, 1.0)
+        s_init = tuple(data.draw(share, label="s_init") * s_max
+                       for _ in range(2))
+        params = SystemParams(alpha, beta, s_max, n, s_init)
+        energy = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        det = NetEnergyProfile(data.draw(energy, label="e1"),
+                               data.draw(energy, label="e2"))
+        noise = st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+        realized = NetEnergyProfile(
+            *([e + z for e, z in zip(es, data.draw(noise, label="noise"))]
+              for es in (det.e1, det.e2)))
+        if data.draw(st.booleans(), label="planned"):
+            offline = plan_offline(params, det)
+        else:
+            offline = Trajectory(
+                tuple(ControlAction(*data.draw(st.lists(
+                    st.floats(0.0, 2.0), min_size=8, max_size=8)))
+                    for _ in range(n)),
+                (StorageState(*s_init), *(StorageState(
+                    data.draw(share) * s_max, data.draw(share) * s_max)
+                    for _ in range(n))))
+        result = run_hybrid_stream(params, det,
+                                   zip(realized.e1, realized.e2),
+                                   offline_traj=offline)
+        combined, greedy, energies = hybrid_stream_ref(params, offline,
+                                                       realized)
+        assert hex_fields(result.combined) == hex_fields(combined)
+        assert hex_fields(result.greedy) == hex_fields(greedy)
+        assert result.offline is offline
+        got = (result.greedy_profile.e1, result.greedy_profile.e2)
+        assert ([list(map(float.hex, e)) for e in got]
+                == [list(map(float.hex, e)) for e in energies])
+
     def test_causal_streaming(self):
         det = sinusoid(5.0, OMEGA, 1.0, 24)
         params = SystemParams(0.9, 0.8, 3.5, 24)
@@ -186,7 +234,8 @@ class TestRunHybrid:
     def test_short_stream_raises(self):
         det = sinusoid(5.0, OMEGA, 1.0, 24)
         params = SystemParams(0.9, 0.8, 3.5, 24)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match="^realized energies ended "
+                                                 "at slot 10, want 24$"):
             run_hybrid_stream(params, det,
                               iter([(0.0, 0.0)] * 10))
 

@@ -544,6 +544,31 @@ def test_row_form_rejections(edit, error):
         replace(base, **edit(base))
 
 
+@pytest.mark.parametrize("indptr, indices, data, error", [
+    ([0, 2], [0, 1], [1.0, 1.0], "a.indptr has 2 entries, want 3"),
+    ([0], [], [], "a.indptr has 1 entries, want 3"),
+    ([1, 2, 4], [0, 1, 0, 1], [1.0] * 4, "a.indptr starts at 1, want 0"),
+    ([0, 3, 2], [0, 1], [1.0] * 2, "a.indptr decreases after entry 1"),
+    ([0, 2, 3], [0, 1, 0, 1], [1.0] * 4,
+     "a.indices has 4 entries, a.indptr ends at 3"),
+    ([0, 2, 4], [0, 1, 0, 1], [1.0] * 3,
+     "a.data has 3 entries, a.indptr ends at 4"),
+    ([0, 2, 4], [0, 2, 0, 1], [1.0] * 4,
+     "a.indices has column 2 outside [0, 2)"),
+    ([0, 2, 4], [0, 1, -1, 1], [1.0] * 4,
+     "a.indices has column -1 outside [0, 2)"),
+], ids=["short_indptr", "one_entry_indptr", "indptr_start", "indptr_falls",
+        "indptr_past_indices", "data_length", "column_past_end",
+        "negative_column"])
+def test_malformed_csr_rejected(indptr, indices, data, error):
+    # without the check each reached the solve: numpy's broadcast or
+    # bincount errors, or HiGHS's kModelError for a bad column
+    a = lp.Csr(np.array(indptr, dtype=np.int32),
+               np.array(indices, dtype=np.int32), np.array(data), (2, 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        replace(_full_problem(), a=a)
+
+
 @pytest.mark.parametrize("field, bad", [("lower", math.inf),
                                         ("upper", -math.inf),
                                         ("row_lower", math.inf),
