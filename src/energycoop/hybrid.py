@@ -12,7 +12,6 @@ checked once per stream, its storage and energies in every slot.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -97,7 +96,7 @@ def run_hybrid_stream(params: SystemParams,
 
     alpha, beta, s_max = params.alpha, params.beta, params.s_max
     s1 = s2 = 0.0  # the greedy layer's storage
-    records, g_energies = [], []
+    records, g1s, g2s = [], [], []  # step records, residual energies
     it: Iterator[tuple[float, float]] = iter(realized_slots)
     for act_d, (s_d1, s_d2) in zip(offline_traj.actions,
                                    offline_traj.states[1:]):
@@ -126,19 +125,21 @@ def run_hybrid_stream(params: SystemParams,
             False)
         records.append(
             (w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21, s1, s2, label))
-        g_energies.append((g1, g2))
+        g1s.append(g1)
+        g2s.append(g2)
 
     if next(it, None) is not None:
         raise LengthMismatch(f"realized energies run past {n} slots")
     greedy_traj = _rollout((0.0, 0.0), records)
-    add = operator.add
+    # offline + greedy, field by field; spelled out, as it measured faster
+    # than map(operator.add, ...) per row
     combined = trajectory_from_rows(
-        [map(add, a, b)
-         for a, b in zip(offline_traj.actions, greedy_traj.actions)],
-        [map(add, a, b)
-         for a, b in zip(offline_traj.states, greedy_traj.states)],
+        [(a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
+          a7 + b7)
+         for (a0, a1, a2, a3, a4, a5, a6, a7), (b0, b1, b2, b3, b4, b5, b6, b7)
+         in zip(offline_traj.actions, greedy_traj.actions)],
+        [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1)
+         in zip(offline_traj.states, greedy_traj.states)],
         greedy_traj.cases)
-    greedy_profile = NetEnergyProfile(
-        e1=tuple(g1 for g1, _ in g_energies),
-        e2=tuple(g2 for _, g2 in g_energies))
-    return HybridResult(combined, offline_traj, greedy_traj, greedy_profile)
+    return HybridResult(combined, offline_traj, greedy_traj,
+                        NetEnergyProfile(e1=g1s, e2=g2s))
