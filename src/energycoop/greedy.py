@@ -16,6 +16,7 @@ the rules against a one-slot LP oracle.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 from .model import (
     ControlAction,
@@ -265,9 +266,10 @@ def greedy_step_with_case(params: SystemParams, state: StorageState,
 
 
 def _rollout(s_init: tuple[float, float], records: list) -> Trajectory:
-    """The trajectory of step ``records`` taken from storage ``s_init``."""
-    return trajectory_from_rows([r[:8] for r in records],
-                                [s_init, *[r[8:10] for r in records]],
+    """The trajectory of step ``records`` taken from storage ``s_init``;
+    the rows are sliced one at a time, so no list of them is held."""
+    return trajectory_from_rows((r[:8] for r in records),
+                                chain([s_init], (r[8:10] for r in records)),
                                 tuple([r[10] for r in records]))
 
 
