@@ -265,14 +265,6 @@ def greedy_step_with_case(params: SystemParams, state: StorageState,
                        params.s_max, state.s1, state.s2, e1, e2, mode)
 
 
-def _rollout(s_init: tuple[float, float], records: list) -> Trajectory:
-    """The trajectory of step ``records`` taken from storage ``s_init``;
-    the rows are sliced one at a time, so no list of them is held."""
-    return trajectory_from_rows((r[:8] for r in records),
-                                chain([s_init], (r[8:10] for r in records)),
-                                tuple([r[10] for r in records]))
-
-
 def run_greedy(params: SystemParams, profile: NetEnergyProfile,
                mode: str = "standard") -> Trajectory:
     """Roll the greedy controller over the whole horizon.
@@ -294,4 +286,8 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
         r = _step(rule, alpha, beta, cap, cap, s1, s2, e1, e2, force_2a)
         records.append(r)
         s1, s2 = r[8], r[9]
-    return _rollout(params.s_init, records)
+    # the rows are sliced one at a time, so no list of them is held
+    return trajectory_from_rows((r[:8] for r in records),
+                                chain([params.s_init],
+                                      (r[8:10] for r in records)),
+                                tuple([r[10] for r in records]))

@@ -5,30 +5,35 @@ horizon and a residual revealed causally.  An offline plan is computed once
 for the deterministic component; per slot, the greedy controller then
 covers whatever the realized energy leaves over, inside the storage
 head-room the offline plan does not occupy.  The emitted trajectory is the
-exact field-wise sum of the two components.  The greedy layer's mode is
-checked once per stream, its storage and energies in every slot.
+exact field-wise sum of the two components.  The realized stream is read in
+step with the plan; a slot books the plan's action against the realized
+energy and runs the greedy step with its storage and energy checks, the
+greedy layer's mode having been checked once per stream.  The greedy and
+combined trajectories are built together in one pass after the last slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .greedy import _dispatch, _rollout, _step, check_mode
+from .greedy import _dispatch, _step, check_mode
 from .model import (
     ControlAction,
     LengthMismatch,
     NetEnergyProfile,
+    StorageState,
     SystemParams,
     Trajectory,
     check_slots,
     neutralization_residuals,
-    trajectory_from_rows,
 )
 from .offline import plan_offline
+
+_END = object()  # a sentinel no stream can yield
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,9 @@ def run_hybrid_stream(params: SystemParams,
 
     ``realized_slots`` is only ever advanced one slot at a time and never
     ahead of the slot being decided, so feeding a live source is safe.  A
-    stream that ends early, or yields again when read once more after slot
-    N-1 is decided, raises ``LengthMismatch``.  The greedy layer at slot t
+    stream that ends early, or yields anything when read once more after
+    slot N-1 is decided, raises ``LengthMismatch``; an exception the stream
+    raises itself propagates unchanged.  The greedy layer at slot t
     runs under per-station caps equal to the storage head-room the offline
     plan leaves after the slot; when an offline charge shrinks a cap below
     the greedy layer's carried storage, the overhang is released as a
@@ -97,18 +103,16 @@ def run_hybrid_stream(params: SystemParams,
     alpha, beta, s_max = params.alpha, params.beta, params.s_max
     s1 = s2 = 0.0  # the greedy layer's storage
     records, g1s, g2s = [], [], []  # step records, residual energies
-    it: Iterator[tuple[float, float]] = iter(realized_slots)
-    for act_d, (s_d1, s_d2) in zip(offline_traj.actions,
-                                   offline_traj.states[1:]):
-        try:
-            e1, e2 = next(it)
-        except StopIteration:
-            raise LengthMismatch(f"realized energies ended at slot "
-                                 f"{len(records)}, want {n}") from None
+    it = iter(realized_slots)
+    # the stream is zipped last, so it is not read once the plan runs out
+    for ((w1d, w2d, c1d, c2d, d1d, d2d, x12d, x21d), (s_d1, s_d2),
+         (e1, e2)) in zip(offline_traj.actions, offline_traj.states[1:], it):
         if not (math.isfinite(e1) and math.isfinite(e2)):
             raise ValueError(f"realized energies at slot {len(records)} "
                              f"are not finite: ({e1}, {e2})")
-        g1, g2 = neutralization_residuals(params, e1, e2, act_d)
+        # model.neutralization_residuals, repeated here in its operand order
+        g1 = e1 + w1d - c1d + alpha * d1d - x12d + beta * x21d
+        g2 = e2 + w2d - c2d + alpha * d2d - x21d + beta * x12d
 
         # each cap and release is max(0.0, v), which is v only if v > 0.0
         cap1, cap2 = s_max - s_d1, s_max - s_d2
@@ -128,18 +132,32 @@ def run_hybrid_stream(params: SystemParams,
         g1s.append(g1)
         g2s.append(g2)
 
-    if next(it, None) is not None:
+    if len(records) < n:
+        raise LengthMismatch(f"realized energies ended at slot "
+                             f"{len(records)}, want {n}")
+    if next(it, _END) is not _END:
         raise LengthMismatch(f"realized energies run past {n} slots")
-    greedy_traj = _rollout((0.0, 0.0), records)
-    # offline + greedy, field by field; spelled out, as it measured faster
-    # than map(operator.add, ...) per row
-    combined = trajectory_from_rows(
-        [(a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
-          a7 + b7)
-         for (a0, a1, a2, a3, a4, a5, a6, a7), (b0, b1, b2, b3, b4, b5, b6, b7)
-         in zip(offline_traj.actions, greedy_traj.actions)],
-        [(a0 + b0, a1 + b1) for (a0, a1), (b0, b1)
-         in zip(offline_traj.states, greedy_traj.states)],
-        greedy_traj.cases)
-    return HybridResult(combined, offline_traj, greedy_traj,
-                        NetEnergyProfile(e1=g1s, e2=g2s))
+
+    # both trajectories in one pass; the combined one is offline + greedy,
+    # field by field, and its first state is the plan's plus 0.0, which
+    # turns a -0.0 into 0.0 as the sum with the greedy layer's does
+    new = tuple.__new__
+    p1, p2 = offline_traj.states[0]
+    g_actions, g_states = [], [new(StorageState, (0.0, 0.0))]
+    c_actions, c_states = [], [new(StorageState, (p1 + 0.0, p2 + 0.0))]
+    cases = []
+    for ((a0, a1, a2, a3, a4, a5, a6, a7), (p1, p2),
+         (b0, b1, b2, b3, b4, b5, b6, b7, t1, t2, label)) in zip(
+            offline_traj.actions, offline_traj.states[1:], records):
+        g_actions.append(new(ControlAction, (b0, b1, b2, b3, b4, b5, b6, b7)))
+        g_states.append(new(StorageState, (t1, t2)))
+        c_actions.append(new(ControlAction, (
+            a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
+            a7 + b7)))
+        c_states.append(new(StorageState, (p1 + t1, p2 + t2)))
+        cases.append(label)
+    cases = tuple(cases)
+    return HybridResult(
+        Trajectory(tuple(c_actions), tuple(c_states), cases), offline_traj,
+        Trajectory(tuple(g_actions), tuple(g_states), cases),
+        NetEnergyProfile(e1=g1s, e2=g2s))

@@ -86,6 +86,23 @@ class TestResidualProfile:
                              SystemParams(0.9, 0.8, 1.0, 4))
 
 
+class CountedStream:
+    """``items``, then ``end`` raised on every later read; counts every
+    read, also those after the end."""
+
+    def __init__(self, items, end=StopIteration):
+        self.items, self.end, self.reads = list(items), end, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.reads += 1
+        if self.reads > len(self.items):
+            raise self.end
+        return self.items[self.reads - 1]
+
+
 class TestRunHybrid:
     def test_zero_residual_matches_offline(self):
         det = sinusoid(5.0, OMEGA, math.pi / 2, 72)
@@ -240,19 +257,60 @@ class TestRunHybrid:
                               iter([(0.0, 0.0)] * 10))
 
     def test_long_stream_raises(self):
-        # the stream is read once more only after the last slot is decided
+        # the stream is read once more only after the last slot is decided;
+        # whatever that read yields, None too, is one slot too many
         det = sinusoid(5.0, OMEGA, 1.0, 24)
         params = SystemParams(0.9, 0.8, 3.5, 24)
-        seen = []
+        for extra in ((0.0, 0.0), None):
+            stream = CountedStream([(0.0, 0.0)] * 24 + [extra, (1.0, 1.0)])
+            with pytest.raises(LengthMismatch, match="past 24 slots"):
+                run_hybrid_stream(params, det, stream)
+            assert stream.reads == 25
 
-        def feed():
-            for t in range(100):
-                seen.append(t)
-                yield 0.0, 0.0
+    @pytest.mark.parametrize("k", [0, 1, 10, 23, 24])
+    def test_stream_read_counts(self, k):
+        # k items of 24: read k + 1 times, and a short stream names slot k
+        det = sinusoid(5.0, OMEGA, 1.0, 24)
+        params = SystemParams(0.9, 0.8, 3.5, 24)
+        stream = CountedStream([(0.5, -0.5)] * k)
+        if k == 24:
+            result = run_hybrid_stream(params, det, stream)
+            assert result.combined.n_slots == 24
+        else:
+            with pytest.raises(LengthMismatch,
+                               match=f"^realized energies ended at slot {k},"):
+                run_hybrid_stream(params, det, stream)
+        assert stream.reads == k + 1
 
-        with pytest.raises(LengthMismatch, match="past 24 slots"):
-            run_hybrid_stream(params, det, feed())
-        assert seen == list(range(25))
+    @pytest.mark.parametrize("k", [0, 10, 24])
+    def test_stream_error_propagates(self, k):
+        # read k + 1 raising the stream's own error, also the read after
+        # the last slot, surfaces unchanged and ends the reads
+        class FeedDown(Exception):
+            pass
+
+        det = sinusoid(5.0, OMEGA, 1.0, 24)
+        params = SystemParams(0.9, 0.8, 3.5, 24)
+        error = FeedDown("sensor offline")
+        stream = CountedStream([(0.5, -0.5)] * k, end=error)
+        with pytest.raises(FeedDown) as info:
+            run_hybrid_stream(params, det, stream)
+        assert info.value is error
+        assert stream.reads == k + 1
+
+    def test_signed_zero_initial_state(self):
+        # combined.states[0] is the plan's plus the greedy layer's 0.0, and
+        # -0.0 + 0.0 is 0.0
+        params = SystemParams(0.9, 0.8, 1.0, 2)
+        det = NetEnergyProfile(e1=(0.5, -0.5), e2=(-0.5, 0.5))
+        zero = StorageState(0.0, 0.0)
+        plan = Trajectory((ControlAction(),) * 2,
+                          (StorageState(-0.0, -0.0), zero, zero))
+        result = run_hybrid_stream(params, det, zip(det.e1, det.e2),
+                                   offline_traj=plan)
+        assert [float.hex(s) for s in result.combined.states[0]] == [
+            "0x0.0p+0", "0x0.0p+0"]
+        assert type(result.combined.states[0]) is StorageState
 
     @pytest.mark.parametrize("n_plan", [12, 48])
     def test_offline_traj_length_checked(self, n_plan):
