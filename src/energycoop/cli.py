@@ -84,7 +84,7 @@ def _cmd_hybrid(args) -> int:
     result = run_hybrid_stream(params, deterministic,
                                zip(realized.e1, realized.e2))
     _emit(result.combined, realized, args, with_cases=args.debug_components)
-    if args.debug_components and args.out is not None:
+    if args.debug_components:
         off_path = args.out.with_suffix(".offline.csv")
         gre_path = args.out.with_suffix(".greedy.csv")
         save_trajectory(result.offline, deterministic, off_path)
@@ -181,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.out is None:
         parser.error("experiment requires --out")
+    for flag in ("debug_cases", "debug_components"):  # they only add files
+        if getattr(args, flag, False) and args.out is None:
+            parser.error(f"--{flag.replace('_', '-')} requires --out")
     try:
         return args.fn(args)
     except (ValueError, ModelError, ParseError, OSError) as exc:

@@ -8,15 +8,14 @@ charge/discharge round trip (alpha squared).  Every rule returns one step
 record, the eight action fields, s1, s2 after the slot and the case label.
 ``_step`` guards each rule: every slot's storage must lie within its caps
 and its net energies must be finite.  A rollout (``run_greedy``, and the
-hybrid planner's greedy layer) checks its mode once, keeps the raw records
-and makes the named tuples from them after its last slot.  The tests check
-the rules against a one-slot LP oracle.
+hybrid planner's greedy layer) checks its mode once and makes each slot's
+named tuples from its record inside the slot loop.  The tests check the
+rules against a one-slot LP oracle.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 from .model import (
     ControlAction,
@@ -26,7 +25,6 @@ from .model import (
     SystemParams,
     Trajectory,
     check_slots,
-    trajectory_from_rows,
 )
 
 # Net energies within this band of zero are classified as exactly zero so
@@ -247,9 +245,10 @@ def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
     """One greedy step with independent per-station storage caps.
 
     The caps replace the shared capacity everywhere the decision rules
-    reference it; the hybrid planner runs the controller this way inside
-    the storage head-room its offline component leaves free.  Non-finite
-    net energies raise ValueError.
+    reference it, as in the hybrid planner's greedy layer, which calls
+    ``_step`` itself inside the storage head-room its offline component
+    leaves free.  The mode is checked on every call; non-finite net
+    energies raise ValueError.
     """
     check_mode(mode, alpha, beta)
     r = _step(_RULES[mode], alpha, beta, cap1, cap2, s1, s2, e1, e2,
@@ -280,14 +279,12 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
     check_mode(mode, params.alpha, params.beta)
     rule, force_2a = _RULES[mode], mode == "force_case_2a"
     alpha, beta, cap = params.alpha, params.beta, params.s_max
-    s1, s2 = params.s_init
-    records = []
+    (s1, s2), new = params.s_init, tuple.__new__
+    actions, states, cases = [], [new(StorageState, (s1, s2))], []
     for e1, e2 in zip(profile.e1, profile.e2):
-        r = _step(rule, alpha, beta, cap, cap, s1, s2, e1, e2, force_2a)
-        records.append(r)
-        s1, s2 = r[8], r[9]
-    # the rows are sliced one at a time, so no list of them is held
-    return trajectory_from_rows((r[:8] for r in records),
-                                chain([params.s_init],
-                                      (r[8:10] for r in records)),
-                                tuple([r[10] for r in records]))
+        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = _step(
+            rule, alpha, beta, cap, cap, s1, s2, e1, e2, force_2a)
+        actions.append(new(ControlAction, (w1, w2, c1, c2, d1, d2, x12, x21)))
+        states.append(new(StorageState, (s1, s2)))
+        cases.append(label)
+    return Trajectory(tuple(actions), tuple(states), tuple(cases))

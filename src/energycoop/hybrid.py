@@ -8,8 +8,8 @@ head-room the offline plan does not occupy.  The emitted trajectory is the
 exact field-wise sum of the two components.  The realized stream is read in
 step with the plan; a slot books the plan's action against the realized
 energy and runs the greedy step with its storage and energy checks, the
-greedy layer's mode having been checked once per stream.  The greedy and
-combined trajectories are built together in one pass after the last slot.
+greedy layer's mode having been checked once per stream.  Each slot
+appends its greedy and combined rows as soon as it is decided.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .model import (
     neutralization_residuals,
 )
 from .offline import plan_offline
-
-_END = object()  # a sentinel no stream can yield
 
 
 @dataclass(frozen=True)
@@ -102,13 +100,19 @@ def run_hybrid_stream(params: SystemParams,
 
     alpha, beta, s_max = params.alpha, params.beta, params.s_max
     s1 = s2 = 0.0  # the greedy layer's storage
-    records, g1s, g2s = [], [], []  # step records, residual energies
+    # combined = offline + greedy, field by field; its first state is the
+    # plan's + 0.0, which turns a -0.0 into 0.0 as a sum with 0.0 does
+    new = tuple.__new__
+    p1, p2 = offline_traj.states[0]
+    g_actions, g_states = [], [new(StorageState, (0.0, 0.0))]
+    c_actions, c_states = [], [new(StorageState, (p1 + 0.0, p2 + 0.0))]
+    cases, g1s, g2s = [], [], []  # and the residual energies
     it = iter(realized_slots)
     # the stream is zipped last, so it is not read once the plan runs out
     for ((w1d, w2d, c1d, c2d, d1d, d2d, x12d, x21d), (s_d1, s_d2),
          (e1, e2)) in zip(offline_traj.actions, offline_traj.states[1:], it):
         if not (math.isfinite(e1) and math.isfinite(e2)):
-            raise ValueError(f"realized energies at slot {len(records)} "
+            raise ValueError(f"realized energies at slot {len(cases)} "
                              f"are not finite: ({e1}, {e2})")
         # model.neutralization_residuals, repeated here in its operand order
         g1 = e1 + w1d - c1d + alpha * d1d - x12d + beta * x21d
@@ -127,35 +131,23 @@ def run_hybrid_stream(params: SystemParams,
         w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = _step(
             _dispatch, alpha, beta, cap1, cap2, s1 - q1, s2 - q2, g1, g2,
             False)
-        records.append(
-            (w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21, s1, s2, label))
+        d1, d2 = d1 + q1, d2 + q2  # the forced releases
+        g_actions.append(
+            new(ControlAction, (w1, w2, c1, c2, d1, d2, x12, x21)))
+        g_states.append(new(StorageState, (s1, s2)))
+        c_actions.append(new(ControlAction, (
+            w1d + w1, w2d + w2, c1d + c1, c2d + c2, d1d + d1, d2d + d2,
+            x12d + x12, x21d + x21)))
+        c_states.append(new(StorageState, (s_d1 + s1, s_d2 + s2)))
+        cases.append(label)
         g1s.append(g1)
         g2s.append(g2)
 
-    if len(records) < n:
+    if len(cases) < n:
         raise LengthMismatch(f"realized energies ended at slot "
-                             f"{len(records)}, want {n}")
-    if next(it, _END) is not _END:
+                             f"{len(cases)}, want {n}")
+    for _ in it:  # read once more: the stream must be exhausted
         raise LengthMismatch(f"realized energies run past {n} slots")
-
-    # both trajectories in one pass; the combined one is offline + greedy,
-    # field by field, and its first state is the plan's plus 0.0, which
-    # turns a -0.0 into 0.0 as the sum with the greedy layer's does
-    new = tuple.__new__
-    p1, p2 = offline_traj.states[0]
-    g_actions, g_states = [], [new(StorageState, (0.0, 0.0))]
-    c_actions, c_states = [], [new(StorageState, (p1 + 0.0, p2 + 0.0))]
-    cases = []
-    for ((a0, a1, a2, a3, a4, a5, a6, a7), (p1, p2),
-         (b0, b1, b2, b3, b4, b5, b6, b7, t1, t2, label)) in zip(
-            offline_traj.actions, offline_traj.states[1:], records):
-        g_actions.append(new(ControlAction, (b0, b1, b2, b3, b4, b5, b6, b7)))
-        g_states.append(new(StorageState, (t1, t2)))
-        c_actions.append(new(ControlAction, (
-            a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
-            a7 + b7)))
-        c_states.append(new(StorageState, (p1 + t1, p2 + t2)))
-        cases.append(label)
     cases = tuple(cases)
     return HybridResult(
         Trajectory(tuple(c_actions), tuple(c_states), cases), offline_traj,

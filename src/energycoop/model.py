@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from numbers import Integral
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +82,9 @@ class SystemParams:
             raise ValueError(
                 f"s_init must be finite and lie in [0, s_max]^2, "
                 f"got {self.s_init}")
+        for name in ("alpha", "beta", "s_max"):  # a row holds floats only
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "s_init", (float(s1), float(s2)))
 
 
 @dataclass(frozen=True)
@@ -171,22 +174,6 @@ class Trajectory:
     @property
     def n_slots(self) -> int:
         return len(self.actions)
-
-
-def trajectory_from_rows(actions: Iterable[Iterable[float]],
-                         states: Iterable[Iterable[float]],
-                         cases: tuple[str, ...] | None = None) -> Trajectory:
-    """A ``Trajectory`` of plain rows: each action row holds the eight
-    ``ControlAction`` fields in order, each state row (s1, s2).
-
-    The named tuples are made by ``tuple.__new__``, without ``_make``'s
-    per-call cost and its length check, so each row must have its type's
-    field count.
-    """
-    new = tuple.__new__
-    return Trajectory(tuple([new(ControlAction, row) for row in actions]),
-                      tuple([new(StorageState, row) for row in states]),
-                      cases)
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,13 @@ import numpy as np
 
 from .lp import Csr, LpInfeasible, LpProblem, LpSession, lp_solve
 from .model import (
+    ControlAction,
     NetEnergyProfile,
+    StorageState,
     SystemParams,
     Trajectory,
     check_slots,
     normalize_actions,
-    trajectory_from_rows,
 )
 
 # Relative slack on the stage-2 cost budget.  Large enough that stage 2 is
@@ -152,12 +153,15 @@ def build_stage2(stage1: LpProblem, v1: float) -> LpProblem:
 
 def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
     """Normalized actions (sign dust snapped to 0) and the storage columns,
-    clipped onto [0, s_max], of a certified LP point."""
-    n = params.n_slots
+    clipped onto [0, s_max] and then + 0.0 so no -0.0 is left, of a
+    certified LP point."""
+    n, new = params.n_slots, tuple.__new__
     actions = normalize_actions(x[:_N_ACTION * n].reshape(n, _N_ACTION),
                                 params.alpha)
-    states = np.clip(x[_N_ACTION * n:], 0.0, params.s_max).reshape(n + 1, 2)
-    return trajectory_from_rows(actions.tolist(), states.tolist())
+    states = x[_N_ACTION * n:].reshape(n + 1, 2).clip(0.0, params.s_max) + 0.0
+    return Trajectory(
+        tuple([new(ControlAction, row) for row in actions.tolist()]),
+        tuple([new(StorageState, row) for row in states.tolist()]))
 
 
 def stage1_costs(session: LpSession, stage1: LpProblem, params: SystemParams,

@@ -8,6 +8,7 @@ import pytest
 from energycoop import lp, sinusoid
 from energycoop.cli import main
 from energycoop.lp import SolverError
+from energycoop.model import TRAJECTORY_HEADER
 from helpers import save_profile
 
 
@@ -42,14 +43,45 @@ def test_greedy_mode_flag(profile_csv, tmp_path):
                  "--mode", "no_transfer", "--beta", "0.0"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--debug-cases"],
+    ["hybrid", "--debug-components", "--seed", "3"],
+], ids=["greedy", "hybrid"])
+def test_debug_flag_without_out_exits_2(profile_csv, tmp_path, capsys, argv):
+    # the flag only adds to files that --out names
+    command, flag, *rest = argv
+    where = "--profile" if command == "greedy" else "--det"
+    with pytest.raises(SystemExit) as exc:
+        main([command, where, str(profile_csv), flag, *rest])
+    assert exc.value.code == 2
+    assert f"{flag} requires --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [profile_csv]
+
+
 def test_hybrid_with_noise(profile_csv, tmp_path):
     out = tmp_path / "hybrid.csv"
     assert main(["hybrid", "--det", str(profile_csv), "--seed", "3",
                  "--smax", "3.5", "--out", str(out),
                  "--debug-components"]) == 0
-    assert out.exists()
-    assert out.with_suffix(".offline.csv").exists()
-    assert out.with_suffix(".greedy.csv").exists()
+
+    def read(path):  # each row's action and state cells, and its case
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[:13] == list(TRAJECTORY_HEADER)
+        return ([[float(v) if v else None for v in row[3:13]]
+                 for row in rows], [row[13:] for row in rows])
+
+    combined, combined_cases = read(out)
+    offline, _ = read(out.with_suffix(".offline.csv"))
+    greedy, greedy_cases = read(out.with_suffix(".greedy.csv"))
+    assert len(combined) == len(offline) == len(greedy) == 49
+    # combined = offline + greedy, cell by cell, exactly; the last row
+    # holds only the terminal storage
+    for c_row, o_row, g_row in zip(combined, offline, greedy):
+        assert c_row == [None if o is None else o + g
+                         for o, g in zip(o_row, g_row)]
+    assert combined_cases == greedy_cases
+    assert all(case for case, in combined_cases[:-1])  # a label per slot
 
 
 def test_hybrid_with_realized_csv(profile_csv, tmp_path):

@@ -16,13 +16,18 @@ from energycoop import (
     StorageState,
     SystemParams,
     Trajectory,
+    add_gaussian_noise,
     check_feasible,
     normalize_actions,
     plan_offline,
+    plan_single_bs,
     run_greedy,
+    run_hybrid_stream,
     save_trajectory,
+    sinusoid,
     total_cost,
 )
+from energycoop.greedy import MODES
 from energycoop.model import (
     DEFAULT_TOL,
     TRAJECTORY_HEADER,
@@ -91,6 +96,15 @@ class TestParams:
         with pytest.raises(ValueError,
                            match=rf"^e2\[0\] is not finite: {bad}$"):
             NetEnergyProfile(e1=(0.0, 0.0), e2=(bad, 0.0))
+
+    def test_numbers_stored_as_floats(self):
+        # a list of ints is kept as a hashable pair of floats, as a
+        # profile keeps its energies; numpy scalars become floats too
+        p = SystemParams(np.float64(0.9), np.float32(0.5), 2, 3, [1, 0])
+        assert p.s_init == (1.0, 0.0)
+        assert all(type(v) is float
+                   for v in (p.alpha, p.beta, p.s_max, *p.s_init))
+        assert hash(p) == hash(SystemParams(0.9, 0.5, 2.0, 3, (1.0, 0.0)))
 
     def test_profile_values_are_floats(self):
         prof = NetEnergyProfile(e1=[1, "2.5"], e2=(np.float64(3.0), -0.0))
@@ -532,3 +546,48 @@ class TestTrajectoryCsv:
         assert last[0] == "1"
         assert last[1] == "" and last[10] == ""
         assert float(last[11]) == 0.9
+
+
+class TestRowTypes:
+    """Every planner's rows are exactly ``ControlAction`` or
+    ``StorageState`` and hold Python floats.  ``np.float64`` subclasses
+    float, so ``==`` and ``float.hex`` cannot tell a leaked numpy scalar
+    apart, but ``save_trajectory``'s ``repr`` would write it as
+    ``np.float64(...)`` under numpy 2."""
+
+    @staticmethod
+    def trajectories():
+        omega = 2 * math.pi / 24
+        det = sinusoid(3.0, omega, math.pi / 2, 48)
+        realized = add_gaussian_noise(det, 0.5, 4)
+        # numpy efficiencies and integer storage values, which no planner
+        # may pass through to its rows
+        params = SystemParams(np.float64(0.9), np.float64(0.8), 2, 48,
+                              s_init=[1, 0])
+        yield "offline", plan_offline(params, det), det
+        yield "single_bs", plan_single_bs(params, det.e1), det
+        for mode in MODES:
+            yield mode, run_greedy(params, realized, mode), realized
+        result = run_hybrid_stream(params, det,
+                                   zip(realized.e1, realized.e2))
+        yield "combined", result.combined, realized
+        yield "hybrid_offline", result.offline, det
+        yield "greedy", result.greedy, result.greedy_profile
+
+    def test_rows_are_exact_types_of_floats(self):
+        for name, traj, _ in self.trajectories():
+            for types, rows in ((ControlAction, traj.actions),
+                                (StorageState, traj.states)):
+                assert all(type(row) is types for row in rows), name
+                assert all(type(v) is float for row in rows for v in row), \
+                    name
+
+    def test_csv_holds_plain_floats(self, tmp_path):
+        for name, traj, profile in self.trajectories():
+            path = tmp_path / f"{name}.csv"
+            save_trajectory(traj, profile, path, with_cases=True)
+            text = path.read_text()
+            assert "np.float64(" not in text, name
+            if name in MODES:  # the initial storage as given, in floats
+                assert text.splitlines()[1].split(",")[11:13] == \
+                    ["1.0", "0.0"], name

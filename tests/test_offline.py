@@ -250,7 +250,9 @@ class TestExtraction:
         assert traj.actions == tuple(
             normalize_action_ref(ControlAction(*raw), p.alpha)
             for raw in x[:8 * n].reshape(n, 8).tolist())
+        # no -0.0 in an action or a state, though HiGHS returns some
         assert not np.signbit(traj.actions).any()
+        assert not np.signbit(traj.states).any()
         assert traj.states == tuple(
             StorageState(*s) for s in
             np.clip(x[8 * n:], 0.0, p.s_max).reshape(n + 1, 2).tolist())
@@ -284,11 +286,12 @@ class TestExtraction:
         x = np.zeros(16 + 6)
         x[:16] = (-0.0, -1e-9, 0.3, -0.0, -0.0, 0.2, -1e-7, -0.0,
                   2.0, -0.0, -1e-12, 0.0, 0.1, -0.0, 0.4, 0.4)
-        x[16:] = (0.0, 0.0, 0.0, 0.0, 0.1, 0.0)
+        x[16:] = (0.0, -0.0, -0.0, 0.0, 0.1, -0.0)  # states keep no -0.0
         traj = _extract_trajectory(p, x)
         assert traj.actions == (ControlAction(c1=0.3, d2=0.2),
                                 ControlAction(w1=2.0, d1=0.1))
         assert not np.signbit(traj.actions).any()
+        assert not np.signbit(traj.states).any()
 
     def test_plan_single_bs_states_are_certified_storage(self):
         for p, prof in self.instances():
