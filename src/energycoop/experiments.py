@@ -22,7 +22,7 @@ from pathlib import Path
 from statistics import mean, stdev
 
 from . import __version__
-from .greedy import CASE_TOL, check_mode, run_greedy
+from .greedy import CASE_TOL, run_greedy, stepper
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
 from .lp import LpSession
@@ -80,7 +80,7 @@ class ExperimentSpec:
             raise ValueError(f"{self.experiment}: only hybrid-vs-greedy takes "
                              "seeds, and it needs them")
         if "case_tol" in records:  # the greedy controller runs, standard
-            check_mode("standard", self.alpha, self.beta)
+            stepper("standard", self.alpha, self.beta)
         for s_max in self.s_max_grid:  # each grid point's system is valid
             self.params(s_max)
         for theta in self.thetas:  # and its profile

@@ -6,9 +6,10 @@ this with closed-form case rules keyed on the signs of the two net
 energies and on whether the line (efficiency beta) beats the
 charge/discharge round trip (alpha squared).  Every rule returns one step
 record, the eight action fields, s1, s2 after the slot and the case label.
-``_step`` guards each rule: every slot's storage must lie within its caps
-and its net energies must be finite.  A rollout (``run_greedy``, and the
-hybrid planner's greedy layer) checks its mode once and makes each slot's
+``stepper`` resolves a mode once into its per-slot step, which guards the
+mode's rule: every slot's storage must lie within its caps and its net
+energies must be finite.  A rollout (``run_greedy``, and the hybrid
+planner's greedy layer) resolves its step once and makes each slot's
 named tuples from its record inside the slot loop.  The tests check the
 rules against a one-slot LP oracle.
 """
@@ -132,7 +133,7 @@ def _mirror(result):
 
 
 def _case4(alpha: float, beta: float, cap1: float, cap2: float,
-           s1: float, s2: float, e1: float, e2: float, force_2a: bool):
+           s1: float, s2: float, e1: float, e2: float, case2):
     """Both stations in deficit: each drains its own storage first."""
     parts = []
     for s, e in ((s1, e1), (s2, e2)):
@@ -144,28 +145,27 @@ def _case4(alpha: float, beta: float, cap1: float, cap2: float,
     (d1, s1, e1p), (d2, s2, e2p) = parts
     if e1p < 0.0 and e2p < 0.0:
         return (-e1p, -e2p, 0.0, 0.0, d1, d2, 0.0, 0.0, s1, s2, "4")
-    sub = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1p, e2p, force_2a)
+    sub = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1p, e2p, case2)
     w1, w2, c1, c2, d1s, d2s, x12, x21, s1, s2, label = sub
     return (w1, w2, c1, c2, d1 + d1s, d2 + d2s, x12, x21, s1, s2,
             "4-" + label)
 
 
 def _dispatch(alpha: float, beta: float, cap1: float, cap2: float,
-              s1: float, s2: float, e1: float, e2: float, force_2a: bool):
+              s1: float, s2: float, e1: float, e2: float, case2):
+    """The case rules; ``case2`` is the mixed-sign one, 2A or 2B."""
     e1, e2 = _clean(e1), _clean(e2)
     if e1 >= 0.0 and e2 >= 0.0:
         return _case1(alpha, beta, cap1, cap2, s1, s2, e1, e2)
     if e1 < 0.0 and e2 < 0.0:
-        return _case4(alpha, beta, cap1, cap2, s1, s2, e1, e2, force_2a)
-    case2 = _case2a if force_2a or beta >= alpha * alpha else _case2b
+        return _case4(alpha, beta, cap1, cap2, s1, s2, e1, e2, case2)
     if e1 >= 0.0:
         return case2(alpha, beta, cap1, cap2, s1, s2, e1, e2)
     return _mirror(case2(alpha, beta, cap2, cap1, s2, s1, e2, e1))
 
 
 def _step_no_storage(alpha: float, beta: float, cap1: float, cap2: float,
-                     s1: float, s2: float, e1: float, e2: float,
-                     force_2a: bool):
+                     s1: float, s2: float, e1: float, e2: float, case2):
     e1, e2 = _clean(e1), _clean(e2)
     w1 = w2 = x12 = x21 = 0.0
     if e1 < 0.0 and e2 < 0.0:
@@ -182,8 +182,7 @@ def _step_no_storage(alpha: float, beta: float, cap1: float, cap2: float,
 
 
 def _step_no_transfer(alpha: float, beta: float, cap1: float, cap2: float,
-                      s1: float, s2: float, e1: float, e2: float,
-                      force_2a: bool):
+                      s1: float, s2: float, e1: float, e2: float, case2):
     out = []
     for cap, s, e in ((cap1, s1, _clean(e1)), (cap2, s2, _clean(e2))):
         w = c = d = 0.0
@@ -206,62 +205,50 @@ _RULES = {"standard": _dispatch, "force_case_2a": _dispatch,
 MODES = tuple(_RULES)
 
 
-def check_mode(mode: str, alpha: float, beta: float) -> None:
-    """Raise ValueError unless ``mode`` is known and allows (alpha, beta):
-    the case rules of the first two ``MODES`` divide by both efficiencies."""
+def stepper(mode: str, alpha: float, beta: float):
+    """The per-slot step ``step(cap1, cap2, s1, s2, e1, e2)`` of ``mode``.
+
+    Raises ValueError unless ``mode`` is known and allows (alpha, beta):
+    the case rules of ``standard`` and ``force_case_2a`` divide by both
+    efficiencies.  The step returns the mode's step record from storage
+    (s1, s2) under caps (cap1, cap2).  A pair outside the caps by more
+    than CASE_TOL raises InvalidState and non-finite net energies raise
+    ValueError; the pair is then clamped onto [0, cap1] x [0, cap2].
+    """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if not (alpha > 0.0 and beta > 0.0) and mode in MODES[:2]:
+    rule = _RULES[mode]
+    if rule is _dispatch and not (alpha > 0.0 and beta > 0.0):
         raise ValueError(f"mode {mode!r} needs alpha > 0 and beta > 0, "
                          f"got alpha = {alpha}, beta = {beta}")
+    # the mixed-sign rule: transfer first if forced or the line beats storage
+    case2 = (_case2a if mode == "force_case_2a" or beta >= alpha * alpha
+             else _case2b)
 
-
-def _step(rule, alpha: float, beta: float, cap1: float, cap2: float,
-          s1: float, s2: float, e1: float, e2: float, force_2a: bool):
-    """``rule``'s step record from storage (s1, s2) under caps (cap1, cap2).
-
-    A pair outside the caps by more than CASE_TOL raises InvalidState and
-    non-finite net energies raise ValueError; the pair is then clamped onto
-    [0, cap1] x [0, cap2].
-    """
-    if not (-CASE_TOL <= s1 <= cap1 + CASE_TOL
-            and -CASE_TOL <= s2 <= cap2 + CASE_TOL):
-        raise InvalidState(
-            f"storage ({s1}, {s2}) outside caps ({cap1}, {cap2})")
-    if not (math.isfinite(e1) and math.isfinite(e2)):
-        raise ValueError(f"net energies ({e1}, {e2}) are not finite")
-    # min(max(s, 0.0), cap) without the builtins' call cost: max(a, b) is
-    # b only if b > a, and min(a, b) is b only if b < a
-    s1 = 0.0 if 0.0 > s1 else s1
-    s2 = 0.0 if 0.0 > s2 else s2
-    return rule(alpha, beta, cap1, cap2, cap1 if cap1 < s1 else s1,
-                cap2 if cap2 < s2 else s2, e1, e2, force_2a)
-
-
-def capped_step(alpha: float, beta: float, cap1: float, cap2: float,
-                s1: float, s2: float, e1: float, e2: float,
-                mode: str = "standard",
-                ) -> tuple[ControlAction, StorageState, str]:
-    """One greedy step with independent per-station storage caps.
-
-    The caps replace the shared capacity everywhere the decision rules
-    reference it, as in the hybrid planner's greedy layer, which calls
-    ``_step`` itself inside the storage head-room its offline component
-    leaves free.  The mode is checked on every call; non-finite net
-    energies raise ValueError.
-    """
-    check_mode(mode, alpha, beta)
-    r = _step(_RULES[mode], alpha, beta, cap1, cap2, s1, s2, e1, e2,
-              mode == "force_case_2a")
-    return ControlAction._make(r[:8]), StorageState(r[8], r[9]), r[10]
+    def step(cap1: float, cap2: float, s1: float, s2: float,
+             e1: float, e2: float):
+        if not (-CASE_TOL <= s1 <= cap1 + CASE_TOL
+                and -CASE_TOL <= s2 <= cap2 + CASE_TOL):
+            raise InvalidState(
+                f"storage ({s1}, {s2}) outside caps ({cap1}, {cap2})")
+        if not (math.isfinite(e1) and math.isfinite(e2)):
+            raise ValueError(f"net energies ({e1}, {e2}) are not finite")
+        # min(max(s, 0.0), cap) without the builtins' call cost: max(a, b)
+        # is b only if b > a, and min(a, b) is b only if b < a
+        s1 = 0.0 if 0.0 > s1 else s1
+        s2 = 0.0 if 0.0 > s2 else s2
+        return rule(alpha, beta, cap1, cap2, cap1 if cap1 < s1 else s1,
+                    cap2 if cap2 < s2 else s2, e1, e2, case2)
+    return step
 
 
 def greedy_step_with_case(params: SystemParams, state: StorageState,
                           e1: float, e2: float, mode: str = "standard",
                           ) -> tuple[ControlAction, StorageState, str]:
     """One greedy step from ``state`` under (e1, e2) and the case it took."""
-    return capped_step(params.alpha, params.beta, params.s_max,
-                       params.s_max, state.s1, state.s2, e1, e2, mode)
+    r = stepper(mode, params.alpha, params.beta)(
+        params.s_max, params.s_max, state.s1, state.s2, e1, e2)
+    return ControlAction._make(r[:8]), StorageState(r[8], r[9]), r[10]
 
 
 def run_greedy(params: SystemParams, profile: NetEnergyProfile,
@@ -272,18 +259,16 @@ def run_greedy(params: SystemParams, profile: NetEnergyProfile,
     (transfer-first rule applied to every mixed-sign slot, optimal when one
     station is always in surplus and the other always in deficit),
     ``no_storage`` and ``no_transfer``; the last two take any alpha and
-    beta, the first two need both positive.  The mode is checked once, the
-    storage and net energies of every slot as in ``capped_step``.
+    beta, the first two need both positive.  The mode is resolved once
+    into its ``stepper`` step, which checks every slot.
     """
     check_slots("profile", profile.n_slots, params.n_slots)
-    check_mode(mode, params.alpha, params.beta)
-    rule, force_2a = _RULES[mode], mode == "force_case_2a"
-    alpha, beta, cap = params.alpha, params.beta, params.s_max
+    step, cap = stepper(mode, params.alpha, params.beta), params.s_max
     (s1, s2), new = params.s_init, tuple.__new__
     actions, states, cases = [], [new(StorageState, (s1, s2))], []
     for e1, e2 in zip(profile.e1, profile.e2):
-        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = _step(
-            rule, alpha, beta, cap, cap, s1, s2, e1, e2, force_2a)
+        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = step(
+            cap, cap, s1, s2, e1, e2)
         actions.append(new(ControlAction, (w1, w2, c1, c2, d1, d2, x12, x21)))
         states.append(new(StorageState, (s1, s2)))
         cases.append(label)

@@ -7,9 +7,9 @@ covers whatever the realized energy leaves over, inside the storage
 head-room the offline plan does not occupy.  The emitted trajectory is the
 exact field-wise sum of the two components.  The realized stream is read in
 step with the plan; a slot books the plan's action against the realized
-energy and runs the greedy step with its storage and energy checks, the
-greedy layer's mode having been checked once per stream.  Each slot
-appends its greedy and combined rows as soon as it is decided.
+energy and runs the greedy layer's ``standard`` step, resolved once per
+stream, with its storage and energy checks.  Each slot appends its
+greedy and combined rows as soon as it is decided.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .greedy import _dispatch, _step, check_mode
+from .greedy import stepper
 from .model import (
     ControlAction,
     LengthMismatch,
@@ -93,7 +93,7 @@ def run_hybrid_stream(params: SystemParams,
     """
     n = params.n_slots
     check_slots("deterministic profile", deterministic.n_slots, n)
-    check_mode("standard", params.alpha, params.beta)
+    step = stepper("standard", params.alpha, params.beta)
     if offline_traj is None:
         offline_traj = plan_offline(params, deterministic)
     check_slots("offline trajectory", offline_traj.n_slots, n)
@@ -128,9 +128,8 @@ def run_hybrid_stream(params: SystemParams,
         g1 += alpha * q1
         g2 += alpha * q2
 
-        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = _step(
-            _dispatch, alpha, beta, cap1, cap2, s1 - q1, s2 - q2, g1, g2,
-            False)
+        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = step(
+            cap1, cap2, s1 - q1, s2 - q2, g1, g2)
         d1, d2 = d1 + q1, d2 + q2  # the forced releases
         g_actions.append(
             new(ControlAction, (w1, w2, c1, c2, d1, d2, x12, x21)))

@@ -7,7 +7,8 @@ per-variable bounds.  Only the non-zeros are stored, so a planning
 program takes memory linear in its horizon.  The matrix is a ``Csr``, its
 arrays read in numpy, so scipy.sparse (whose array-API layer imports
 most of numpy's submodules) is never imported; a scipy ``csr_matrix``
-has the same attributes and is taken too.  An ``LpSession`` passes the
+has the same attributes and is taken too, if canonical (each row's
+columns strictly increasing).  An ``LpSession`` passes the
 arrays straight to the HiGHS solver scipy bundles, through its private
 binding ``scipy.optimize._highspy._core``, loaded from its file to skip
 importing scipy.optimize, a third of start-up, with the options (1e-10
@@ -102,12 +103,13 @@ class LpProblem:
     """min objective . x  subject to row_lower <= a x <= row_upper and
     lower <= x <= upper.
 
-    ``a`` is a CSR matrix (``format == "csr"``) with one column per
-    variable and one row per entry of ``row_lower`` / ``row_upper``: an
-    equality row has equal bounds, a ``<=`` row a lower bound of ``-inf``,
-    a ``>=`` row an upper bound of ``+inf``; a row with no finite bound is
-    rejected.  ``lower`` and ``upper`` bound each variable.  Every bound
-    is finite but a lower ``-inf`` and an upper ``+inf``.
+    ``a`` is a CSR matrix (``format == "csr"``, each row's columns
+    strictly increasing) with one column per variable and one row per
+    entry of ``row_lower`` / ``row_upper``: an equality row has equal
+    bounds, a ``<=`` row a lower bound of ``-inf``, a ``>=`` row an upper
+    bound of ``+inf``; a row with no finite bound is rejected.  ``lower``
+    and ``upper`` bound each variable.  Every bound is finite but a lower
+    ``-inf`` and an upper ``+inf``.
     """
 
     objective: np.ndarray
@@ -139,6 +141,10 @@ class LpProblem:
         if (bad := cols[(cols < 0) | (cols >= n)]).size:
             raise ValueError(f"a.indices has column {bad[0]} outside "
                              f"[0, {n})")
+        rows = _entry_rows(self.a)  # HiGHS rejects a repeated entry
+        if (bad := np.flatnonzero(np.diff(rows * n + cols) <= 0)).size:
+            raise ValueError(f"a.indices of row {rows[bad[0]]} do not "
+                             "strictly increase")
         # HiGHS does not reject these: a NaN cost comes back "optimal"
         for name, values in (("objective", self.objective),
                              ("a", self.a.data)):
@@ -219,22 +225,13 @@ class LpSession:
             done += map(highs.changeRowBounds, rows.tolist(),
                         problem.row_lower[rows], problem.row_upper[rows])
         else:
-            a, rows = problem.a, _entry_rows(problem.a)
-            start, index, value = a.indptr, a.indices, a.data
-            key = rows * problem.n_vars + index  # HiGHS rejects duplicates:
-            if (np.diff(key) <= 0).any():  # sort and sum them into copies
-                _, first, inverse = np.unique(
-                    key, return_index=True, return_inverse=True)
-                index, value = index[first], np.bincount(inverse, value)
-                start = np.append(0, np.cumsum(np.bincount(
-                    rows[first], minlength=a.shape[0])))
-            lp = HighsLp()
+            a, lp = problem.a, HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
             lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
             lp.a_matrix_.format_ = MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = start
-            lp.a_matrix_.index_ = index
-            lp.a_matrix_.value_ = value
+            lp.a_matrix_.start_ = a.indptr
+            lp.a_matrix_.index_ = a.indices
+            lp.a_matrix_.value_ = a.data
             lp.col_cost_ = problem.objective
             lp.col_lower_, lp.col_upper_ = problem.lower, problem.upper
             lp.row_lower_, lp.row_upper_ = problem.row_lower, problem.row_upper

@@ -10,7 +10,7 @@ from scipy.sparse import csr_matrix
 
 from energycoop import (ControlAction, NetEnergyProfile, StorageState,
                         SystemParams, Trajectory)
-from energycoop.greedy import capped_step
+from energycoop.greedy import stepper
 from energycoop.model import (
     DEFAULT_TOL,
     Violation,
@@ -125,10 +125,12 @@ def hex_fields(traj) -> tuple:
 
 def hybrid_stream_ref(params, offline_traj, realized):
     """Slot-by-slot reference for ``run_hybrid_stream`` on a given plan:
-    ``capped_step`` per slot, ``neutralization_residuals`` for the
-    residual, the ``max``/``min`` builtins for caps, releases and the
-    storage clamp.  Returns the combined and greedy trajectories and the
-    greedy layer's energies (e1, e2)."""
+    the ``standard`` step of ``stepper`` per slot,
+    ``neutralization_residuals`` for the residual, the ``max``/``min``
+    builtins for caps, releases and the storage clamp.  Returns the
+    combined and greedy trajectories and the greedy layer's energies
+    (e1, e2)."""
+    step = stepper("standard", params.alpha, params.beta)
     g_state = StorageState(0.0, 0.0)
     g_actions, g_states, cases, g1s, g2s = [], [g_state], [], [], []
     for t, (e1, e2) in enumerate(zip(realized.e1, realized.e2)):
@@ -141,12 +143,12 @@ def hybrid_stream_ref(params, offline_traj, realized):
         q2 = max(0.0, g_state.s2 - cap2)
         g1 += params.alpha * q1
         g2 += params.alpha * q2
-        # capped_step's clamp as first written; after it, its own is a no-op
+        # the step's clamp as first written; after it, its own is a no-op
         s1 = min(max(g_state.s1 - q1, 0.0), cap1)
         s2 = min(max(g_state.s2 - q2, 0.0), cap2)
-        act, g_state, label = capped_step(params.alpha, params.beta,
-                                          cap1, cap2, s1, s2, g1, g2)
-        w1, w2, c1, c2, d1, d2, x12, x21 = act
+        w1, w2, c1, c2, d1, d2, x12, x21, s1, s2, label = step(
+            cap1, cap2, s1, s2, g1, g2)
+        g_state = StorageState(s1, s2)
         g_actions.append(
             ControlAction(w1, w2, c1, c2, d1 + q1, d2 + q2, x12, x21))
         g_states.append(g_state)

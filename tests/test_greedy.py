@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from energycoop import (
+    ControlAction,
     NetEnergyProfile,
     StorageState,
     SystemParams,
@@ -17,7 +18,7 @@ from energycoop import (
     run_greedy,
     total_cost,
 )
-from energycoop.greedy import MODES, capped_step
+from energycoop.greedy import MODES, stepper
 from energycoop.model import InvalidState, neutralization_residuals
 from energycoop.offline import build_stage1, offline_cost
 
@@ -142,7 +143,7 @@ class TestCases:
         with pytest.raises(ValueError, match="not finite"):
             greedy_step_with_case(P, StorageState(0.5, 0.5), *e, mode)
         with pytest.raises(ValueError, match="not finite"):
-            capped_step(0.9, 0.8, 1.0, 0.5, 0.5, 0.5, *e, mode)
+            stepper(mode, 0.9, 0.8)(1.0, 0.5, 0.5, 0.5, *e)
 
     def test_no_charging_when_transfer_below_deficit(self):
         # covered-deficit transfers never charge the receiving station
@@ -314,21 +315,28 @@ class TestRollout:
         traj = run_greedy(p, prof, mode="force_case_2a")
         assert traj.cases == ("2A", "3A")
 
-    def test_capped_step_respects_caps(self):
+    @pytest.mark.parametrize("mode, alpha, beta", [
+        *((mode, None, None) for mode in MODES),
+        ("no_storage", 0.0, None),
+        ("no_transfer", None, 0.0),
+    ])
+    def test_step_respects_caps(self, mode, alpha, beta):
         rng = np.random.default_rng(24)
         for _ in range(200):
-            alpha = rand_unit_open(rng)
-            beta = rand_unit_open(rng)
+            a, b = rand_unit_open(rng), rand_unit_open(rng)
+            a = a if alpha is None else alpha
+            b = b if beta is None else beta
             cap1, cap2 = rng.uniform(0.0, 2.0, 2)
             s1 = rng.uniform(0, cap1)
             s2 = rng.uniform(0, cap2)
             e1, e2 = rng.uniform(-3, 3, 2)
-            act, state, _ = capped_step(alpha, beta, cap1, cap2,
-                                        s1, s2, e1, e2)
-            assert -1e-9 <= state.s1 <= cap1 + 1e-9
-            assert -1e-9 <= state.s2 <= cap2 + 1e-9
+            record = stepper(mode, a, b)(cap1, cap2, s1, s2, e1, e2)
+            act = ControlAction._make(record[:8])
+            assert -1e-9 <= record[8] <= cap1 + 1e-9
+            assert -1e-9 <= record[9] <= cap2 + 1e-9
             assert act.d1 <= s1 + 1e-9 and act.d2 <= s2 + 1e-9
             r1, r2 = neutralization_residuals(
-                SystemParams(alpha, beta, max(cap1, cap2, 0.1), 1),
-                e1, e2, act)
+                SystemParams(a, b, max(cap1, cap2, 0.1), 1), e1, e2, act)
             assert r1 >= -1e-9 and r2 >= -1e-9
+            if mode == "no_storage":
+                assert act.c1 == act.c2 == act.d1 == act.d2 == 0.0

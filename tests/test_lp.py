@@ -586,16 +586,17 @@ def test_infinite_bound_on_the_wrong_side_rejected(field, bad):
         replace(base, **{field: value})
 
 
-def test_duplicate_entries_are_summed():
-    # row 0 holds column 0 twice (1 + 1), as linprog's COO path sums them
-    dup = csr_matrix((np.array([1.0, 1.0, 1.0]), np.array([0, 0, 1]),
-                      np.array([0, 3])), shape=(1, 2))
-    summed = make_problem([-1.0, -1.0], ub=[(np.array([2.0, 1.0]), 2.0)],
-                          bounds=[(0.0, 1.0), (0.0, 1.0)])
-    problem = replace(summed, a=dup)
-    sol = lp_solve(problem)
-    assert np.array_equal(sol.x, lp_solve(summed).x)
-    assert dup.nnz == 3  # the caller's matrix is left as it was
+def test_non_canonical_entries_rejected():
+    # HiGHS takes each row's columns once and in increasing order, and the
+    # solve passes the caller's arrays as they are: row 1 repeats column
+    # 0, then lists its columns out of order; row 0 ending at column 1
+    # before row 1 starts at column 0 is canonical
+    for indices in ([0, 1, 0, 0], [0, 1, 1, 0]):
+        a = csr_matrix((np.ones(4), np.array(indices), np.array([0, 2, 4])),
+                       shape=(2, 2))
+        with pytest.raises(ValueError, match=r"^a\.indices of row 1 do not "
+                                             "strictly increase$"):
+            replace(_full_problem(), a=a)
 
 
 def _planning_programs():
