@@ -3,23 +3,23 @@
 ``LpProblem`` is a program in the form HiGHS takes: a minimization
 objective, one sparse (CSR) matrix whose rows each carry a lower and an
 upper bound (equal on an equality row, ``-inf`` below a ``<=`` row), and
-per-variable bounds.  Only the non-zeros are stored, so a planning
-program takes memory linear in its horizon.  The matrix is a ``Csr``, its
-arrays read in numpy, so scipy.sparse (whose array-API layer imports
-most of numpy's submodules) is never imported; a scipy ``csr_matrix``
-has the same attributes and is taken too, if canonical (each row's
-columns strictly increasing).  An ``LpSession`` passes the
-arrays straight to the HiGHS solver scipy bundles, through its private
+per-variable bounds.  Only the non-zeros are stored, so a planning program
+takes memory linear in its horizon.  The matrix is a ``Csr``, its arrays
+read in numpy, so scipy.sparse (whose array-API layer imports most of
+numpy's submodules) is never imported; a scipy ``csr_matrix`` has the same
+attributes and is taken too, if canonical (each row's columns strictly
+increasing).  An ``LpSession`` hands the arrays, with no ``HighsLp`` copy,
+to the array ``passModel`` of the HiGHS solver scipy bundles (its private
 binding ``scipy.optimize._highspy._core``, loaded from its file to skip
-importing scipy.optimize, a third of start-up, with the options (1e-10
+importing scipy.optimize, a third of start-up), with the options (1e-10
 feasibility tolerances) that ``linprog(method="highs")`` would pass; the
 ``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
 scipy release that changes the binding fails there instead of silently
 moving a plan; a session re-solves edits of its last program warm.  Every
 point is then re-checked against every constraint at 1e-9, and only that
 certified optimum is returned; everything else raises: ``LpInfeasible``
-for an infeasible program, ``SolverError`` for an unbounded one, any
-other backend failure and a point that fails the re-check.
+for an infeasible program, ``SolverError`` for an unbounded one, any other
+backend failure and a point that fails the re-check.
 """
 
 from __future__ import annotations
@@ -44,18 +44,16 @@ def _load_highs() -> str | None:
         sys.modules[name] = util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
         return name
-    return None
 
 
 _loaded = _load_highs()  # a module in sys.modules imports without parents
 from scipy.optimize._highspy._core import (  # noqa: E402
-    HighsDebugLevel, HighsLp, HighsModelStatus, HighsOptions, HighsStatus,
+    HighsDebugLevel, HighsModelStatus, HighsOptions, HighsStatus,
     MatrixFormat, _Highs, simplex_constants)
 if _loaded:  # else it hides _core from its package; a later import loads
     del sys.modules[_loaded]  # it there, sharing the cached extension
 
 FEAS_TOL = 1e-9
-
 
 # the options linprog(method="highs") sets for these tolerances
 _OPTIONS = HighsOptions()
@@ -79,15 +77,37 @@ class Csr:
     data: np.ndarray
     shape: tuple[int, int]
     format = "csr"
+    rows = None  # each entry's row, kept by the first LpProblem to check it
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
 
-def _entry_rows(a: Csr) -> np.ndarray:
-    """The row of each stored entry of the CSR matrix ``a``."""
-    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+def _checked_rows(a: Csr) -> np.ndarray:
+    """The row of each stored entry of the CSR matrix ``a``, once its
+    structure and entries pass the checks HiGHS needs."""
+    ptr, cols, n = a.indptr, a.indices, a.shape[1]
+    if len(ptr) != a.shape[0] + 1:
+        raise ValueError(f"a.indptr has {len(ptr)} entries, "
+                         f"want {a.shape[0] + 1}")
+    if ptr[0] != 0:
+        raise ValueError(f"a.indptr starts at {ptr[0]}, want 0")
+    if (drop := np.flatnonzero(np.diff(ptr) < 0)).size:
+        raise ValueError(f"a.indptr decreases after entry {drop[0]}")
+    for name, values in (("indices", cols), ("data", a.data)):
+        if len(values) != ptr[-1]:
+            raise ValueError(f"a.{name} has {len(values)} entries, "
+                             f"a.indptr ends at {ptr[-1]}")
+    if (bad := cols[(cols < 0) | (cols >= n)]).size:
+        raise ValueError(f"a.indices has column {bad[0]} outside [0, {n})")
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(ptr))
+    if (bad := np.flatnonzero(np.diff(rows * n + cols) <= 0)).size:
+        raise ValueError(f"a.indices of row {rows[bad[0]]} do not "
+                         "strictly increase")  # HiGHS rejects a repeat
+    if not np.isfinite(a.data).all():
+        raise ValueError("a has a non-finite value")
+    return rows
 
 
 class SolverError(Exception):
@@ -109,7 +129,9 @@ class LpProblem:
     bounds, a ``<=`` row a lower bound of ``-inf``, a ``>=`` row an upper
     bound of ``+inf``; a row with no finite bound is rejected.  ``lower``
     and ``upper`` bound each variable.  Every bound is finite but a lower
-    ``-inf`` and an upper ``+inf``.
+    ``-inf`` and an upper ``+inf``.  The matrix's structure and entries
+    are checked once per ``Csr``, which keeps each entry's row as ``rows``;
+    a scipy matrix keeps nothing and is checked by every program.
     """
 
     objective: np.ndarray
@@ -125,31 +147,13 @@ class LpProblem:
             raise ValueError(f"a must be a CSR matrix, not {type(self.a)}")
         if self.a.shape[1] != n:
             raise ValueError(f"a has {self.a.shape[1]} columns, want {n}")
-        # scipy checks a matrix's structure when it builds one, Csr does not
-        ptr, cols = self.a.indptr, self.a.indices
-        if len(ptr) != self.a.shape[0] + 1:
-            raise ValueError(f"a.indptr has {len(ptr)} entries, "
-                             f"want {self.a.shape[0] + 1}")
-        if ptr[0] != 0:
-            raise ValueError(f"a.indptr starts at {ptr[0]}, want 0")
-        if (drop := np.flatnonzero(np.diff(ptr) < 0)).size:
-            raise ValueError(f"a.indptr decreases after entry {drop[0]}")
-        for name, values in (("indices", cols), ("data", self.a.data)):
-            if len(values) != ptr[-1]:
-                raise ValueError(f"a.{name} has {len(values)} entries, "
-                                 f"a.indptr ends at {ptr[-1]}")
-        if (bad := cols[(cols < 0) | (cols >= n)]).size:
-            raise ValueError(f"a.indices has column {bad[0]} outside "
-                             f"[0, {n})")
-        rows = _entry_rows(self.a)  # HiGHS rejects a repeated entry
-        if (bad := np.flatnonzero(np.diff(rows * n + cols) <= 0)).size:
-            raise ValueError(f"a.indices of row {rows[bad[0]]} do not "
-                             "strictly increase")
-        # HiGHS does not reject these: a NaN cost comes back "optimal"
-        for name, values in (("objective", self.objective),
-                             ("a", self.a.data)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} has a non-finite value")
+        # HiGHS does not reject this: a NaN cost comes back "optimal"
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective has a non-finite value")
+        if getattr(self.a, "rows", None) is None:  # a Csr is checked once
+            rows = _checked_rows(self.a)
+            if isinstance(self.a, Csr):
+                object.__setattr__(self.a, "rows", rows)
         for size, pair in ((self.a.shape[0], ("row_lower", "row_upper")),
                            (n, ("lower", "upper"))):
             lo, hi = (getattr(self, name) for name in pair)
@@ -184,10 +188,12 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
 
     ``argmax`` picks the first NaN and ``not ... <= FEAS_TOL`` rejects it,
     so a point with a NaN entry is never certified.  ``a x`` sums each
-    row's products in entry order, as scipy's CSR product does.
+    row's products in entry order, as scipy's CSR product does, over the
+    entry rows a ``Csr`` kept from its check.
     """
     a = problem.a
-    ax = np.bincount(_entry_rows(a), a.data * x[a.indices], a.shape[0])
+    rows = a.rows if isinstance(a, Csr) else _checked_rows(a)
+    ax = np.bincount(rows, a.data * x[a.indices], a.shape[0])
     for kind, lower, y, upper in (
             ("row", problem.row_lower, ax, problem.row_upper),
             ("bound of variable", problem.lower, x, problem.upper)):
@@ -195,9 +201,8 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
         if resid.size:
             worst = int(np.argmax(resid))
             if not resid[worst] <= FEAS_TOL:
-                raise SolverError(
-                    f"{kind} {worst} violated by {resid[worst]:.3e} "
-                    "after solve")
+                raise SolverError(f"{kind} {worst} violated by "
+                                  f"{resid[worst]:.3e} after solve")
 
 
 class LpSession:
@@ -225,19 +230,14 @@ class LpSession:
             done += map(highs.changeRowBounds, rows.tolist(),
                         problem.row_lower[rows], problem.row_upper[rows])
         else:
-            a, lp = problem.a, HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = problem.n_vars
-            lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[0]
-            lp.a_matrix_.format_ = MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = a.indptr
-            lp.a_matrix_.index_ = a.indices
-            lp.a_matrix_.value_ = a.data
-            lp.col_cost_ = problem.objective
-            lp.col_lower_, lp.col_upper_ = problem.lower, problem.upper
-            lp.row_lower_, lp.row_upper_ = problem.row_lower, problem.row_upper
+            a, n = problem.a, problem.n_vars
             highs = self._highs = _Highs()
             highs.passOptions(_OPTIONS)
-            done = [highs.passModel(lp)]
+            done = [highs.passModel(  # minimize (1), all continuous (0)
+                n, a.shape[0], a.nnz, int(MatrixFormat.kRowwise), 1, 0.0,
+                problem.objective, problem.lower, problem.upper,
+                problem.row_lower, problem.row_upper,
+                a.indptr, a.indices, a.data, np.zeros(n, np.int32))]
         if HighsStatus.kError in done:  # HiGHS rejected the model or an edit
             raise SolverError("LP backend failed: HiGHS status kModelError")
         ran = highs.run() != HighsStatus.kError

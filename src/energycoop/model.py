@@ -104,7 +104,7 @@ class NetEnergyProfile:
         object.__setattr__(self, "e2", tuple(map(float, self.e2)))
         check_slots("e2", len(self.e2), len(self.e1))
         for name, seq in (("e1", self.e1), ("e2", self.e2)):
-            if not all(map(math.isfinite, seq)):
+            if not (math.isfinite(sum(seq)) or all(map(math.isfinite, seq))):
                 t = next(t for t, v in enumerate(seq) if not math.isfinite(v))
                 raise ValueError(f"{name}[{t}] is not finite: {seq[t]}")
 

@@ -14,13 +14,14 @@ import pytest
 import scipy
 from scipy.optimize import _linprog_highs
 from scipy.optimize._highspy._core import (
-    HighsModelStatus, HighsStatus, _Highs)
+    HighsModelStatus, HighsStatus, HighsVarType, ObjSense, _Highs)
 from scipy.sparse import csr_matrix
 
-from energycoop import SystemParams, lp, sinusoid
+from energycoop import SystemParams, add_gaussian_noise, lp, sinusoid
 from energycoop.lp import (
     FEAS_TOL, LpInfeasible, LpProblem, LpSession, SolverError, lp_solve)
-from energycoop.offline import build_single_bs, build_stage1, build_stage2
+from energycoop.offline import (
+    build_single_bs, build_stage1, build_stage2, plan_and_price)
 
 from helpers import make_problem
 from oracles import enumerate_lp_optimum, linprog_reference
@@ -608,6 +609,56 @@ def _planning_programs():
         yield stage1
         yield build_stage2(stage1, lp_solve(stage1).objective_value)
         yield build_single_bs(params, profile.e1)
+
+
+def test_cold_pass_holds_the_programs_arrays():
+    # the cold path hands HiGHS fifteen positional arguments; the model
+    # HiGHS keeps must hold each of the program's arrays in its own place,
+    # so two swapped arguments fail here even when the solve succeeds
+    for problem in _planning_programs():
+        session = LpSession()
+        session.solve(problem)
+        session._highs.ensureRowwise()
+        model = session._highs.getLp()
+        a = model.a_matrix_
+        for got, want in ((model.col_cost_, problem.objective),
+                          (model.col_lower_, problem.lower),
+                          (model.col_upper_, problem.upper),
+                          (model.row_lower_, problem.row_lower),
+                          (model.row_upper_, problem.row_upper),
+                          (a.start_, problem.a.indptr),
+                          (a.index_, problem.a.indices),
+                          (a.value_, problem.a.data)):
+            assert np.array_equal(got, want)
+        assert model.sense_ == ObjSense.kMinimize
+        assert model.offset_ == 0.0
+        assert len(model.integrality_) == problem.n_vars
+        assert set(model.integrality_) == {HighsVarType.kContinuous}
+
+
+def test_each_csr_checked_once(monkeypatch):
+    # a program that shares a checked Csr checks only its own arrays: the
+    # plan's stage-1 matrix serves four cost solves and stage 2 one more
+    checked = []
+    check = lp._checked_rows
+
+    def spy(a):
+        checked.append(a)
+        return check(a)
+
+    monkeypatch.setattr(lp, "_checked_rows", spy)
+    params = SystemParams(0.9, 0.8, 1.0, 48)
+    profile = sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 48)
+    plan_and_price(params, profile, [add_gaussian_noise(profile, 0.125, k)
+                                     for k in range(3)])
+    assert len(checked) == 2
+    assert checked[0].shape[0] + 1 == checked[1].shape[0]  # the budget row
+    # a scipy matrix keeps nothing, so every program built on it is checked
+    problem = _full_problem()
+    del checked[:]
+    for k in range(3):
+        replace(problem, row_upper=problem.row_upper + k)
+    assert [a is problem.a for a in checked] == [True] * 3
 
 
 def _random_programs():

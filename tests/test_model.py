@@ -97,6 +97,19 @@ class TestParams:
                            match=rf"^e2\[0\] is not finite: {bad}$"):
             NetEnergyProfile(e1=(0.0, 0.0), e2=(bad, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_profile_finite_sum_overflow(self, bad):
+        # the values are checked through their sum: a sum that overflows
+        # on finite values is accepted, and a bad value anywhere in a long
+        # profile is still named by its slot
+        NetEnergyProfile(e1=(1e308, 1e308), e2=(-1e308, -1e308))
+        for k in (0, 239, 479):
+            e = [1e308 * (-1) ** t for t in range(480)]
+            e[k] = bad
+            with pytest.raises(ValueError,
+                               match=rf"^e2\[{k}\] is not finite: {bad}$"):
+                NetEnergyProfile(e1=(0.0,) * 480, e2=e)
+
     def test_numbers_stored_as_floats(self):
         # a list of ints is kept as a hashable pair of floats, as a
         # profile keeps its energies; numpy scalars become floats too
