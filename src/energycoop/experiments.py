@@ -88,6 +88,11 @@ class ExperimentSpec:
         for v in self.seeds:  # the rule of check_slot_count, from 0
             if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
                 raise ValueError(f"seed {v!r}: want an integer >= 0")
+        for name in ("alpha", "beta", "amplitude"):  # a CSV holds floats
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, to in (("thetas", float), ("s_max_grid", float),
+                         ("seeds", int)):
+            object.__setattr__(self, name, tuple(map(to, getattr(self, name))))
 
     def params(self, s_max: float) -> SystemParams:
         return SystemParams(self.alpha, self.beta, s_max, self.n_slots)

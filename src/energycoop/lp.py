@@ -4,18 +4,18 @@
 objective, one sparse (CSR) matrix whose rows each carry a lower and an
 upper bound (equal on an equality row, ``-inf`` below a ``<=`` row), and
 per-variable bounds.  Only the non-zeros are stored, so a planning program
-takes memory linear in its horizon.  The matrix is a ``Csr``, its arrays
-read in numpy, so scipy.sparse (whose array-API layer imports most of
-numpy's submodules) is never imported; a scipy ``csr_matrix`` has the same
-attributes and is taken too, if canonical (each row's columns strictly
-increasing).  An ``LpSession`` hands the arrays, with no ``HighsLp`` copy,
-to the array ``passModel`` of the HiGHS solver scipy bundles (its private
-binding ``scipy.optimize._highspy._core``, loaded from its file to skip
-importing scipy.optimize, a third of start-up), with the options (1e-10
-feasibility tolerances) that ``linprog(method="highs")`` would pass; the
-``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin that, so a
-scipy release that changes the binding fails there instead of silently
-moving a plan; a session re-solves edits of its last program warm.  Every
+takes memory linear in its horizon.  The matrix is a ``Csr`` and nothing
+else: it is checked once, when made, and then frozen; its arrays are read
+in numpy, so scipy.sparse (whose array-API layer imports most of numpy's
+submodules) is never imported.  An ``LpSession`` hands the arrays, with
+no ``HighsLp`` copy, to the array ``passModel`` of the HiGHS solver scipy
+bundles (its private binding ``scipy.optimize._highspy._core``, loaded
+from its file to skip importing scipy.optimize, a third of start-up),
+with the options (1e-10 feasibility tolerances) that
+``linprog(method="highs")`` would pass; the ``*_match_public_linprog``
+tests in ``tests/test_lp.py`` pin that, so a scipy release that changes
+the binding fails there instead of silently moving a plan; a session
+re-solves edits of its last program warm.  Every
 point is then re-checked against every constraint at 1e-9, and only that
 certified optimum is returned; everything else raises: ``LpInfeasible``
 for an infeasible program, ``SolverError`` for an unbounded one, any other
@@ -25,7 +25,7 @@ backend failure and a point that fails the re-check.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import machinery, util
 from math import inf
 
@@ -70,44 +70,47 @@ _OPTIONS.log_to_console = False
 @dataclass(frozen=True, eq=False)
 class Csr:
     """A compressed sparse row matrix: row i holds ``data[k]`` in column
-    ``indices[k]`` for k in ``range(indptr[i], indptr[i + 1])``."""
+    ``indices[k]`` for k in ``range(indptr[i], indptr[i + 1])``.  Checked
+    when made (canonical and finite, as HiGHS needs), it keeps each entry's
+    row as ``rows`` and owns its arrays: all four are made read-only."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
-    format = "csr"
-    rows = None  # each entry's row, kept by the first LpProblem to check it
+    rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ptr, cols, n = self.indptr, self.indices, self.shape[1]
+        if len(ptr) != self.shape[0] + 1:
+            raise ValueError(f"a.indptr has {len(ptr)} entries, "
+                             f"want {self.shape[0] + 1}")
+        if ptr[0] != 0:
+            raise ValueError(f"a.indptr starts at {ptr[0]}, want 0")
+        if (drop := np.flatnonzero(np.diff(ptr) < 0)).size:
+            raise ValueError(f"a.indptr decreases after entry {drop[0]}")
+        for name, values in (("indices", cols), ("data", self.data)):
+            if len(values) != ptr[-1]:
+                raise ValueError(f"a.{name} has {len(values)} entries, "
+                                 f"a.indptr ends at {ptr[-1]}")
+        if (bad := cols[(cols < 0) | (cols >= n)]).size:
+            raise ValueError(f"a.indices has column {bad[0]} outside [0, {n})")
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(ptr))
+        if (bad := np.flatnonzero(np.diff(rows * n + cols) <= 0)).size:
+            raise ValueError(f"a.indices of row {rows[bad[0]]} do not "
+                             "strictly increase")  # HiGHS rejects a repeat
+        if not np.isfinite(self.data).all():
+            raise ValueError("a has a non-finite value")
+        object.__setattr__(self, "rows", rows)
+        for values in (ptr, cols, self.data, rows):
+            values.flags.writeable = False
+
+    def __reduce__(self):  # a copy or an unpickled matrix is checked anew
+        return Csr, (self.indptr, self.indices, self.data, self.shape)
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
-
-
-def _checked_rows(a: Csr) -> np.ndarray:
-    """The row of each stored entry of the CSR matrix ``a``, once its
-    structure and entries pass the checks HiGHS needs."""
-    ptr, cols, n = a.indptr, a.indices, a.shape[1]
-    if len(ptr) != a.shape[0] + 1:
-        raise ValueError(f"a.indptr has {len(ptr)} entries, "
-                         f"want {a.shape[0] + 1}")
-    if ptr[0] != 0:
-        raise ValueError(f"a.indptr starts at {ptr[0]}, want 0")
-    if (drop := np.flatnonzero(np.diff(ptr) < 0)).size:
-        raise ValueError(f"a.indptr decreases after entry {drop[0]}")
-    for name, values in (("indices", cols), ("data", a.data)):
-        if len(values) != ptr[-1]:
-            raise ValueError(f"a.{name} has {len(values)} entries, "
-                             f"a.indptr ends at {ptr[-1]}")
-    if (bad := cols[(cols < 0) | (cols >= n)]).size:
-        raise ValueError(f"a.indices has column {bad[0]} outside [0, {n})")
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(ptr))
-    if (bad := np.flatnonzero(np.diff(rows * n + cols) <= 0)).size:
-        raise ValueError(f"a.indices of row {rows[bad[0]]} do not "
-                         "strictly increase")  # HiGHS rejects a repeat
-    if not np.isfinite(a.data).all():
-        raise ValueError("a has a non-finite value")
-    return rows
 
 
 class SolverError(Exception):
@@ -123,15 +126,12 @@ class LpProblem:
     """min objective . x  subject to row_lower <= a x <= row_upper and
     lower <= x <= upper.
 
-    ``a`` is a CSR matrix (``format == "csr"``, each row's columns
-    strictly increasing) with one column per variable and one row per
-    entry of ``row_lower`` / ``row_upper``: an equality row has equal
-    bounds, a ``<=`` row a lower bound of ``-inf``, a ``>=`` row an upper
-    bound of ``+inf``; a row with no finite bound is rejected.  ``lower``
-    and ``upper`` bound each variable.  Every bound is finite but a lower
-    ``-inf`` and an upper ``+inf``.  The matrix's structure and entries
-    are checked once per ``Csr``, which keeps each entry's row as ``rows``;
-    a scipy matrix keeps nothing and is checked by every program.
+    ``a`` is a ``Csr`` with one column per variable and one row per entry
+    of ``row_lower`` / ``row_upper``: an equality row has equal bounds, a
+    ``<=`` row a lower bound of ``-inf``, a ``>=`` row an upper bound of
+    ``+inf``; a row with no finite bound is rejected.  ``lower`` and
+    ``upper`` bound each variable.  Every bound is finite but a lower
+    ``-inf`` and an upper ``+inf``.  The matrix checked itself when made.
     """
 
     objective: np.ndarray
@@ -143,17 +143,13 @@ class LpProblem:
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        if getattr(self.a, "format", None) != "csr":  # HiGHS reads indptr
-            raise ValueError(f"a must be a CSR matrix, not {type(self.a)}")
+        if not isinstance(self.a, Csr):
+            raise ValueError(f"a must be a Csr, not {type(self.a)}")
         if self.a.shape[1] != n:
             raise ValueError(f"a has {self.a.shape[1]} columns, want {n}")
         # HiGHS does not reject this: a NaN cost comes back "optimal"
         if not np.isfinite(self.objective).all():
             raise ValueError("objective has a non-finite value")
-        if getattr(self.a, "rows", None) is None:  # a Csr is checked once
-            rows = _checked_rows(self.a)
-            if isinstance(self.a, Csr):
-                object.__setattr__(self.a, "rows", rows)
         for size, pair in ((self.a.shape[0], ("row_lower", "row_upper")),
                            (n, ("lower", "upper"))):
             lo, hi = (getattr(self, name) for name in pair)
@@ -188,12 +184,10 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
 
     ``argmax`` picks the first NaN and ``not ... <= FEAS_TOL`` rejects it,
     so a point with a NaN entry is never certified.  ``a x`` sums each
-    row's products in entry order, as scipy's CSR product does, over the
-    entry rows a ``Csr`` kept from its check.
+    row's products in entry order, as scipy's CSR product does.
     """
     a = problem.a
-    rows = a.rows if isinstance(a, Csr) else _checked_rows(a)
-    ax = np.bincount(rows, a.data * x[a.indices], a.shape[0])
+    ax = np.bincount(a.rows, a.data * x[a.indices], a.shape[0])
     for kind, lower, y, upper in (
             ("row", problem.row_lower, ax, problem.row_upper),
             ("bound of variable", problem.lower, x, problem.upper)):

@@ -17,7 +17,18 @@ from energycoop.model import (
     check_slots,
     neutralization_residuals,
 )
-from energycoop.lp import LpProblem
+from energycoop.lp import Csr, LpProblem
+
+
+def dense_csr(rows) -> Csr:
+    """The ``Csr`` of a dense 2-d array, its zeros left out."""
+    m = csr_matrix(np.asarray(rows, dtype=float))
+    return Csr(m.indptr, m.indices, m.data, m.shape)
+
+
+def scipy_csr(a: Csr) -> csr_matrix:
+    """``a`` as a scipy matrix, for its products and conversions."""
+    return csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def make_problem(c, eq=(), ub=(), bounds=()) -> LpProblem:
@@ -30,8 +41,7 @@ def make_problem(c, eq=(), ub=(), bounds=()) -> LpProblem:
     """
     n = len(c)
     rows = [*ub, *eq]
-    a = (csr_matrix(np.array([r for r, _ in rows], dtype=float)) if rows
-         else csr_matrix((0, n)))
+    a = dense_csr([r for r, _ in rows] if rows else np.zeros((0, n)))
     rhs = np.array([b for _, b in rows], dtype=float)
     bounds = np.asarray(bounds or [(0.0, math.inf)] * n, dtype=float)
     return LpProblem(objective=np.asarray(c, dtype=float), a=a,

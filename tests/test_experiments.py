@@ -191,6 +191,34 @@ def test_byte_identical_reruns(tmp_path, experiment):
 
 
 @pytest.mark.parametrize("experiment", ["saving-vs-theta",
+                                        "hybrid-vs-greedy"])
+def test_csv_bytes_do_not_depend_on_number_types(tmp_path, experiment):
+    # an API-built spec may carry ints, numpy scalars or lists; it stores
+    # floats, ints and tuples, so its CSV is the float spec's byte for byte
+    # (the ints were written as 1 and 0, numpy's as np.float64(0.9))
+    seeds = {"seeds": (0, 1)} if experiment == "hybrid-vs-greedy" else {}
+    floats = dict(n_slots=24, alpha=1.0, beta=1.0, amplitude=3.0,
+                  thetas=(0.0, 1.0), s_max_grid=(1.0,), **seeds)
+    ints = dict(floats, alpha=1, beta=1, amplitude=3, thetas=[0, 1],
+                s_max_grid=(1,), seeds=list(seeds.get("seeds", ())))
+    numpys = dict(floats, alpha=np.float64(0.9), beta=np.float64(0.8),
+                  amplitude=np.float64(3.0), thetas=list(np.array([0.0, 0.5])),
+                  s_max_grid=(np.float64(1.0),),
+                  seeds=tuple(np.arange(len(seeds.get("seeds", ())))))
+    for kind, plain in ((ints, floats),
+                        (numpys, dict(floats, alpha=0.9, beta=0.8,
+                                      thetas=(0.0, 0.5)))):
+        csvs = []
+        for overrides in (kind, plain):
+            spec = default_spec(experiment, **overrides)
+            assert spec == default_spec(experiment, **plain)
+            hash(spec)
+            csvs.append(tmp_path / f"{len(csvs)}.csv")
+            write_result(run_experiment(spec, workers=1), csvs[-1])
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+@pytest.mark.parametrize("experiment", ["saving-vs-theta",
                                         "greedy-loss-vs-theta"])
 def test_every_study_sweeps_the_storage_grid(experiment):
     spec = small_spec(experiment)

@@ -2,16 +2,21 @@
 
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
+from copy import deepcopy
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import _linprog_highs
 from scipy.optimize._highspy._core import (
     HighsModelStatus, HighsStatus, HighsVarType, ObjSense, _Highs)
@@ -23,7 +28,7 @@ from energycoop.lp import (
 from energycoop.offline import (
     build_single_bs, build_stage1, build_stage2, plan_and_price)
 
-from helpers import make_problem
+from helpers import dense_csr, make_problem, scipy_csr
 from oracles import enumerate_lp_optimum, linprog_reference
 
 
@@ -203,7 +208,7 @@ def test_point_below_a_ge_row_not_certified(monkeypatch):
     # x1 + x2 >= 1 is a row with a finite lower bound only; a point under
     # it fails the re-check like one over a <= row
     problem = replace(make_problem([1.0, 1.0], bounds=[(0.0, 1.0)] * 2),
-                      a=csr_matrix(np.ones((1, 2))), row_lower=np.ones(1),
+                      a=dense_csr(np.ones((1, 2))), row_lower=np.ones(1),
                       row_upper=np.full(1, math.inf))
     armed, _ = _mutated_backend(monkeypatch, x=np.array([0.25, 0.25]))
     assert lp_solve(problem).objective_value == pytest.approx(1.0)
@@ -275,7 +280,7 @@ def _random_edit(problem, rng):
 
 def _assert_feasible(problem, x):
     """Every row and column bound of ``problem`` holds at x to FEAS_TOL."""
-    ax = problem.a @ x
+    ax = scipy_csr(problem.a) @ x
     assert np.all((problem.row_lower - FEAS_TOL <= ax)
                   & (ax <= problem.row_upper + FEAS_TOL))
     assert np.all((problem.lower - FEAS_TOL <= x)
@@ -326,7 +331,7 @@ def test_optimal_face_resolves_warm(monkeypatch):
             x = session.solve(problem).x
         except LpInfeasible:
             continue
-        slack = problem.row_upper - problem.a @ x
+        slack = problem.row_upper - scipy_csr(problem.a) @ x
         tight = ((problem.row_lower == -math.inf) & (slack <= FEAS_TOL)
                  & (rng.random(len(slack)) < 0.7))
         at_lower = (np.abs(x - problem.lower) <= FEAS_TOL) & (rng.random(
@@ -380,7 +385,7 @@ def _random_ranged_program(rng):
         ub.append((-row, -lo))
         if hi < math.inf:
             ub.append((row, hi))
-    problem = LpProblem(c, csr_matrix(np.array(rows)), np.array(lower),
+    problem = LpProblem(c, dense_csr(rows), np.array(lower),
                         np.array(upper), *np.array(bounds).T)
     return problem, (c, eq, ub, bounds)
 
@@ -409,7 +414,7 @@ def test_session_new_matrices_solve_cold():
     session = LpSession()
     for _ in range(20):
         problem = _feasible_program(rng)
-        copy = replace(problem, a=problem.a.copy())
+        copy = replace(problem, a=replace(problem.a))
         for fresh in (problem, copy):
             highs = session._highs
             sol = session.solve(fresh)
@@ -485,27 +490,29 @@ _RHS_REJECTED = {
                                    "a_eq", "a_ub"])
 def test_non_finite_data_rejected(field, bad):
     # ``field`` names where the split form kept the value; the row form
-    # puts it in the same row of ``a`` or its bounds and still rejects it
+    # puts it in the same row of ``a`` or its bounds and still rejects it,
+    # a matrix entry when the Csr is made
     base = _full_problem()
     row = 1 if field.endswith("_eq") else 0
     if field == "objective":
         objective = base.objective.copy()
         objective[0] = bad
-        changes = {"objective": objective}
+        make = partial(replace, base, objective=objective)
         error = "objective has a non-finite value"
     elif field.startswith("a_"):
-        a = base.a.copy()
-        a.data[a.indptr[row]] = bad
-        changes, error = {"a": a}, "a has a non-finite value"
+        data = base.a.data.copy()
+        data[base.a.indptr[row]] = bad
+        make = partial(replace, base.a, data=data)
+        error = "a has a non-finite value"
     else:
         lower, upper = base.row_lower.copy(), base.row_upper.copy()
         upper[row] = bad
         if field == "b_eq":
             lower[row] = bad
-        changes = {"row_lower": lower, "row_upper": upper}
+        make = partial(replace, base, row_lower=lower, row_upper=upper)
         error = _RHS_REJECTED[field, str(bad)]
     with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
-        replace(base, **changes)
+        make()
 
 
 def _set(name, index, value):
@@ -530,16 +537,19 @@ def _set(name, index, value):
     (lambda base: {"row_upper": np.ones(1)},
      "row_lower/row_upper of length 2/1, want 2"),
     (lambda base: {"upper": np.ones(3)}, "lower/upper of length 2/3, want 2"),
-    (lambda base: {"a": csr_matrix((2, 3))}, "a has 3 columns, want 2"),
-    (lambda base: {"a": base.a.tocsc()}, "a must be a CSR matrix"),
-    (lambda base: {"a": base.a.tocoo()}, "a must be a CSR matrix"),
-    (lambda base: {"a": base.a.toarray()}, "a must be a CSR matrix"),
+    (lambda base: {"a": dense_csr(np.zeros((2, 3)))},
+     "a has 3 columns, want 2"),
+    (lambda base: {"a": scipy_csr(base.a)}, "a must be a Csr"),
+    (lambda base: {"a": scipy_csr(base.a).tocsc()}, "a must be a Csr"),
+    (lambda base: {"a": scipy_csr(base.a).tocoo()}, "a must be a Csr"),
+    (lambda base: {"a": scipy_csr(base.a).toarray()}, "a must be a Csr"),
 ], ids=["free_row", "nan_row_lower", "nan_row_upper", "nan_lower",
         "nan_upper", "crossed_row", "crossed_bound", "row_bounds_length",
-        "bounds_length", "columns", "csc", "coo", "dense"])
+        "bounds_length", "columns", "scipy_csr", "csc", "coo", "dense"])
 def test_row_form_rejections(edit, error):
     # wrong-side infinities are in the test below; a CSC matrix's indptr
-    # would reach HiGHS as row starts
+    # would reach HiGHS as row starts, and no scipy matrix is checked or
+    # frozen as a Csr is
     base = _full_problem()
     with pytest.raises(ValueError, match=f"^{re.escape(error)}"):
         replace(base, **edit(base))
@@ -564,10 +574,9 @@ def test_row_form_rejections(edit, error):
 def test_malformed_csr_rejected(indptr, indices, data, error):
     # without the check each reached the solve: numpy's broadcast or
     # bincount errors, or HiGHS's kModelError for a bad column
-    a = lp.Csr(np.array(indptr, dtype=np.int32),
-               np.array(indices, dtype=np.int32), np.array(data), (2, 2))
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-        replace(_full_problem(), a=a)
+        lp.Csr(np.array(indptr, dtype=np.int32),
+               np.array(indices, dtype=np.int32), np.array(data), (2, 2))
 
 
 @pytest.mark.parametrize("field, bad", [("lower", math.inf),
@@ -578,7 +587,7 @@ def test_infinite_bound_on_the_wrong_side_rejected(field, bad):
     base = make_problem([1.0, 1.0], bounds=[(-math.inf, math.inf)] * 2)
     rows = {"row_lower": (0.0, math.inf), "row_upper": (-math.inf, 1.0)}
     if field in rows:  # a >= row or a <= row
-        base = replace(base, a=csr_matrix(np.ones((1, 2))),
+        base = replace(base, a=dense_csr(np.ones((1, 2))),
                        row_lower=np.array(rows[field][:1]),
                        row_upper=np.array(rows[field][1:]))
     value = getattr(base, field).copy()
@@ -593,11 +602,107 @@ def test_non_canonical_entries_rejected():
     # 0, then lists its columns out of order; row 0 ending at column 1
     # before row 1 starts at column 0 is canonical
     for indices in ([0, 1, 0, 0], [0, 1, 1, 0]):
-        a = csr_matrix((np.ones(4), np.array(indices), np.array([0, 2, 4])),
-                       shape=(2, 2))
         with pytest.raises(ValueError, match=r"^a\.indices of row 1 do not "
                                              "strictly increase$"):
-            replace(_full_problem(), a=a)
+            lp.Csr(np.array([0, 2, 4]), np.array(indices), np.ones(4), (2, 2))
+
+
+_CORRUPTIONS = ("none", "length", "start", "fall", "range", "repeat",
+                "unsorted", "non_finite")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_csr_check_matches_scipy(data):
+    # scipy is the independent arbiter: a Csr is made exactly when scipy
+    # takes the arrays whole (a full format check passes and no entry past
+    # indptr[-1] is pruned), finds them canonical and every entry finite;
+    # the rows it then keeps are scipy's COO rows
+    m = data.draw(st.integers(0, 4), label="m")
+    n = data.draw(st.integers(1, 4), label="n")
+    cols = [sorted(data.draw(st.sets(st.integers(0, n - 1))))
+            for _ in range(m)]
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    indices = np.array([j for c in cols for j in c], dtype=np.int64)
+    values = np.array(data.draw(st.lists(
+        st.floats(-5, 5), min_size=len(indices), max_size=len(indices))))
+    arrays = {"indptr": indptr, "indices": indices, "data": values}
+    how = data.draw(st.sampled_from(_CORRUPTIONS), label="corruption")
+    k = data.draw(st.integers(0, max(len(indices) - 1, 0)), label="k")
+    if how == "length":
+        name = data.draw(st.sampled_from(sorted(arrays)), label="array")
+        old = arrays[name]
+        arrays[name] = (old[:-1] if data.draw(st.booleans()) and len(old)
+                        else np.append(old, old[-1] if len(old) else 0))
+    elif how == "start":
+        indptr[0] = data.draw(st.integers(-2, 2).filter(bool))
+    elif how == "fall" and m:
+        indptr[data.draw(st.integers(1, m))] += data.draw(st.integers(-3, -1))
+    elif how == "range" and len(indices):
+        indices[k] = data.draw(st.sampled_from([-3, -1, n, n + 2]))
+    elif how in ("repeat", "unsorted") and k:
+        indices[k] = indices[k - 1] if how == "repeat" else indices[k] - 1
+    elif how == "non_finite" and len(indices):
+        values[k] = data.draw(st.sampled_from([math.nan, math.inf,
+                                               -math.inf]))
+    ptr, idx, val = (arrays[name].copy()
+                     for name in ("indptr", "indices", "data"))
+    try:
+        ref = csr_matrix((val, idx, ptr), shape=(m, n))
+        ref.check_format(full_check=True)
+        accept = (len(ref.indices) == len(idx) and ref.has_canonical_format
+                  and np.isfinite(val).all())
+    except ValueError:
+        accept = False
+    make = partial(lp.Csr, arrays["indptr"], arrays["indices"],
+                   arrays["data"], (m, n))
+    if accept:
+        assert np.array_equal(make().rows, ref.tocoo().row)
+    else:
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_built_matrix_cannot_change_under_a_session():
+    # a plan's matrix is read-only: neither a NaN nor an efficiency edit
+    # can be written into it after a session solved it, so the warm path,
+    # which trusts a matrix it has seen by identity, never solves a stale
+    # one; the edit is a new Csr, which the session passes cold
+    params = SystemParams(0.9, 0.8, 1.0, 24)
+    stage1 = build_stage1(params, sinusoid(3.0, 2 * math.pi / 24,
+                                           math.pi / 2, 24))
+    a = stage1.a
+    with pytest.raises(ValueError, match="read-only"):
+        a.data[0] = math.nan
+    session = LpSession()
+    cold = session.solve(stage1).objective_value
+    efficiency = a.data == -0.9
+    with pytest.raises(ValueError, match="read-only"):
+        a.data[efficiency] = -0.5
+    for name in ("indptr", "indices", "rows"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(a, name)[-1] = 0
+    highs = session._highs
+    assert session.solve(replace(stage1)).objective_value == pytest.approx(
+        cold, abs=1e-9)
+    assert session._highs is highs  # warm: the same, unchanged matrix
+    edited = replace(stage1, a=replace(a, data=np.where(efficiency, -0.5,
+                                                        a.data)))
+    sol = session.solve(edited)
+    assert session._highs is not highs
+    assert np.array_equal(sol.x, lp_solve(edited).x)
+
+
+def test_copied_matrix_is_checked_and_frozen():
+    # a copy or an unpickled Csr is made anew from its arrays, so it too
+    # keeps its rows and cannot be written into
+    a = build_stage1(SystemParams(0.9, 0.8, 1.0, 24),
+                     sinusoid(3.0, 2 * math.pi / 24, 0.0, 24)).a
+    for copy in (pickle.loads(pickle.dumps(a)), deepcopy(a)):
+        assert copy is not a and copy.shape == a.shape
+        for name in ("indptr", "indices", "data", "rows"):
+            assert np.array_equal(getattr(copy, name), getattr(a, name))
+            assert not getattr(copy, name).flags.writeable
 
 
 def _planning_programs():
@@ -637,28 +742,23 @@ def test_cold_pass_holds_the_programs_arrays():
 
 
 def test_each_csr_checked_once(monkeypatch):
-    # a program that shares a checked Csr checks only its own arrays: the
-    # plan's stage-1 matrix serves four cost solves and stage 2 one more
+    # a matrix is checked when made and a program that shares it checks
+    # only its own arrays: the plan makes two, stage 1's serving four cost
+    # solves and stage 2's, with its budget row, one more
     checked = []
-    check = lp._checked_rows
+    check = lp.Csr.__post_init__
 
     def spy(a):
         checked.append(a)
-        return check(a)
+        check(a)
 
-    monkeypatch.setattr(lp, "_checked_rows", spy)
+    monkeypatch.setattr(lp.Csr, "__post_init__", spy)
     params = SystemParams(0.9, 0.8, 1.0, 48)
     profile = sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 48)
     plan_and_price(params, profile, [add_gaussian_noise(profile, 0.125, k)
                                      for k in range(3)])
     assert len(checked) == 2
     assert checked[0].shape[0] + 1 == checked[1].shape[0]  # the budget row
-    # a scipy matrix keeps nothing, so every program built on it is checked
-    problem = _full_problem()
-    del checked[:]
-    for k in range(3):
-        replace(problem, row_upper=problem.row_upper + k)
-    assert [a is problem.a for a in checked] == [True] * 3
 
 
 def _random_programs():
@@ -718,11 +818,11 @@ def test_failures_match_public_linprog(problem, status, error):
 
 _SOLVE_TINY = """
 import numpy as np
-from scipy.sparse import csr_matrix
 import energycoop
-tiny = energycoop.LpProblem(np.ones(1), csr_matrix([[-1.0]]),
-                            np.array([-np.inf]), np.array([-1.0]),
-                            np.zeros(1), np.full(1, np.inf))
+tiny = energycoop.LpProblem(
+    np.ones(1), energycoop.lp.Csr(np.array([0, 1]), np.array([0]),
+                                  np.array([-1.0]), (1, 1)),
+    np.array([-np.inf]), np.array([-1.0]), np.zeros(1), np.full(1, np.inf))
 assert energycoop.lp_solve(tiny).x.tolist() == [1.0]
 """
 
@@ -756,17 +856,16 @@ def test_binding_loads_without_scipy_optimize():
 def test_library_imports_without_scipy_sparse_or_special():
     # scipy.sparse and scipy.special each import scipy's array-API layer,
     # which imports numpy.f2py, numpy.testing and more, over half of a
-    # fresh `import energycoop`.  A plan and a noise draw need neither,
-    # and a scipy csr_matrix program still solves once the caller has
-    # imported scipy.sparse
+    # fresh `import energycoop`.  A plan, a noise draw and a program on a
+    # hand-made Csr need neither
     _run_fresh("import math, sys\nimport energycoop as ec\n"
                "params = ec.SystemParams(0.9, 0.8, 1.0, 24)\n"
                "profile = ec.sinusoid(3.0, 2 * math.pi / 24, 1.0, 24)\n"
                "ec.plan_offline(params, profile)\n"
-               "ec.add_gaussian_noise(profile, 0.125, 0)\n"
-               "for name in ('scipy.sparse', 'scipy.special',\n"
+               "ec.add_gaussian_noise(profile, 0.125, 0)\n" + _SOLVE_TINY
+               + "for name in ('scipy.sparse', 'scipy.special',\n"
                "             'scipy._lib._array_api'):\n"
-               "    assert name not in sys.modules, name\n" + _SOLVE_TINY)
+               "    assert name not in sys.modules, name\n")
 
 
 def test_binding_reachable_through_its_package():
