@@ -73,10 +73,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {EXPERIMENT_IDS}")
-        if not self.thetas or not self.s_max_grid:
+        # len, not truth: a numpy array grid has no truth value
+        if len(self.thetas) == 0 or len(self.s_max_grid) == 0:
             raise ValueError("theta and s_max grids must be non-empty")
         _, records = _STUDIES[self.experiment]
-        if bool(self.seeds) != ("seeds" in records):
+        if (len(self.seeds) > 0) != ("seeds" in records):
             raise ValueError(f"{self.experiment}: only hybrid-vs-greedy takes "
                              "seeds, and it needs them")
         if "case_tol" in records:  # the greedy controller runs, standard

@@ -82,6 +82,10 @@ class Csr:
 
     def __post_init__(self) -> None:
         ptr, cols, n = self.indptr, self.indices, self.shape[1]
+        for name, values in (("indptr", ptr), ("indices", cols)):
+            if values.dtype.kind not in "iu":  # numpy indexes by integers
+                raise ValueError(f"a.{name} has dtype {values.dtype}, "
+                                 "want an integer dtype")
         if len(ptr) != self.shape[0] + 1:
             raise ValueError(f"a.indptr has {len(ptr)} entries, "
                              f"want {self.shape[0] + 1}")

@@ -11,10 +11,14 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
 from .model import NetEnergyProfile, check_slot_count
+
+
+_inv_cdf = NormalDist().inv_cdf
 
 
 class ParseError(Exception):
@@ -40,69 +44,23 @@ def sinusoid(amplitude: float, omega: float, theta: float,
     return NetEnergyProfile(e1=tuple(e1.tolist()), e2=tuple(e2.tolist()))
 
 
-# cephes ndtri's coefficients (to the double), highest power first; each
-# Q has cephes's implied leading 1.0, and np.polyval is its Horner loop
-_EXP_M2, _S2PI = 0.1353352832366127, 2.5066282746310007  # exp(-2), sqrt(2 pi)
-_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703,
-       13.931260938727968, -1.2391658386738125)
-_Q0 = (1.0, 1.9544885833814176, 4.676279128988815, 86.36024213908905,
-       -225.46268785411937, 200.26021238006066, -82.03722561683334,
-       15.90562251262117, -1.1833162112133)
-_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213,
-       44.08050738932008, 14.684956192885803, 2.1866330685079025,
-       -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854)
-_Q1 = (1.0, 15.779988325646675, 45.39076351288792, 41.3172038254672,
-       15.04253856929075, 2.504649462083094, -0.14218292285478779,
-       -0.03808064076915783, -0.0009332594808954574)
-_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444,
-       1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
-       0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
-_Q2 = (1.0, 6.02427039364742, 3.6798356385616087, 1.3770209948908132,
-       0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
-       2.8924786474538068e-06, 6.790194080099813e-09)
-
-
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse normal CDF of each u in [0, 1], bit for bit
-    ``scipy.special.ndtri``: cephes's branches and operations in its
-    order, with libm's log (numpy's SIMD log may differ in the last bit).
-    """
-    def log(v):
-        return np.array([math.log(x) for x in v.tolist()])
-
-    y = np.where(u > 1.0 - _EXP_M2, 1.0 - u, u)  # the tail nearer to u
-    out = np.where(u > 0.5, np.inf, -np.inf)  # kept where y == 0
-    mid = y > _EXP_M2
-    d = y[mid] - 0.5
-    d2 = d * d
-    out[mid] = _S2PI * (d + d * (d2 * np.polyval(_P0, d2)
-                                 / np.polyval(_Q0, d2)))
-    tail = ~mid & (y > 0.0)
-    x = np.sqrt(-2.0 * log(y[tail]))
-    z = 1.0 / x
-    x1 = np.where(x < 8.0, z * np.polyval(_P1, z) / np.polyval(_Q1, z),
-                  z * np.polyval(_P2, z) / np.polyval(_Q2, z))
-    out[tail] = np.copysign(x - log(x) / x - x1, u[tail] - 0.5)
-    return out
-
-
 def _standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     """Reproducible N(0,1) draws from a pinned generator construction.
 
     One PCG64 stream seeded directly with ``seed`` yields 64-bit words in
     C order over ``shape``; each word k becomes the uniform
     u = ((k >> 11) + 0.5) * 2**-53 in (0, 1] (1.0 for the top words, as
-    the sum rounds) and is mapped through the inverse normal CDF
-    ``_ndtri``, a numpy port of the cephes ``ndtri`` that scipy.special
-    ships; ``tests/test_profiles.py`` pins it bitwise to
-    ``scipy.special.ndtri`` on 2**20 of these uniforms and on both tails.
+    the sum rounds) and is mapped through the stdlib's inverse normal CDF,
+    ``statistics.NormalDist().inv_cdf``, with u = 1.0 mapped to +inf.
     Every step is pinned so the same seed produces the same bytes on any
-    platform.
+    platform; ``tests/test_profiles.py`` pins the first draws of two seeds
+    and checks the map against ``scipy.special.ndtri``.
     """
     words = np.random.Generator(np.random.PCG64(seed)).integers(
         0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return _ndtri(u)
+    z = [_inv_cdf(v) if v < 1.0 else math.inf for v in u.ravel().tolist()]
+    return np.array(z).reshape(shape)
 
 
 def add_gaussian_noise(profile: NetEnergyProfile, scale: float,

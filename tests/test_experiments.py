@@ -193,18 +193,19 @@ def test_byte_identical_reruns(tmp_path, experiment):
 @pytest.mark.parametrize("experiment", ["saving-vs-theta",
                                         "hybrid-vs-greedy"])
 def test_csv_bytes_do_not_depend_on_number_types(tmp_path, experiment):
-    # an API-built spec may carry ints, numpy scalars or lists; it stores
-    # floats, ints and tuples, so its CSV is the float spec's byte for byte
-    # (the ints were written as 1 and 0, numpy's as np.float64(0.9))
+    # an API-built spec may carry ints, numpy scalars, lists or numpy
+    # arrays; it stores floats, ints and tuples, so its CSV is the float
+    # spec's byte for byte (the ints were written as 1 and 0, numpy's as
+    # np.float64(0.9); a numpy grid raised numpy's ambiguous truth value)
     seeds = {"seeds": (0, 1)} if experiment == "hybrid-vs-greedy" else {}
     floats = dict(n_slots=24, alpha=1.0, beta=1.0, amplitude=3.0,
                   thetas=(0.0, 1.0), s_max_grid=(1.0,), **seeds)
     ints = dict(floats, alpha=1, beta=1, amplitude=3, thetas=[0, 1],
                 s_max_grid=(1,), seeds=list(seeds.get("seeds", ())))
     numpys = dict(floats, alpha=np.float64(0.9), beta=np.float64(0.8),
-                  amplitude=np.float64(3.0), thetas=list(np.array([0.0, 0.5])),
-                  s_max_grid=(np.float64(1.0),),
-                  seeds=tuple(np.arange(len(seeds.get("seeds", ())))))
+                  amplitude=np.float64(3.0), thetas=np.array([0.0, 0.5]),
+                  s_max_grid=np.array([1.0]),
+                  seeds=np.arange(len(seeds.get("seeds", ()))))
     for kind, plain in ((ints, floats),
                         (numpys, dict(floats, alpha=0.9, beta=0.8,
                                       thetas=(0.0, 0.5)))):

@@ -568,15 +568,26 @@ def test_row_form_rejections(edit, error):
      "a.indices has column 2 outside [0, 2)"),
     ([0, 2, 4], [0, 1, -1, 1], [1.0] * 4,
      "a.indices has column -1 outside [0, 2)"),
+    (np.array([0.0, 2.0, 4.0]), [0, 1, 0, 1], [1.0] * 4,
+     "a.indptr has dtype float64, want an integer dtype"),
+    ([0, 2, 4], np.array([0.0, 0.7, 0.0, 1.0]), [1.0] * 4,
+     "a.indices has dtype float64, want an integer dtype"),
+    ([0, 1, 2], np.array([False, True]), [1.0] * 2,
+     "a.indices has dtype bool, want an integer dtype"),
 ], ids=["short_indptr", "one_entry_indptr", "indptr_start", "indptr_falls",
         "indptr_past_indices", "data_length", "column_past_end",
-        "negative_column"])
+        "negative_column", "float_indptr", "float_indices", "bool_indices"])
 def test_malformed_csr_rejected(indptr, indices, data, error):
     # without the check each reached the solve: numpy's broadcast or
-    # bincount errors, or HiGHS's kModelError for a bad column
+    # bincount errors, HiGHS's kModelError for a bad column, or (for a
+    # float index) numpy's IndexError in the certification; a list is
+    # made int32, as the library's builders make their indices
+    def index(values):
+        return np.array(values, dtype=np.int32) if isinstance(
+            values, list) else values
+
     with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
-        lp.Csr(np.array(indptr, dtype=np.int32),
-               np.array(indices, dtype=np.int32), np.array(data), (2, 2))
+        lp.Csr(index(indptr), index(indices), np.array(data), (2, 2))
 
 
 @pytest.mark.parametrize("field, bad", [("lower", math.inf),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from energycoop import NetEnergyProfile, add_gaussian_noise, sinusoid
-from energycoop.profiles import (ParseError, _ndtri, _standard_normals,
+from energycoop.profiles import (ParseError, _inv_cdf, _standard_normals,
                                  load_profile)
 from helpers import save_profile
 
@@ -100,34 +100,76 @@ class TestNoise:
         assert add_gaussian_noise(prof, 0.0, seed=5) is prof
 
 
-def _same_bits(got, want):
-    return got.dtype == want.dtype and np.array_equal(
-        got.view(np.uint64), want.view(np.uint64))
+def _pinned_uniforms(seed, shape):
+    words = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
-def test_normals_are_scipy_ndtri_bitwise():
-    # scipy.special is the oracle the port replaces: 2**20 uniforms of the
-    # pinned construction, as _standard_normals makes them
+# The stdlib's inverse CDF (Wichura's AS241) and cephes ndtri are two
+# rational approximations, each within about an ulp of the true quantile,
+# with a few roundings and, in the tails, one libm log each; measured, they
+# differ by at most 7 ulps (1.2e-15 of max(1, |z|)).  8 eps of max(1, |z|)
+# leaves that room and still fails a wrong branch, sign or coefficient.
+_NDTRI_TOL = 8 * np.finfo(float).eps
+
+
+def _near_ndtri(z, u):
+    want = ndtri(u)
+    return z.shape == want.shape and bool(np.all(
+        np.abs(z - want) <= _NDTRI_TOL * np.maximum(1.0, np.abs(want))))
+
+
+def test_first_draws_are_pinned():
+    # a seed names one realization byte for byte, in C order over shape
+    want = {0: ["0x1.66c1f2a4fbb69p-2", "-0x1.3a1730bdfda1fp-1",
+                "-0x1.bd4fcc8e168d1p+0", "-0x1.10d2160e350fep+1"],
+            1: ["0x1.e5919128ee116p-6", "0x1.a63cdf41ba9a0p+0",
+                "-0x1.0fd32c5bbc864p+0", "0x1.a1c406dc87b2cp+0"]}
+    for seed, hexes in want.items():
+        z = _standard_normals(seed, (2, 2))
+        assert [float.hex(v) for v in z.ravel().tolist()] == hexes
+
+
+def test_normals_match_scipy_ndtri():
+    # scipy.special is the tests' oracle: 2**20 uniforms of the pinned
+    # construction, as _standard_normals makes them
     for seed, shape in ((0, (2 ** 20,)), (7, (2, 4096))):
-        words = np.random.Generator(np.random.PCG64(seed)).integers(
-            0, 2 ** 64, size=shape, dtype=np.uint64, endpoint=False)
-        u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-        assert _same_bits(_standard_normals(seed, shape), ndtri(u))
+        assert _near_ndtri(_standard_normals(seed, shape),
+                           _pinned_uniforms(seed, shape))
 
 
-def test_ndtri_port_tails_and_branch_points_bitwise():
+def test_inverse_cdf_tails_and_branch_points_match_scipy_ndtri():
     # 2001 mantissas in every binade of each tail: down to 2**-54, the
     # smallest uniform, and up to 1 - 2**-53, the largest below 1
     mantissas = np.linspace(1.0, 2.0, 2001)[:, None]
     low = np.ldexp(mantissas, -np.arange(2, 55)).ravel()
     high = 1.0 - np.ldexp(mantissas, -np.arange(2, 54)).ravel()
-    points = np.array([2.0 ** -54, 0.5, math.exp(-2), 1 - math.exp(-2),
-                       1 - 2.0 ** -53, 1.0])
+    # and the branch points of both: AS241's |u - 0.5| = 0.425 and
+    # u = exp(-25), cephes's u = exp(-2) and exp(-32)
+    points = np.array([2.0 ** -54, 0.5, 0.075, 0.925] + [
+        v for y in (2, 25, 32) for v in (math.exp(-y), 1 - math.exp(-y))]
+        + [1 - 2.0 ** -53])
     for u in (low, high, points):
-        assert _same_bits(_ndtri(u), ndtri(u))
-    # the all-ones word rounds up to u = 1.0, which maps to +inf
-    top = (float(np.uint64(2 ** 64 - 1) >> np.uint64(11)) + 0.5) * 2.0 ** -53
-    assert top == 1.0 and _ndtri(np.array([top]))[0] == math.inf
+        z = np.array([_inv_cdf(v) for v in u.tolist()])
+        assert _near_ndtri(z, u)
+
+
+def test_top_uniform_maps_to_inf(monkeypatch):
+    # the all-ones word rounds up to u = 1.0, which maps to +inf, and the
+    # noisy profile names the slot
+    class AllOnes:
+        def __init__(self, bit_generator):
+            pass
+
+        def integers(self, low, high, size, dtype, endpoint):
+            return np.full(size, 2 ** 64 - 1, dtype=dtype)
+
+    monkeypatch.setattr(np.random, "Generator", AllOnes)
+    assert _pinned_uniforms(0, (1,))[0] == 1.0
+    assert _standard_normals(0, (2, 3)).tolist() == [[math.inf] * 3] * 2
+    with pytest.raises(ValueError, match=r"^e1\[0\] is not finite: inf$"):
+        add_gaussian_noise(sinusoid(3.0, OMEGA, 0.0, 3), 0.5, seed=0)
 
 
 class TestCsv:
