@@ -5,9 +5,10 @@ CSV's metadata block records, so a run is reproducible byte for byte from
 its spec.  Each task makes one cold stage-1 solve and re-solves every
 other cost warm in its session: the seeded hybrid-vs-greedy runs a task
 per grid point, whose plan's stage 1 prices every noise seed; the other
-studies a task per s_max column, pricing every theta after the single-BS
-baseline (cost studies) or the first theta.  Tasks go to a process pool;
-set ENERGYCOOP_WORKERS (at least 1) or pass ``workers=1`` to run serially.
+studies a task per s_max column, pricing every theta after the first;
+the cost studies' single-BS baseline is a greedy rollout, no LP.  Tasks
+go to a process pool; set ENERGYCOOP_WORKERS (at least 1) or pass
+``workers=1`` to run serially.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
 from .lp import LpSession
 from .offline import (EPS_LEX_FACTOR, build_stage1, plan_and_price,
-                      restrict_single_bs, stage1_costs)
-from .profiles import add_gaussian_noise, sinusoid
+                      plan_single_bs, stage1_costs)
+from .profiles import add_gaussian_noise, check_seed, sinusoid
 
 WORKERS_ENV = "ENERGYCOOP_WORKERS"
 
@@ -86,9 +87,8 @@ class ExperimentSpec:
             self.params(s_max)
         for theta in self.thetas:  # and its profile
             self.profile(theta)
-        for v in self.seeds:  # the rule of check_slot_count, from 0
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < 0:
-                raise ValueError(f"seed {v!r}: want an integer >= 0")
+        for v in self.seeds:
+            check_seed(v)
         for name in ("alpha", "beta", "amplitude"):  # a CSV holds floats
             object.__setattr__(self, name, float(getattr(self, name)))
         for name, to in (("thetas", float), ("s_max_grid", float),
@@ -197,18 +197,18 @@ def _pct(task, metric: str, change: float, base: float) -> float:
 
 
 def _column(task) -> list[list[ResultRow]]:
-    """One s_max column: a row group per theta, every theta priced warm in
-    one session after one cold solve, then a cost study's single-BS row."""
+    """One s_max column: a row group per theta, every theta after the first
+    priced warm in its session, then a cost study's single-BS row."""
     spec, s_max = task
     params = spec.params(s_max)
     profiles = [spec.profile(theta) for theta in spec.thetas]
-    session, stage1 = LpSession(), build_stage1(params, spec.profile(0.0))
     greedy = spec.experiment == "greedy-loss-vs-theta"
-    single = None if greedy else session.solve(  # the cold solve
-        restrict_single_bs(stage1)).objective_value
+    single = None if greedy else total_cost(  # e1 does not depend on theta
+        plan_single_bs(params, profiles[0].e1))
     groups = []
     for theta, profile, cost in zip(spec.thetas, profiles, stage1_costs(
-            session, stage1, params, profiles)):
+            LpSession(), build_stage1(params, profiles[0]), params,
+            profiles)):
         row, point = partial(ResultRow, theta, s_max), (spec, theta, s_max)
         if greedy:
             gre = total_cost(run_greedy(params, profile))

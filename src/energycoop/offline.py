@@ -7,13 +7,14 @@ offline program derives from the stage-1 program: one sparse matrix with
 about 22 non-zeros per slot and a lower and upper bound on each row,
 assembled once per plan from one table of (row, column, value) entries
 written as arrays over the slots, in time and memory linear in the
-horizon.  The others edit its costs and bounds and share its matrix, but
-stage 2, which inserts one ``cost_budget`` row.  ``lp_solve`` returns a
-certified optimum or raises; an infeasible stage 2 raises
-``Stage2Infeasible``.  A plan is its certified point: the action columns
-normalized in one array pass and the storage columns clipped onto
-[0, s_max].  Plans solve both stages cold; other costs re-solve a stage-1
-program warm in the session that solved it.
+horizon.  Cost re-solves edit its row bounds and share its matrix; stage
+2 inserts one ``cost_budget`` row.  ``lp_solve`` returns a certified
+optimum or raises; an infeasible stage 2 raises ``Stage2Infeasible``.  A
+plan is its certified point: the action columns normalized in one array
+pass and the storage columns clipped onto [0, s_max].  Plans solve both
+stages cold; other costs re-solve a stage-1 program warm in the session
+that solved it.  The single-station savings baseline is no LP but a
+greedy rollout.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .greedy import run_greedy
 from .lp import Csr, LpInfeasible, LpProblem, LpSession, lp_solve
 from .model import (
     ControlAction,
@@ -33,6 +35,7 @@ from .model import (
     Trajectory,
     check_slots,
     normalize_actions,
+    total_cost,
 )
 
 # Relative slack on the stage-2 cost budget.  Large enough that stage 2 is
@@ -42,7 +45,6 @@ from .model import (
 EPS_LEX_FACTOR = 1e-9
 
 _N_ACTION = 8  # w1 w2 c1 c2 d1 d2 x12 x21 per slot
-_PINNED_SINGLE_BS = (1, 3, 5, 6, 7)  # w2 c2 d2 x12 x21
 
 
 def eps_lex(v1: float) -> float:
@@ -202,34 +204,14 @@ def plan_offline(params: SystemParams, profile: NetEnergyProfile,
     return plan_and_price(params, profile)[0]
 
 
-def restrict_single_bs(stage1: LpProblem) -> LpProblem:
-    """Restriction of a stage-1 program to BS 1 by upper bounds alone,
-    sharing all else: BS 2's neutral rows get a zero upper bound and its
-    w, c, d columns and both transfers are pinned to 0 (HiGHS presolve
-    removes them), so only BS 1 acts and pays; the savings baseline."""
-    n = len(stage1.row_upper) // 6  # 6N + 2 rows
-    upper, row_upper = stage1.upper.copy(), stage1.row_upper.copy()
-    upper[:_N_ACTION * n].reshape(n, _N_ACTION)[:, _PINNED_SINGLE_BS] = 0.0
-    row_upper[1:4 * n:4] = 0.0  # neutral2
-    return replace(stage1, upper=upper, row_upper=row_upper)
-
-
-def build_single_bs(params: SystemParams, e: Sequence[float]) -> LpProblem:
-    """``restrict_single_bs`` of the stage-1 program of the profile (e, 0)."""
-    return restrict_single_bs(build_stage1(
-        params, NetEnergyProfile(e1=e, e2=(0.0,) * len(e))))
+def plan_single_bs(params: SystemParams, e: Sequence[float]) -> Trajectory:
+    """Cost-optimal plan for one isolated station (the savings baseline):
+    the ``no_transfer`` rollout of (e, 0), optimal at beta = 0, in which
+    BS 2 never acts, so ``check_feasible`` applies against (e, zeros)."""
+    return run_greedy(params, NetEnergyProfile(e1=e, e2=(0.0,) * len(e)),
+                      "no_transfer")
 
 
 def single_bs_cost(params: SystemParams, e: Sequence[float]) -> float:
     """Minimum grid draw of one isolated station (the savings denominator)."""
-    return lp_solve(build_single_bs(params, e)).objective_value
-
-
-def plan_single_bs(params: SystemParams, e: Sequence[float]) -> Trajectory:
-    """Cost-optimal plan for one isolated station (the savings baseline).
-
-    The result is expressed as a two-BS trajectory whose BS-2 columns are
-    zero, so the usual feasibility checker applies against the profile
-    (e, zeros).  Only stage 1 is solved; the baseline is a cost.
-    """
-    return _extract_trajectory(params, lp_solve(build_single_bs(params, e)).x)
+    return total_cost(plan_single_bs(params, e))

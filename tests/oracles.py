@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -365,3 +366,13 @@ def reference_planning_program(params, e1, e2, kind, v1=None):
         "row_upper": np.concatenate((b_ub, b_eq)),
         "lower": np.zeros(n_vars), "upper": upper,
     }
+
+
+def single_bs_optimum(params, e):
+    """Optimal cost of the "single_bs" reference program of the profile
+    (e, 0), by public ``linprog``: the arbiter of the savings baseline."""
+    ref = reference_planning_program(params, e, [0.0] * len(e), "single_bs")
+    res = linprog_reference(SimpleNamespace(**ref))
+    if res.status != 0:
+        raise ValueError(f"single-BS reference program: {res.message}")
+    return res.fun

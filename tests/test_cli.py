@@ -111,6 +111,14 @@ def test_noise_flags_rejected_with_realized(profile_csv, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_bad_noise_seed_exits_2(profile_csv, tmp_path, capsys):
+    out = tmp_path / "hybrid.csv"
+    assert main(["hybrid", "--det", str(profile_csv), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "error: seed -1: want an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_subcommand(tmp_path):
     out = tmp_path / "exp.csv"
     assert main(["experiment", "saving-vs-theta", "--out", str(out),

@@ -23,7 +23,9 @@ from energycoop.greedy import run_greedy
 from energycoop.hybrid import run_hybrid_stream
 from energycoop.lp import lp_solve
 from energycoop.model import total_cost
-from energycoop.offline import build_single_bs, build_stage1, plan_offline
+from energycoop.offline import build_stage1, plan_offline
+
+from oracles import single_bs_optimum
 
 SMALL = dict(n_slots=48, thetas=(0.0, math.pi / 2, math.pi),
              s_max_grid=(0.5, 1.0))
@@ -235,11 +237,11 @@ def test_every_study_sweeps_the_storage_grid(experiment):
                                         "greedy-loss-vs-theta"])
 def test_cost_studies_match_cold_recomputation(experiment):
     # each column prices its thetas warm in one session; every row equals
-    # the cold per-point solve, and rows keep grid order
+    # the cold per-point solve, the baseline equals the single-BS program's
+    # optimum, and rows keep grid order
     spec = small_spec(experiment)
-    singles = {sm: lp_solve(build_single_bs(
-        spec.params(sm), spec.profile(0.0).e1)).objective_value
-        for sm in spec.s_max_grid}
+    singles = {sm: single_bs_optimum(spec.params(sm), spec.profile(0.0).e1)
+               for sm in spec.s_max_grid}
     expected = []
     for theta in spec.thetas:
         for sm in spec.s_max_grid:
@@ -298,7 +300,8 @@ def test_hybrid_point_plans_as_plan_offline(monkeypatch, theta):
 ], ids=["hybrid-point", "saving-column", "cost-column", "greedy-column"])
 def test_cold_highs_instances_per_task(monkeypatch, run, task, cold):
     # a hybrid point: stage 1 (every seed re-solved warm) and stage 2; a
-    # column: the single-BS baseline or first theta, every other theta warm
+    # column: the first theta, every other theta warm; the single-BS
+    # baseline is a rollout
     made = []
 
     def counting():

@@ -25,8 +25,7 @@ from scipy.sparse import csr_matrix
 from energycoop import SystemParams, add_gaussian_noise, lp, sinusoid
 from energycoop.lp import (
     FEAS_TOL, LpInfeasible, LpProblem, LpSession, SolverError, lp_solve)
-from energycoop.offline import (
-    build_single_bs, build_stage1, build_stage2, plan_and_price)
+from energycoop.offline import build_stage1, build_stage2, plan_and_price
 
 from helpers import dense_csr, make_problem, scipy_csr
 from oracles import enumerate_lp_optimum, linprog_reference
@@ -717,14 +716,13 @@ def test_copied_matrix_is_checked_and_frozen():
 
 
 def _planning_programs():
-    """Stage 1, stage 2 and single-BS programs at N = 48, three thetas."""
+    """Stage 1 and stage 2 programs at N = 48, three thetas."""
     params = SystemParams(0.9, 0.8, 1.0, 48, (0.0, 0.0))
     for theta in (0.0, math.pi / 2, math.pi):
         profile = sinusoid(3.0, 2 * math.pi / 24, theta, 48)
         stage1 = build_stage1(params, profile)
         yield stage1
         yield build_stage2(stage1, lp_solve(stage1).objective_value)
-        yield build_single_bs(params, profile.e1)
 
 
 def test_cold_pass_holds_the_programs_arrays():

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, vstack
 
 from energycoop import (
@@ -30,7 +32,6 @@ from energycoop.offline import (
     Stage2Infeasible,
     _extract_trajectory,
     _stage1_entries,
-    build_single_bs,
     build_stage1,
     build_stage2,
     eps_lex,
@@ -38,17 +39,17 @@ from energycoop.offline import (
     plan_and_price,
     plan_offline,
     plan_single_bs,
-    restrict_single_bs,
     single_bs_cost,
     stage1_costs,
 )
 
-from helpers import rand_params, rand_profile
+from helpers import hex_fields, rand_params, rand_profile
 from oracles import (
     dp_pair_cost,
     dp_single_cost,
     normalize_action_ref,
     reference_planning_program,
+    single_bs_optimum,
 )
 
 
@@ -294,12 +295,14 @@ class TestExtraction:
         assert not np.signbit(traj.states).any()
 
     def test_plan_single_bs_states_are_certified_storage(self):
+        # the baseline is no LP point: it is the no_transfer rollout of
+        # (e1, 0), bit for bit
         for p, prof in self.instances():
-            x = lp_solve(build_single_bs(p, prof.e1)).x
+            single = replace(prof, e2=(0.0,) * p.n_slots)
             traj = plan_single_bs(p, prof.e1)
-            self.assert_is_point(p, traj, x)
-            assert check_feasible(
-                p, replace(prof, e2=(0.0,) * p.n_slots), traj).ok
+            assert hex_fields(traj) == hex_fields(
+                run_greedy(p, single, "no_transfer"))
+            assert check_feasible(p, single, traj).ok
 
 
 def _idle(n):
@@ -366,39 +369,33 @@ class TestSingleBs:
         prof = NetEnergyProfile(e1=e, e2=(0.0, 0.0, 0.0))
         assert check_feasible(p, prof, traj).ok
 
-    def test_restriction_shares_the_pair_matrices(self):
-        p = SystemParams(0.9, 0.8, 1.0, 24)
-        stage1 = build_stage1(p, sinusoid(3.0, 2 * math.pi / 24, 1.0, 24))
-        before = [a.copy() for a in (stage1.objective, stage1.upper,
-                                     stage1.row_upper)]
-        single = restrict_single_bs(stage1)
-        assert single.a is stage1.a and single.row_lower is stage1.row_lower
-        assert single.lower is stage1.lower
-        assert single.objective is stage1.objective  # w2 keeps its cost
-        for got, want in zip((stage1.objective, stage1.upper,
-                              stage1.row_upper), before):
-            assert np.array_equal(got, want)  # the pair program is intact
-        neutral2 = np.s_[1:4 * 24:4]  # the only rows whose bounds move
-        assert not single.row_upper[neutral2].any()
-        assert np.array_equal(np.delete(single.row_upper, neutral2),
-                              np.delete(stage1.row_upper, neutral2))
-
-    @pytest.mark.parametrize("alpha, beta", [(0.9, 0.8), (0.0, 0.8),
-                                             (0.9, 0.0)])
-    def test_same_solve_as_the_pinned_copy(self, alpha, beta):
-        # the restriction holds the values of the program it replaced:
-        # stage 1 of (e, 0) with w2's cost and BS 2's columns zeroed in place
-        n = 48
-        p = SystemParams(alpha, beta, 1.0, n)
-        e = add_gaussian_noise(sinusoid(3.0, 2 * math.pi / 24, 0.0, n),
-                               0.25, 3).e1
-        pinned = build_stage1(p, NetEnergyProfile(e1=e, e2=(0.0,) * n))
-        pinned.objective[1:8 * n:8] = 0.0
-        pinned.upper[:8 * n].reshape(n, 8)[:, [1, 3, 5, 6, 7]] = 0.0
-        want, got = lp_solve(pinned), lp_solve(build_single_bs(p, e))
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.iterations == want.iterations
-        assert plan_single_bs(p, e) == _extract_trajectory(p, want.x)
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rollout_is_the_single_bs_optimum(self, data):
+        # the single-BS program stays the arbiter: the rollout's cost is
+        # its linprog optimum, the plan is feasible against (e, 0), and
+        # BS 2 never acts, though it may start with stored energy
+        n = data.draw(st.integers(1, 60), label="n")
+        alpha = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                          label="alpha")
+        beta = data.draw(st.floats(0.0, 1.0), label="beta")
+        s_max = data.draw(st.sampled_from([0.0, math.inf])
+                          | st.floats(0.0, 4.0), label="s_max")
+        share = st.floats(0.0, 1.0)
+        s_init = tuple(data.draw(share, label="s_init") * min(s_max, 3.0)
+                       for _ in range(2))
+        p = SystemParams(alpha, beta, s_max, n, s_init)
+        e = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n,
+                               max_size=n), label="e")
+        cost, want = single_bs_cost(p, e), single_bs_optimum(p, e)
+        assert abs(cost - want) <= 1e-9 * max(1.0, abs(want))
+        traj = plan_single_bs(p, e)
+        assert total_cost(traj) == cost
+        assert check_feasible(
+            p, NetEnergyProfile(e1=e, e2=(0.0,) * n), traj).ok
+        assert all(a.w2 == a.c2 == a.d2 == a.x12 == a.x21 == 0.0
+                   for a in traj.actions)
+        assert all(s.s2 == p.s_init[1] for s in traj.states)
 
 
 class TestOfflineCosts:
@@ -492,6 +489,3 @@ class TestAssembly:
         self.assert_same_program(
             build_stage2(build_stage1(p, prof), v1),
             reference_planning_program(p, prof.e1, prof.e2, "stage2", v1))
-        self.assert_same_program(
-            build_single_bs(p, prof.e1),
-            reference_planning_program(p, prof.e1, prof.e2, "single_bs"))

@@ -99,6 +99,21 @@ class TestNoise:
         prof = sinusoid(3.0, OMEGA, 1.0, 30)
         assert add_gaussian_noise(prof, 0.0, seed=5) is prof
 
+    @pytest.mark.parametrize("scale", [0.0, 0.125])
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", -1])
+    def test_bad_seed_named(self, seed, scale):
+        # numpy took True as seed 1, raised its own TypeError for 1.5 and
+        # "3", and rejected -1 without naming the seed
+        prof = sinusoid(3.0, OMEGA, 1.0, 24)
+        with pytest.raises(ValueError) as exc:
+            add_gaussian_noise(prof, scale, seed)
+        assert str(exc.value) == f"seed {seed!r}: want an integer >= 0"
+
+    def test_numpy_integer_seed_taken(self):
+        prof = sinusoid(3.0, OMEGA, 1.0, 24)
+        assert (add_gaussian_noise(prof, 0.125, np.int64(3))
+                == add_gaussian_noise(prof, 0.125, 3))
+
 
 def _pinned_uniforms(seed, shape):
     words = np.random.Generator(np.random.PCG64(seed)).integers(
