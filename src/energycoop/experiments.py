@@ -2,11 +2,11 @@
 
 Each study is one row of ``_STUDIES``: its defaults and the constants its
 CSV's metadata block records, so a run is reproducible byte for byte from
-its spec.  Each task makes one cold stage-1 solve and re-solves every
-other cost warm in its session: the seeded hybrid-vs-greedy runs a task
-per grid point, whose plan's stage 1 prices every noise seed; the other
-studies a task per s_max column, pricing every theta after the first;
-the cost studies' single-BS baseline is a greedy rollout, no LP.  Tasks
+its spec.  Each task prices its costs in one ``offline.stage1_costs``
+call, one cold solve and the rest warm: the seeded hybrid-vs-greedy runs
+a task per grid point, whose plan's stage 1 prices every noise seed; the
+other studies a task per s_max column, pricing its thetas; the cost
+studies' single-BS baseline is a greedy rollout, no LP.  Tasks
 go to a process pool; set ENERGYCOOP_WORKERS (at least 1) or pass
 ``workers=1`` to run serially.
 """
@@ -26,9 +26,8 @@ from . import __version__
 from .greedy import CASE_TOL, run_greedy, stepper
 from .hybrid import run_hybrid_stream
 from .model import SystemParams, total_cost
-from .lp import LpSession
-from .offline import (EPS_LEX_FACTOR, build_stage1, plan_and_price,
-                      plan_single_bs, stage1_costs)
+from .offline import (EPS_LEX_FACTOR, plan_and_price, plan_single_bs,
+                      stage1_costs)
 from .profiles import add_gaussian_noise, check_seed, sinusoid
 
 WORKERS_ENV = "ENERGYCOOP_WORKERS"
@@ -197,8 +196,8 @@ def _pct(task, metric: str, change: float, base: float) -> float:
 
 
 def _column(task) -> list[list[ResultRow]]:
-    """One s_max column: a row group per theta, every theta after the first
-    priced warm in its session, then a cost study's single-BS row."""
+    """One s_max column: a row group per theta, all priced in one
+    ``stage1_costs`` call, then a cost study's single-BS row."""
     spec, s_max = task
     params = spec.params(s_max)
     profiles = [spec.profile(theta) for theta in spec.thetas]
@@ -206,9 +205,8 @@ def _column(task) -> list[list[ResultRow]]:
     single = None if greedy else total_cost(  # e1 does not depend on theta
         plan_single_bs(params, profiles[0].e1))
     groups = []
-    for theta, profile, cost in zip(spec.thetas, profiles, stage1_costs(
-            LpSession(), build_stage1(params, profiles[0]), params,
-            profiles)):
+    for theta, profile, cost in zip(spec.thetas, profiles,
+                                    stage1_costs(params, profiles)[1]):
         row, point = partial(ResultRow, theta, s_max), (spec, theta, s_max)
         if greedy:
             gre = total_cost(run_greedy(params, profile))

@@ -209,11 +209,12 @@ def stepper(mode: str, alpha: float, beta: float):
     """The per-slot step ``step(cap1, cap2, s1, s2, e1, e2)`` of ``mode``.
 
     Raises ValueError unless ``mode`` is known and allows (alpha, beta):
-    the case rules of ``standard`` and ``force_case_2a`` divide by both
-    efficiencies.  The step returns the mode's step record from storage
-    (s1, s2) under caps (cap1, cap2).  A pair outside the caps by more
-    than CASE_TOL raises InvalidState and non-finite net energies raise
-    ValueError; the pair is then clamped onto [0, cap1] x [0, cap2].
+    the case rules of ``standard`` and ``force_case_2a`` divide by
+    alpha * beta, so both efficiencies and their product must be > 0.
+    The step returns the mode's step record from storage (s1, s2) under
+    caps (cap1, cap2).  A pair outside the caps by more than CASE_TOL
+    raises InvalidState and non-finite net energies raise ValueError; the
+    pair is then clamped onto [0, cap1] x [0, cap2].
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -221,6 +222,10 @@ def stepper(mode: str, alpha: float, beta: float):
     if rule is _dispatch and not (alpha > 0.0 and beta > 0.0):
         raise ValueError(f"mode {mode!r} needs alpha > 0 and beta > 0, "
                          f"got alpha = {alpha}, beta = {beta}")
+    if rule is _dispatch and not alpha * beta > 0.0:  # an underflow
+        raise ValueError(f"mode {mode!r} needs alpha * beta > 0, got "
+                         f"alpha * beta = {alpha * beta} (alpha = {alpha}, "
+                         f"beta = {beta})")
     # the mixed-sign rule: transfer first if forced or the line beats storage
     case2 = (_case2a if mode == "force_case_2a" or beta >= alpha * alpha
              else _case2b)

@@ -15,8 +15,9 @@ with the options (1e-10 feasibility tolerances) that
 ``linprog(method="highs")`` would pass; the ``*_match_public_linprog``
 tests in ``tests/test_lp.py`` pin that, so a scipy release that changes
 the binding fails there instead of silently moving a plan; a session
-re-solves edits of its last program warm.  Every
-point is then re-checked against every constraint at 1e-9, and only that
+re-solves edits of its last program warm.  Every point is then
+re-checked against every constraint at 1e-9 times max(1, largest finite
+|row bound|), so a plan does not depend on the energy unit, and only that
 certified optimum is returned; everything else raises: ``LpInfeasible``
 for an infeasible program, ``SolverError`` for an unbounded one, any other
 backend failure and a point that fails the re-check.
@@ -184,23 +185,28 @@ class LpSolution:
 
 
 def _certify(problem: LpProblem, x: np.ndarray) -> None:
-    """Raise SolverError unless x is primal feasible within FEAS_TOL.
+    """Raise SolverError unless x is primal feasible within FEAS_TOL times
+    max(1, largest finite |row bound|), as HiGHS is in its scaled model;
+    never scaled by x or a column bound, so x cannot widen its own check.
 
-    ``argmax`` picks the first NaN and ``not ... <= FEAS_TOL`` rejects it,
-    so a point with a NaN entry is never certified.  ``a x`` sums each
-    row's products in entry order, as scipy's CSR product does.
+    ``argmax`` picks the first NaN and ``not ... <= tol`` rejects it, so a
+    point with a NaN entry is never certified.  ``a x`` sums each row's
+    products in entry order, as scipy's CSR product does.
     """
     a = problem.a
     ax = np.bincount(a.rows, a.data * x[a.indices], a.shape[0])
+    bounds = np.abs(np.concatenate((problem.row_lower, problem.row_upper)))
+    tol = FEAS_TOL * max(1.0, bounds.max(initial=0.0, where=bounds < inf))
     for kind, lower, y, upper in (
             ("row", problem.row_lower, ax, problem.row_upper),
             ("bound of variable", problem.lower, x, problem.upper)):
         resid = np.maximum(lower - y, y - upper)
         if resid.size:
             worst = int(np.argmax(resid))
-            if not resid[worst] <= FEAS_TOL:
+            if not resid[worst] <= tol:
                 raise SolverError(f"{kind} {worst} violated by "
-                                  f"{resid[worst]:.3e} after solve")
+                                  f"{resid[worst]:.3e} (tolerance "
+                                  f"{tol:.3e}) after solve")
 
 
 class LpSession:
@@ -256,7 +262,7 @@ class LpSession:
 def lp_solve(problem: LpProblem) -> LpSolution:
     """Solve a bounded-variable LP; deterministic for identical inputs.
 
-    Returns the minimizer once it passes the 1e-9 feasibility re-check.
+    Returns the minimizer once it passes the (scaled) 1e-9 re-check.
     Raises LpInfeasible for an infeasible program and SolverError for an
     unbounded one, for any other backend outcome and for a returned point
     failing the re-check.  A first session solve is cold.

@@ -11,17 +11,17 @@ horizon.  Cost re-solves edit its row bounds and share its matrix; stage
 2 inserts one ``cost_budget`` row.  ``lp_solve`` returns a certified
 optimum or raises; an infeasible stage 2 raises ``Stage2Infeasible``.  A
 plan is its certified point: the action columns normalized in one array
-pass and the storage columns clipped onto [0, s_max].  Plans solve both
-stages cold; other costs re-solve a stage-1 program warm in the session
-that solved it.  The single-station savings baseline is no LP but a
-greedy rollout.
+pass and the storage columns clipped onto [0, s_max].  Every stage-1
+cost is priced by ``stage1_costs``, the first profile cold and the rest
+warm in its session; stage 2 is solved cold.  The single-station savings
+baseline is no LP but a greedy rollout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,19 +166,21 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
         tuple([new(StorageState, row) for row in states.tolist()]))
 
 
-def stage1_costs(session: LpSession, stage1: LpProblem, params: SystemParams,
-                 profiles: Iterable[NetEnergyProfile]) -> list[float]:
-    """``offline_cost`` of each profile: ``stage1`` with its row upper
-    bounds, re-solved in ``session`` (warm after the session's first
-    solve)."""
-    return [session.solve(replace(stage1, row_upper=_row_upper(params, p)))
-            .objective_value for p in profiles]
+def stage1_costs(params: SystemParams, profiles: Sequence[NetEnergyProfile],
+                 ) -> tuple[LpProblem, list[float]]:
+    """The stage-1 program of ``profiles[0]`` and the ``offline_cost`` of
+    each profile: the first solved cold in a new session, each later one
+    re-solved warm in it with only its neutral-row upper bounds changed."""
+    stage1, session = build_stage1(params, profiles[0]), LpSession()
+    return stage1, [session.solve(replace(
+        stage1, row_upper=_row_upper(params, p))).objective_value
+        for p in profiles]
 
 
 def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
     """Certified minimum total grid draw (the stage-1 optimum), exact;
     ``plan_offline`` realizes it up to the eps_lex budget slack."""
-    return lp_solve(build_stage1(params, profile)).objective_value
+    return stage1_costs(params, [profile])[1][0]
 
 
 def plan_and_price(params: SystemParams, profile: NetEnergyProfile,
@@ -186,9 +188,7 @@ def plan_and_price(params: SystemParams, profile: NetEnergyProfile,
                    ) -> tuple[Trajectory, list[float]]:
     """``plan_offline(params, profile)`` and the ``offline_cost`` of each
     realized profile, solved warm in the session of the plan's stage 1."""
-    stage1 = build_stage1(params, profile)
-    v1, *costs = stage1_costs(LpSession(), stage1, params,
-                              [profile, *realized])
+    stage1, (v1, *costs) = stage1_costs(params, [profile, *realized])
     try:
         sol2 = lp_solve(build_stage2(stage1, v1))
     except LpInfeasible as exc:

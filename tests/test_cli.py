@@ -180,6 +180,26 @@ def test_greedy_study_zero_efficiency_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["greedy", "--profile", "{profile}"],
+    ["hybrid", "--det", "{profile}"],
+    ["experiment", "greedy-loss-vs-theta", "--n", "24", "--thetas", "0",
+     "--serial", "--out", "{out}"]], ids=["greedy", "hybrid", "experiment"])
+def test_underflowing_efficiency_product_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, argv):
+    def no_solve(self, problem):
+        raise AssertionError("LP solved before the mode check")
+
+    monkeypatch.setattr(lp.LpSession, "solve", no_solve)
+    profile, out = tmp_path / "p.csv", tmp_path / "out.csv"
+    save_profile(sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 24), profile)
+    argv = [a.format(profile=profile, out=out) for a in argv]
+    assert main([*argv, "--alpha", "1e-170", "--beta", "1e-170"]) == 2
+    assert ("error: mode 'standard' needs alpha * beta > 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, argv, err", [
     ("saving-vs-theta", ["--smax-grid", "1,-1"],
      "s_max must be >= 0, got -1.0"),

@@ -95,6 +95,20 @@ def test_greedy_studies_reject_zero_efficiency_before_any_solve(
         run_experiment(small_spec(experiment, **efficiencies), workers=1)
 
 
+@pytest.mark.parametrize("experiment", ["greedy-loss-vs-theta",
+                                        "hybrid-vs-greedy"])
+def test_greedy_studies_reject_underflowing_efficiencies_before_any_solve(
+        monkeypatch, experiment):
+    # 1e-170 * 1e-170 is 0.0, by which the greedy case rules would divide
+    def no_solve(self, problem):
+        raise AssertionError("LP solved before the mode check")
+
+    monkeypatch.setattr(lp.LpSession, "solve", no_solve)
+    with pytest.raises(ValueError, match=r"mode 'standard' needs alpha \* "
+                                         r"beta > 0, got alpha \* beta = 0.0"):
+        small_spec(experiment, alpha=1e-170, beta=1e-170)
+
+
 @pytest.mark.parametrize("efficiencies", [{"alpha": 0.0}, {"beta": 0.0}])
 @pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta"])
 def test_cost_studies_take_zero_efficiency(experiment, efficiencies):

@@ -235,6 +235,22 @@ class TestRollout:
         assert traj.cases is not None and len(traj.cases) == 2
         assert traj.cases[0] == "1"
 
+    @pytest.mark.parametrize("mode", ["standard", "force_case_2a"])
+    def test_underflowing_efficiency_product_rejected(self, mode):
+        # each efficiency is > 0, but the case rules divide by their
+        # product, which is 0.0
+        with pytest.raises(ValueError) as exc:
+            stepper(mode, 1e-170, 1e-170)
+        assert str(exc.value) == (
+            f"mode {mode!r} needs alpha * beta > 0, got alpha * beta = 0.0 "
+            "(alpha = 1e-170, beta = 1e-170)")
+
+    @pytest.mark.parametrize("mode", ["no_storage", "no_transfer"])
+    def test_boundary_modes_roll_out_with_underflowing_product(self, mode):
+        p = SystemParams(1e-170, 1e-170, 1.0, 48, (0.5, 0.25))
+        prof = rand_profile(np.random.default_rng(31), 48)
+        assert check_feasible(p, prof, run_greedy(p, prof, mode)).ok
+
     def test_mode_validation(self):
         prof = NetEnergyProfile(e1=(1.0,), e2=(1.0,))
         with pytest.raises(ValueError):

@@ -343,6 +343,17 @@ class TestRunHybrid:
         with pytest.raises(ValueError, match="needs alpha > 0 and beta > 0"):
             run_hybrid_stream(params, det, zip(det.e1, det.e2))
 
+    def test_underflowing_efficiency_product_rejected_before_planning(
+            self, monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("planned offline before checking the mode")
+
+        monkeypatch.setattr("energycoop.hybrid.plan_offline", no_plan)
+        params = SystemParams(1e-170, 1e-170, 1.0, 24)
+        det = sinusoid(3.0, OMEGA, 1.0, 24)
+        with pytest.raises(ValueError, match=r"needs alpha \* beta > 0"):
+            run_hybrid_stream(params, det, zip(det.e1, det.e2))
+
     def test_decomposed_validation(self):
         with pytest.raises(LengthMismatch):
             DecomposedProfile(sinusoid(1.0, OMEGA, 0.0, 4),

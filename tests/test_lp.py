@@ -203,6 +203,23 @@ def test_nan_point_not_certified(monkeypatch):
         assert len(created) == 1  # a warm run reused the first instance
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8])
+def test_certificate_tolerance_scales_with_the_row_bounds(scale):
+    # x1 + x2 = scale: the tolerance is FEAS_TOL * scale on the row and on
+    # each column bound, which a finite column bound of 1e300 does not
+    # widen; a point off by 10 times it is rejected, by a tenth accepted
+    problem = replace(make_problem([1.0, 1.0], bounds=[(0.0, 1e300)] * 2),
+                      a=dense_csr(np.ones((1, 2))),
+                      row_lower=np.full(1, scale), row_upper=np.full(1, scale))
+    tol = FEAS_TOL * scale
+    for kind, x in (("row 0", lambda off: [scale, off]),
+                    ("bound of variable 1", lambda off: [scale + off, -off])):
+        lp._certify(problem, np.array(x(0.1 * tol)))
+        with pytest.raises(SolverError, match=(
+                rf"^{kind} violated by \S+ \(tolerance {tol:.3e}\) after")):
+            lp._certify(problem, np.array(x(10 * tol)))
+
+
 def test_point_below_a_ge_row_not_certified(monkeypatch):
     # x1 + x2 >= 1 is a row with a finite lower bound only; a point under
     # it fails the re-check like one over a <= row

@@ -27,8 +27,9 @@ from energycoop import (
     total_cost,
 )
 from energycoop.experiments import DEFAULT_SEEDS, NOISE_SCALE, default_spec
-from energycoop.lp import FEAS_TOL, LpInfeasible, LpSession
+from energycoop.lp import FEAS_TOL, LpInfeasible
 from energycoop.offline import (
+    EPS_LEX_FACTOR,
     Stage2Infeasible,
     _extract_trajectory,
     _stage1_entries,
@@ -322,10 +323,9 @@ def _idle(n):
      "deterministic profile"),
     (lambda params, profile: check_feasible(params, profile, _idle(24)),
      "profile"),
+    # the wrong profile second: the warm re-price checks its own
     (lambda params, profile: stage1_costs(
-        LpSession(), build_stage1(
-            params, sinusoid(3.0, 2 * math.pi / 24, 1.0, 24)),
-        params, [profile]),
+        params, [sinusoid(3.0, 2 * math.pi / 24, 1.0, 24), profile]),
      "profile"),
     (lambda params, profile: save_trajectory(_idle(24), profile, os.devnull),
      "profile"),
@@ -398,6 +398,27 @@ class TestSingleBs:
         assert all(s.s2 == p.s_init[1] for s in traj.states)
 
 
+class TestEnergyUnit:
+    """A plan does not depend on the energy unit: the certificate's
+    tolerance scales with the row bounds, as HiGHS's own does."""
+
+    # (scale, theta / (pi / 8), s_max / scale): each raised SolverError on
+    # an init or dynamics row under an absolute 1e-9 certificate
+    @pytest.mark.parametrize("scale, k, s_max", [
+        (1e4, 0, 1.0), (1e4, 2, 3.5), (1e6, 2, 1.0), (1e6, 0, math.inf)])
+    def test_scaled_sinusoid_plans_at_scaled_cost(self, scale, k, s_max):
+        theta = k * math.pi / 8
+        unit = offline_cost(SystemParams(0.9, 0.8, s_max, 240),
+                            sinusoid(3.0, 2 * math.pi / 24, theta, 240))
+        p = SystemParams(0.9, 0.8, s_max * scale, 240)
+        prof = sinusoid(3.0 * scale, 2 * math.pi / 24, theta, 240)
+        cost = offline_cost(p, prof)
+        assert abs(cost - scale * unit) <= 1e-12 * scale * unit
+        traj = plan_offline(p, prof)
+        assert check_feasible(p, prof, traj).ok
+        assert total_cost(traj) == pytest.approx(cost, rel=2 * EPS_LEX_FACTOR)
+
+
 class TestOfflineCosts:
     """Per-profile costs re-solved warm equal cold stage-1 solves."""
 
@@ -420,13 +441,14 @@ class TestOfflineCosts:
         rng = np.random.default_rng(17)
         p = rand_params(rng, 48)
         profiles = [rand_profile(rng, 48) for _ in range(4)]
-        stage1 = build_stage1(p, profiles[0])
-        costs = stage1_costs(LpSession(), stage1, p, profiles)
-        assert costs[0] == offline_cost(p, profiles[0])
+        stage1, costs = stage1_costs(p, profiles)
+        first = build_stage1(p, profiles[0])  # priced by an independent solve
+        for name in ("objective", "row_lower", "row_upper", "lower", "upper"):
+            assert np.array_equal(getattr(stage1, name), getattr(first, name))
+        assert costs[0] == lp_solve(first).objective_value
         for profile, cost in zip(profiles, costs):
-            cold = offline_cost(p, profile)
+            cold = lp_solve(build_stage1(p, profile)).objective_value
             assert abs(cost - cold) <= 1e-9 * max(1.0, abs(cold))
-        assert stage1_costs(LpSession(), stage1, p, []) == []
 
 
 class TestCsrMatchesScipy:
