@@ -11,7 +11,11 @@ mode's rule: every slot's storage must lie within its caps and its net
 energies must be finite.  A rollout (``run_greedy``, and the hybrid
 planner's greedy layer) resolves its step once and makes each slot's
 named tuples from its record inside the slot loop.  The tests check the
-rules against a one-slot LP oracle.
+rules against a one-slot LP oracle.  No rule calls ``min``, ``max`` or
+``abs``: each clamp is a conditional with the builtin's tie rule, the
+first operand winning a tie, so ``max(a, b)`` is ``b if b > a else a``,
+``min(a, b)`` is ``b if b < a else a`` and ``max(0.0, -0.0)`` stays 0.0.
+The step cleans the net energies once, before the rule.
 """
 
 from __future__ import annotations
@@ -33,10 +37,6 @@ from .model import (
 CASE_TOL = 1e-12
 
 
-def _clean(e: float) -> float:
-    return 0.0 if abs(e) <= CASE_TOL else e
-
-
 def _fill(alpha: float, cap: float, s: float, surplus: float,
           ) -> tuple[float, float, float]:
     """Charge as much of ``surplus`` as fits: returns (charge, new s, leftover).
@@ -44,11 +44,12 @@ def _fill(alpha: float, cap: float, s: float, surplus: float,
     Bookkeeping is exact: a storage-limited charge lands on the cap, so
     later full/not-full tests never see rounding dust.
     """
-    room = max(0.0, cap - s)
-    want = room / alpha
+    room = cap - s
+    want = (room if room > 0.0 else 0.0) / alpha
     if want <= surplus:
         return want, cap, surplus - want
-    return surplus, min(cap, s + alpha * surplus), 0.0
+    s += alpha * surplus
+    return surplus, s if s < cap else cap, 0.0
 
 
 def _case1(alpha: float, beta: float, cap1: float, cap2: float,
@@ -81,15 +82,20 @@ def _case2a(alpha: float, beta: float, cap1: float, cap2: float,
         return (w1, w2, c1, c2, d1, d2, x12 + x12b, 0.0, s1, s2, "2A")
     x12 = e1
     rem = deficit - beta * e1  # > 0: deficit left after sending everything
-    d2 = min(rem / alpha, s2)
-    s2 = max(0.0, s2 - d2)
+    d2 = rem / alpha
+    d2 = s2 if s2 < d2 else d2
+    s2 -= d2
+    s2 = s2 if s2 > 0.0 else 0.0
     rem -= alpha * d2
     if rem <= CASE_TOL:
         return (0.0, 0.0, 0.0, 0.0, 0.0, d2, x12, 0.0, s1, s2, "2A")
-    d1 = min(rem / (alpha * beta), s1)
-    s1 = max(0.0, s1 - d1)
+    d1 = rem / (alpha * beta)
+    d1 = s1 if s1 < d1 else d1
+    s1 -= d1
+    s1 = s1 if s1 > 0.0 else 0.0
     x12 += alpha * d1
-    w2 = max(0.0, rem - alpha * beta * d1)
+    w2 = rem - alpha * beta * d1
+    w2 = w2 if w2 > 0.0 else 0.0
     return (0.0, w2, 0.0, 0.0, d1, d2, x12, 0.0, s1, s2, "2A")
 
 
@@ -105,24 +111,39 @@ def _case2b(alpha: float, beta: float, cap1: float, cap2: float,
     deficit = -e2
     if deficit >= beta * e1 + alpha * s2:
         d2, s2 = s2, 0.0
-        rem = max(0.0, deficit - beta * e1 - alpha * d2)
-        d1 = min(rem / (alpha * beta), s1)
-        s1 = max(0.0, s1 - d1)
+        rem = deficit - beta * e1 - alpha * d2
+        rem = rem if rem > 0.0 else 0.0
+        d1 = rem / (alpha * beta)
+        d1 = s1 if s1 < d1 else d1
+        s1 -= d1
+        s1 = s1 if s1 > 0.0 else 0.0
         x12 = e1 + alpha * d1
-        w2 = max(0.0, rem - alpha * beta * d1)
+        w2 = rem - alpha * beta * d1
+        w2 = w2 if w2 > 0.0 else 0.0
         return (0.0, w2, 0.0, 0.0, d1, d2, x12, 0.0, s1, s2, "2B.1")
-    room1 = max(0.0, cap1 - s1)
-    x12 = max((deficit - alpha * s2) / beta, e1 - room1 / alpha, 0.0)
-    c1 = max(0.0, e1 - x12)
-    d2 = max((deficit - beta * x12) / alpha, 0.0)
+    room1 = cap1 - s1
+    room1 = room1 if room1 > 0.0 else 0.0
+    x12 = (deficit - alpha * s2) / beta
+    spill = e1 - room1 / alpha  # the surplus BS 1 cannot store
+    x12 = spill if spill > x12 else x12
+    x12 = 0.0 if 0.0 > x12 else x12
+    c1 = e1 - x12
+    c1 = c1 if c1 > 0.0 else 0.0
+    d2 = (deficit - beta * x12) / alpha
+    d2 = 0.0 if 0.0 > d2 else d2
     if d2 > 0.0:
-        d2 = min(d2, s2)
+        d2 = s2 if s2 < d2 else d2
         c2 = 0.0
     else:
-        c2 = min(max(0.0, cap2 - s2) / alpha,
-                 max(0.0, beta * x12 - deficit))
-    s1 = min(cap1, s1 + alpha * c1)
-    s2 = min(cap2, max(0.0, s2 + alpha * c2 - d2))
+        room2, over = cap2 - s2, beta * x12 - deficit
+        c2 = (room2 if room2 > 0.0 else 0.0) / alpha
+        over = over if over > 0.0 else 0.0
+        c2 = over if over < c2 else c2
+    s1 += alpha * c1
+    s1 = s1 if s1 < cap1 else cap1
+    s2 = s2 + alpha * c2 - d2
+    s2 = s2 if s2 > 0.0 else 0.0
+    s2 = s2 if s2 < cap2 else cap2
     return (0.0, 0.0, c1, c2, 0.0, d2, x12, 0.0, s1, s2, "2B.2")
 
 
@@ -145,6 +166,8 @@ def _case4(alpha: float, beta: float, cap1: float, cap2: float,
     (d1, s1, e1p), (d2, s2, e2p) = parts
     if e1p < 0.0 and e2p < 0.0:
         return (-e1p, -e2p, 0.0, 0.0, d1, d2, 0.0, 0.0, s1, s2, "4")
+    e1p = 0.0 if -CASE_TOL <= e1p <= CASE_TOL else e1p
+    e2p = 0.0 if -CASE_TOL <= e2p <= CASE_TOL else e2p
     sub = _dispatch(alpha, beta, cap1, cap2, s1, s2, e1p, e2p, case2)
     w1, w2, c1, c2, d1s, d2s, x12, x21, s1, s2, label = sub
     return (w1, w2, c1, c2, d1 + d1s, d2 + d2s, x12, x21, s1, s2,
@@ -154,7 +177,6 @@ def _case4(alpha: float, beta: float, cap1: float, cap2: float,
 def _dispatch(alpha: float, beta: float, cap1: float, cap2: float,
               s1: float, s2: float, e1: float, e2: float, case2):
     """The case rules; ``case2`` is the mixed-sign one, 2A or 2B."""
-    e1, e2 = _clean(e1), _clean(e2)
     if e1 >= 0.0 and e2 >= 0.0:
         return _case1(alpha, beta, cap1, cap2, s1, s2, e1, e2)
     if e1 < 0.0 and e2 < 0.0:
@@ -166,34 +188,40 @@ def _dispatch(alpha: float, beta: float, cap1: float, cap2: float,
 
 def _step_no_storage(alpha: float, beta: float, cap1: float, cap2: float,
                      s1: float, s2: float, e1: float, e2: float, case2):
-    e1, e2 = _clean(e1), _clean(e2)
     w1 = w2 = x12 = x21 = 0.0
     if e1 < 0.0 and e2 < 0.0:
         w1, w2 = -e1, -e2
     elif e1 >= 0.0 > e2:
         if beta > 0.0:
-            x12 = min(e1, -e2 / beta)
-        w2 = max(0.0, -(e2 + beta * x12))
+            x12 = -e2 / beta
+            x12 = x12 if x12 < e1 else e1
+        w2 = -(e2 + beta * x12)
+        w2 = w2 if w2 > 0.0 else 0.0
     elif e2 >= 0.0 > e1:
         if beta > 0.0:
-            x21 = min(e2, -e1 / beta)
-        w1 = max(0.0, -(e1 + beta * x21))
+            x21 = -e1 / beta
+            x21 = x21 if x21 < e2 else e2
+        w1 = -(e1 + beta * x21)
+        w1 = w1 if w1 > 0.0 else 0.0
     return (w1, w2, 0.0, 0.0, 0.0, 0.0, x12, x21, s1, s2, "no_storage")
 
 
 def _step_no_transfer(alpha: float, beta: float, cap1: float, cap2: float,
                       s1: float, s2: float, e1: float, e2: float, case2):
     out = []
-    for cap, s, e in ((cap1, s1, _clean(e1)), (cap2, s2, _clean(e2))):
+    for cap, s, e in ((cap1, s1, e1), (cap2, s2, e2)):
         w = c = d = 0.0
         if e >= 0.0:
             if alpha > 0.0:
                 c, s, _ = _fill(alpha, cap, s, e)
         else:
             if alpha > 0.0:
-                d = min(s, -e / alpha)
-                s = max(0.0, s - d)
-            w = max(0.0, -(e + alpha * d))
+                d = -e / alpha
+                d = d if d < s else s
+                s -= d
+                s = s if s > 0.0 else 0.0
+            w = -(e + alpha * d)
+            w = w if w > 0.0 else 0.0
         out.append((w, c, d, s))
     (w1, c1, d1, s1), (w2, c2, d2, s2) = out
     return (w1, w2, c1, c2, d1, d2, 0.0, 0.0, s1, s2, "no_transfer")
@@ -214,7 +242,8 @@ def stepper(mode: str, alpha: float, beta: float):
     The step returns the mode's step record from storage (s1, s2) under
     caps (cap1, cap2).  A pair outside the caps by more than CASE_TOL
     raises InvalidState and non-finite net energies raise ValueError; the
-    pair is then clamped onto [0, cap1] x [0, cap2].
+    pair is then clamped onto [0, cap1] x [0, cap2] and, once per step,
+    each energy within CASE_TOL of zero becomes 0.0 (see the module doc).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -238,12 +267,13 @@ def stepper(mode: str, alpha: float, beta: float):
                 f"storage ({s1}, {s2}) outside caps ({cap1}, {cap2})")
         if not (math.isfinite(e1) and math.isfinite(e2)):
             raise ValueError(f"net energies ({e1}, {e2}) are not finite")
-        # min(max(s, 0.0), cap) without the builtins' call cost: max(a, b)
-        # is b only if b > a, and min(a, b) is b only if b < a
+        # min(max(s, 0.0), cap), and abs(e) <= CASE_TOL as a chained test
         s1 = 0.0 if 0.0 > s1 else s1
         s2 = 0.0 if 0.0 > s2 else s2
         return rule(alpha, beta, cap1, cap2, cap1 if cap1 < s1 else s1,
-                    cap2 if cap2 < s2 else s2, e1, e2, case2)
+                    cap2 if cap2 < s2 else s2,
+                    0.0 if -CASE_TOL <= e1 <= CASE_TOL else e1,
+                    0.0 if -CASE_TOL <= e2 <= CASE_TOL else e2, case2)
     return step
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -131,6 +132,17 @@ def hex_fields(traj) -> tuple:
     cases."""
     return tuple((type(row).__name__, *map(float.hex, row))
                  for row in (*traj.actions, *traj.states)), traj.cases
+
+
+def digest(*parts) -> str:
+    """sha256 of the ``repr`` of ``parts``, each a trajectory or a tuple of
+    floats; a trajectory is its actions' and states' fields as plain
+    tuples, then its cases.  ``repr`` round-trips a float and tells -0.0
+    from 0.0, so two equal digests mean bit-identical fields."""
+    return hashlib.sha256(repr(tuple(
+        (tuple(map(tuple, p.actions)), tuple(map(tuple, p.states)), p.cases)
+        if isinstance(p, Trajectory) else tuple(p)
+        for p in parts)).encode()).hexdigest()
 
 
 def hybrid_stream_ref(params, offline_traj, realized):

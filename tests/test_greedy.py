@@ -1,10 +1,13 @@
 """Greedy controller: case rules, LP oracle agreement, rollout modes."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from energycoop import (
     ControlAction,
@@ -12,18 +15,20 @@ from energycoop import (
     StorageState,
     SystemParams,
     Trajectory,
+    add_gaussian_noise,
     check_feasible,
     greedy_step_with_case,
     lp_solve,
     run_greedy,
+    sinusoid,
     total_cost,
 )
 from energycoop.greedy import MODES, stepper
 from energycoop.model import InvalidState, neutralization_residuals
 from energycoop.offline import build_stage1, offline_cost
 
-from helpers import (hex_fields, rand_params, rand_profile, rand_state,
-                     rand_unit_open)
+from helpers import (digest, hex_fields, rand_params, rand_profile,
+                     rand_state, rand_unit_open)
 from oracles import greedy_step_lp
 
 P = SystemParams(0.9, 0.8, 1.0, 1)
@@ -356,3 +361,112 @@ class TestRollout:
             assert r1 >= -1e-9 and r2 >= -1e-9
             if mode == "no_storage":
                 assert act.c1 == act.c2 == act.d1 == act.d2 == 0.0
+
+
+OMEGA = 2 * math.pi / 24
+# a year of a noisy sinusoid; (alpha, beta) 0.9/0.8 takes the 2B/3B
+# branches (beta < alpha**2), 0.8/0.9 the 2A/3A ones
+NOISY = add_gaussian_noise(sinusoid(3.0, OMEGA, math.pi / 2, 8760), 0.5, 7)
+# every pair (k/4, j/4), k and j in -8..8, in stride -19 order so that
+# storage levels vary between slots: with alpha 0.5 and beta 0.5 or
+# 0.125 every sum is exact, so ties and exact zeros occur
+_PAIRS = list(itertools.product([k / 4 for k in range(-8, 9)], repeat=2))
+DYADIC = NetEnergyProfile(*zip(*(_PAIRS[-19 * i % 289] for i in range(289))))
+
+
+class TestBitForBit:
+    """Every rollout field, bit for bit, pinned by its ``digest``."""
+
+    @pytest.mark.parametrize("alpha, beta, mode, expected", [
+        (0.9, 0.8, "standard",
+         "624748c87b83354ace969299bc1eb139a145c3852ba4b39e4849d4d8ed470453"),
+        (0.9, 0.8, "force_case_2a",
+         "8fa9cb3a1b28f72ca503a2d9a8e0bf4b7a1d5ced52b87d5312a9248cdc6ec8bc"),
+        (0.9, 0.8, "no_storage",
+         "c728fd3288a04035482baad37fe25b9cef937ef032aee4ecd749254f3d7a35c2"),
+        (0.9, 0.8, "no_transfer",
+         "096a0e44dfb4eefb9da778ff083ce6a0f174f92ada18e0537947df722c86f1ff"),
+        (0.8, 0.9, "standard",
+         "e5e2963e020b02d58c5bfac81396d3a7171bbcfed45e69311fee7ead0de8f1a7"),
+        (0.8, 0.9, "force_case_2a",
+         "e5e2963e020b02d58c5bfac81396d3a7171bbcfed45e69311fee7ead0de8f1a7"),
+        (0.8, 0.9, "no_storage",
+         "45f326877e5778d11cf9aa00dc2ef08818ecd0ed0d7120750801edad0ac3f073"),
+        (0.8, 0.9, "no_transfer",
+         "b38593b76bdf76038948efb718490a07ebc4b0386600383b7683365502c73382"),
+    ])
+    def test_noisy_sinusoid(self, alpha, beta, mode, expected):
+        traj = run_greedy(SystemParams(alpha, beta, 1.0, 8760), NOISY, mode)
+        assert digest(traj) == expected
+
+    @pytest.mark.parametrize("beta, s_max, mode, expected", [
+        (0.5, 0.5, "standard",
+         "896201a623e0e653680c1bb90b0a262235253ebd5bb3ec9c5902a2049313ba6c"),
+        (0.5, 0.5, "force_case_2a",
+         "896201a623e0e653680c1bb90b0a262235253ebd5bb3ec9c5902a2049313ba6c"),
+        (0.5, 0.5, "no_storage",
+         "fe4b7e5fde653c71637b9fc33e2a5a3da4dd408a399c5a6c615fa105730a4125"),
+        (0.5, 0.5, "no_transfer",
+         "c0ad0ae8c29a9cc33d3cb5143772a48641636f015c52238e25d8eb574aeccf94"),
+        (0.5, 1.0, "standard",
+         "f4025da07e2ff0ae7a43d22d56bf8574ae42bc8fc2feec02ec88f385665cef38"),
+        (0.5, 1.0, "force_case_2a",
+         "f4025da07e2ff0ae7a43d22d56bf8574ae42bc8fc2feec02ec88f385665cef38"),
+        (0.5, 1.0, "no_storage",
+         "fe4b7e5fde653c71637b9fc33e2a5a3da4dd408a399c5a6c615fa105730a4125"),
+        (0.5, 1.0, "no_transfer",
+         "bcc891eab35faf3cc7ae0d7dc15489b44cc4e2391ec93d9897b2315411f7f92e"),
+        (0.125, 0.5, "standard",
+         "7f443637e215404cdf91064e129f733abe209afa8f26a8110453f51a5611c8c0"),
+        (0.125, 0.5, "force_case_2a",
+         "35db64ccf71a85651803499799b41ca37c492dc71157c8b97a511801e9be92f1"),
+        (0.125, 0.5, "no_storage",
+         "e307e3f077d9f7fc740515147305d3dce6e1fddca498cc8c31328178362c4d5d"),
+        (0.125, 0.5, "no_transfer",
+         "c0ad0ae8c29a9cc33d3cb5143772a48641636f015c52238e25d8eb574aeccf94"),
+        (0.125, 1.0, "standard",
+         "da6aacad06448b786ca4ec49dd3af8c12bef3fcc164b48d947059a01507e910f"),
+        (0.125, 1.0, "force_case_2a",
+         "e5f1d988eea064e82f22a47eabaa430c4db5133742d41db120111de92f999548"),
+        (0.125, 1.0, "no_storage",
+         "e307e3f077d9f7fc740515147305d3dce6e1fddca498cc8c31328178362c4d5d"),
+        (0.125, 1.0, "no_transfer",
+         "bcc891eab35faf3cc7ae0d7dc15489b44cc4e2391ec93d9897b2315411f7f92e"),
+    ])
+    def test_dyadic_grid(self, beta, s_max, mode, expected):
+        traj = run_greedy(SystemParams(0.5, beta, s_max, 289), DYADIC, mode)
+        assert digest(traj) == expected
+        if mode == "standard":  # the grid reaches the 4-x reductions
+            assert {"1", "4", "4-1"} <= set(traj.cases)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("dyadic", [True, False])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_no_record_field_is_negative_zero(self, mode, dyadic, data):
+        # each clamp lets its first operand win a tie, so max(0.0, -0.0)
+        # is 0.0; a conditional written the other way round gives -0.0,
+        # which exact dyadic sums such as -(-0.5 + 0.5 * 1.0) produce.  A
+        # dyadic system steps through every pair of the grid, -0.0 included
+        # (the step cleans it to 0.0); a random one through one drawn pair
+        def value(grid, lo, hi):
+            return st.sampled_from(grid) if dyadic else st.floats(lo, hi)
+
+        efficiency = value([0.125, 0.25, 0.5, 1.0], 0.01, 1.0)
+        if mode.startswith("no_"):
+            efficiency |= st.just(0.0)
+        step = stepper(mode, *(data.draw(efficiency, label=name)
+                               for name in ("alpha", "beta")))
+        cap1, cap2 = (data.draw(value([0.0, 0.5, 1.0, 2.0], 0.0, 3.0),
+                                label=name) for name in ("cap1", "cap2"))
+        s1, s2 = (data.draw(value([0.0, 0.25, 0.5, 1.0], 0.0, 1.0),
+                            label=name) * cap for name, cap in
+                  (("s1 share", cap1), ("s2 share", cap2)))
+        energies = (itertools.product(
+            [k / 4 for k in range(-8, 9)] + [-0.0], repeat=2) if dyadic
+            else [tuple(data.draw(st.floats(-3.0, 3.0), label=name)
+                        for name in ("e1", "e2"))])
+        for e1, e2 in energies:
+            record = step(cap1, cap2, s1, s2, e1, e2)
+            assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0
+                           for v in record[:10]), (e1, e2, record)

@@ -19,13 +19,14 @@ from energycoop import (
     check_feasible,
     plan_offline,
     residual_profile,
+    run_greedy,
     run_hybrid_stream,
     sinusoid,
     total_cost,
 )
 from energycoop.model import neutralization_residuals
 
-from helpers import hex_fields, hybrid_stream_ref
+from helpers import digest, hex_fields, hybrid_stream_ref
 
 OMEGA = 2 * math.pi / 24
 SECT5 = SystemParams(0.9, 0.8, 3.5, 240)
@@ -232,6 +233,21 @@ class TestRunHybrid:
         got = (result.greedy_profile.e1, result.greedy_profile.e2)
         assert ([list(map(float.hex, e)) for e in got]
                 == [list(map(float.hex, e)) for e in energies])
+
+    def test_stream_is_pinned_bit_for_bit(self):
+        # the offline component is the forecast's greedy rollout, not an
+        # LP plan, so the digest does not move with the LP solver; its
+        # charges shrink the caps and force releases in 38 of its slots
+        params = SystemParams(0.9, 0.8, 3.5, 480)
+        det = sinusoid(5.0, OMEGA, 3 * math.pi / 4, 480)
+        realized = add_gaussian_noise(det, 0.125, 5)
+        plan = run_greedy(params, det)
+        result = run_hybrid_stream(params, det, zip(realized.e1, realized.e2),
+                                   offline_traj=plan)
+        assert digest(result.combined, result.greedy,
+                      result.greedy_profile.e1, result.greedy_profile.e2) == (
+            "fdb1922b67df63f16d1cbed1f5c614005b767e7b74cbec213a86c802c418b03c")
+        assert {"2B.2", "3B.2", "4-1"} <= set(result.greedy.cases)
 
     def test_causal_streaming(self):
         det = sinusoid(5.0, OMEGA, 1.0, 24)
