@@ -176,7 +176,7 @@ def _case4(alpha: float, beta: float, cap1: float, cap2: float,
 
 def _dispatch(alpha: float, beta: float, cap1: float, cap2: float,
               s1: float, s2: float, e1: float, e2: float, case2):
-    """The case rules; ``case2`` is the mixed-sign one, 2A or 2B."""
+    """The case rules on cleaned energies; ``case2`` is 2A or 2B."""
     if e1 >= 0.0 and e2 >= 0.0:
         return _case1(alpha, beta, cap1, cap2, s1, s2, e1, e2)
     if e1 < 0.0 and e2 < 0.0:
