@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gre.add_argument("--profile", type=Path, required=True)
     p_gre.add_argument("--mode", choices=MODES, default="standard",
                        help="decision rule; standard and force_case_2a "
-                            "need alpha > 0 and beta > 0")
+                            "need alpha > 0, beta > 0 and alpha * beta > 0")
     p_gre.add_argument("--debug-cases", action="store_true",
                        help="append the per-slot decision case column")
     _add_common(p_gre)

@@ -18,17 +18,16 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 from pathlib import Path
 from statistics import mean, stdev
 
 from . import __version__
 from .greedy import CASE_TOL, run_greedy, stepper
 from .hybrid import run_hybrid_stream
-from .model import SystemParams, total_cost
+from .model import SystemParams, check_count, total_cost
 from .offline import (EPS_LEX_FACTOR, plan_and_price, plan_single_bs,
                       stage1_costs)
-from .profiles import add_gaussian_noise, check_seed, sinusoid
+from .profiles import add_gaussian_noise, sinusoid
 
 WORKERS_ENV = "ENERGYCOOP_WORKERS"
 
@@ -87,7 +86,7 @@ class ExperimentSpec:
         for theta in self.thetas:  # and its profile
             self.profile(theta)
         for v in self.seeds:
-            check_seed(v)
+            check_count("seed", v, 0)
         for name in ("alpha", "beta", "amplitude"):  # a CSV holds floats
             object.__setattr__(self, name, float(getattr(self, name)))
         for name, to in (("thetas", float), ("s_max_grid", float),
@@ -170,14 +169,12 @@ def write_result(result: ExperimentResult, path: str | Path) -> None:
 
 
 def _run_tasks(fn, tasks, workers: int | None) -> list:
-    name, value = "workers", workers
-    if workers is None:
+    name = "workers"
+    if workers is None:  # not a whole number: checked, and shown, as text
         name = WORKERS_ENV
-        value = os.environ.get(WORKERS_ENV) or str(os.cpu_count() or 1)
-        workers = int(value) if value.isdecimal() else None
-    if (isinstance(workers, bool) or not isinstance(workers, Integral)
-            or workers < 1):  # the rule of check_slot_count
-        raise ValueError(f"{name}={value!r}: want an integer >= 1")
+        workers = os.environ.get(WORKERS_ENV) or str(os.cpu_count() or 1)
+        workers = int(workers) if workers.isdecimal() else workers
+    check_count(name, workers, 1)
     size = min(len(tasks), workers)
     if size <= 1:
         return [fn(t) for t in tasks]

@@ -248,13 +248,11 @@ def stepper(mode: str, alpha: float, beta: float):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     rule = _RULES[mode]
-    if rule is _dispatch and not (alpha > 0.0 and beta > 0.0):
-        raise ValueError(f"mode {mode!r} needs alpha > 0 and beta > 0, "
-                         f"got alpha = {alpha}, beta = {beta}")
-    if rule is _dispatch and not alpha * beta > 0.0:  # an underflow
-        raise ValueError(f"mode {mode!r} needs alpha * beta > 0, got "
-                         f"alpha * beta = {alpha * beta} (alpha = {alpha}, "
-                         f"beta = {beta})")
+    if rule is _dispatch and not (alpha > 0.0 and beta > 0.0
+                                  and alpha * beta > 0.0):  # may underflow
+        raise ValueError(f"mode {mode!r} needs alpha > 0, beta > 0 and "
+                         f"alpha * beta > 0, got alpha = {alpha}, "
+                         f"beta = {beta}, alpha * beta = {alpha * beta}")
     # the mixed-sign rule: transfer first if forced or the line beats storage
     case2 = (_case2a if mode == "force_case_2a" or beta >= alpha * alpha
              else _case2b)

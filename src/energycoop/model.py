@@ -43,10 +43,12 @@ def check_slots(what: str, n: int, want: int) -> None:
         raise LengthMismatch(f"{what} has {n} slots, want {want}")
 
 
-def check_slot_count(n: int) -> None:
-    """Raise ValueError unless ``n`` is an integer >= 1; a bool is not."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise ValueError(f"n_slots must be an integer >= 1, got {n!r}")
+def check_count(what: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least``; a bool
+    is not.  The rule of every slot count, seed and pool size."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or value < least):
+        raise ValueError(f"{what}={value!r}: want an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class SystemParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if not self.s_max >= 0.0:
             raise ValueError(f"s_max must be >= 0, got {self.s_max}")
-        check_slot_count(self.n_slots)
+        check_count("n_slots", self.n_slots, 1)
         # s_max may be infinite, the initial storage may not
         s1, s2 = self.s_init
         if not all(math.isfinite(s) and 0.0 <= s <= self.s_max
@@ -84,7 +86,7 @@ class SystemParams:
                 f"got {self.s_init}")
         for name in ("alpha", "beta", "s_max"):  # a row holds floats only
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "s_init", (float(s1), float(s2)))
+        object.__setattr__(self, "s_init", (float(s1) + 0.0, float(s2) + 0.0))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
-from numbers import Integral
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .model import NetEnergyProfile, check_slot_count
+from .model import NetEnergyProfile, check_count
 
 
 _inv_cdf = NormalDist().inv_cdf
@@ -34,7 +33,7 @@ def sinusoid(amplitude: float, omega: float, theta: float,
     controls the correlation between the two stations; theta = pi makes
     them exactly anti-correlated.
     """
-    check_slot_count(n_slots)
+    check_count("n_slots", n_slots, 1)
     for name, value in (("amplitude", amplitude), ("omega", omega),
                         ("theta", theta)):
         if not math.isfinite(value):
@@ -64,12 +63,6 @@ def _standard_normals(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.array(z).reshape(shape)
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is an integer >= 0; a bool is not."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-        raise ValueError(f"seed {seed!r}: want an integer >= 0")
-
-
 def add_gaussian_noise(profile: NetEnergyProfile, scale: float,
                        seed: int) -> NetEnergyProfile:
     """Add iid scale * N(0,1) noise to both stations' net energies.
@@ -77,7 +70,7 @@ def add_gaussian_noise(profile: NetEnergyProfile, scale: float,
     The draw order is pinned (row 0 of the 2 x N normal block perturbs
     e1, row 1 perturbs e2), so a seed identifies one realization exactly.
     """
-    check_seed(seed)
+    check_count("seed", seed, 0)
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ValueError(f"scale must be finite and >= 0, got {scale}")
     if scale == 0.0:

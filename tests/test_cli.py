@@ -115,7 +115,7 @@ def test_bad_noise_seed_exits_2(profile_csv, tmp_path, capsys):
     out = tmp_path / "hybrid.csv"
     assert main(["hybrid", "--det", str(profile_csv), "--seed", "-1",
                  "--out", str(out)]) == 2
-    assert "error: seed -1: want an integer >= 0" in capsys.readouterr().err
+    assert "error: seed=-1: want an integer >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -176,7 +176,9 @@ def test_greedy_study_zero_efficiency_exits_2(tmp_path, capsys):
     assert main(["experiment", "hybrid-vs-greedy", "--alpha", "0",
                  "--n", "24", "--thetas", "0", "--seeds", "0",
                  "--out", str(out)]) == 2
-    assert "mode 'standard' needs alpha > 0" in capsys.readouterr().err
+    assert ("error: mode 'standard' needs alpha > 0, beta > 0 and "
+            "alpha * beta > 0, got alpha = 0.0, beta = 0.8, "
+            "alpha * beta = 0.0" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -195,8 +197,9 @@ def test_underflowing_efficiency_product_exits_2_before_any_solve(
     save_profile(sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 24), profile)
     argv = [a.format(profile=profile, out=out) for a in argv]
     assert main([*argv, "--alpha", "1e-170", "--beta", "1e-170"]) == 2
-    assert ("error: mode 'standard' needs alpha * beta > 0"
-            in capsys.readouterr().err)
+    assert ("error: mode 'standard' needs alpha > 0, beta > 0 and "
+            "alpha * beta > 0, got alpha = 1e-170, beta = 1e-170, "
+            "alpha * beta = 0.0" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -206,7 +209,7 @@ def test_underflowing_efficiency_product_exits_2_before_any_solve(
     ("cost-vs-storage", ["--smax-grid", "1,-1"],
      "s_max must be >= 0, got -1.0"),
     ("hybrid-vs-greedy", ["--seeds", "0,-1"],
-     "seed -1: want an integer >= 0")])
+     "seed=-1: want an integer >= 0")])
 def test_bad_grid_point_or_seed_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, experiment, argv, err):
     def no_solve(self, problem):
@@ -260,14 +263,19 @@ def test_zero_cost_baseline_exits_2(tmp_path, capsys, experiment, metric):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_workers_variable_exits_2(tmp_path, capsys, monkeypatch, value):
+@pytest.mark.parametrize("value, shown", [
+    ("abc", "'abc'"), ("0", "0"), ("-2", "'-2'"), ("1.5", "'1.5'")],
+    ids=["abc", "0", "-2", "1.5"])
+def test_bad_workers_variable_exits_2(tmp_path, capsys, monkeypatch, value,
+                                      shown):
+    # a whole number is shown as the integer it is, anything else as the
+    # string the variable held
     monkeypatch.setenv("ENERGYCOOP_WORKERS", value)
     out = tmp_path / "exp.csv"
     assert main(["experiment", "saving-vs-theta", "--thetas", "0.0",
                  "--n", "24", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"ENERGYCOOP_WORKERS={value!r}: want an integer >= 1" in err
+    assert f"error: ENERGYCOOP_WORKERS={shown}: want an integer >= 1" in err
     assert not out.exists()
 
 

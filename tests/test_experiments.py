@@ -57,7 +57,9 @@ def test_spec_validation():
     ({"s_max_grid": (1.0, math.nan)}, "s_max must be >= 0, got nan"),
     ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
     ({"beta": -0.5}, "beta must be in [0, 1], got -0.5"),
-    ({"n_slots": 0}, "n_slots must be an integer >= 1, got 0")])
+    ({"n_slots": 0}, "n_slots=0: want an integer >= 1"),
+    ({"n_slots": True}, "n_slots=True: want an integer >= 1"),
+    ({"n_slots": 2.5}, "n_slots=2.5: want an integer >= 1")])
 @pytest.mark.parametrize("experiment", ["cost-vs-storage", "saving-vs-theta"])
 def test_every_grid_point_checked_when_built(experiment, overrides, err):
     # a bad s_max used to fail in its own column, after the columns
@@ -72,7 +74,7 @@ def test_bad_seed_named_when_built(seed):
     # numpy's own message named neither the flag nor the seed
     with pytest.raises(ValueError) as exc:
         small_spec("hybrid-vs-greedy", seeds=(0, seed))
-    assert str(exc.value) == f"seed {seed!r}: want an integer >= 0"
+    assert str(exc.value) == f"seed={seed!r}: want an integer >= 0"
 
 
 def test_numpy_integer_seeds_taken():
@@ -91,8 +93,13 @@ def test_greedy_studies_reject_zero_efficiency_before_any_solve(
         raise AssertionError("LP solved before the mode check")
 
     monkeypatch.setattr(lp.LpSession, "solve", no_solve)
-    with pytest.raises(ValueError, match="mode 'standard' needs alpha > 0"):
+    used = {"alpha": 0.9, "beta": 0.8, **efficiencies}  # 0.9, 0.8: defaults
+    with pytest.raises(ValueError) as exc:
         run_experiment(small_spec(experiment, **efficiencies), workers=1)
+    assert str(exc.value) == (
+        "mode 'standard' needs alpha > 0, beta > 0 and alpha * beta > 0, "
+        f"got alpha = {used['alpha']}, beta = {used['beta']}, "
+        "alpha * beta = 0.0")
 
 
 @pytest.mark.parametrize("experiment", ["greedy-loss-vs-theta",
@@ -104,9 +111,11 @@ def test_greedy_studies_reject_underflowing_efficiencies_before_any_solve(
         raise AssertionError("LP solved before the mode check")
 
     monkeypatch.setattr(lp.LpSession, "solve", no_solve)
-    with pytest.raises(ValueError, match=r"mode 'standard' needs alpha \* "
-                                         r"beta > 0, got alpha \* beta = 0.0"):
+    with pytest.raises(ValueError) as exc:
         small_spec(experiment, alpha=1e-170, beta=1e-170)
+    assert str(exc.value) == (
+        "mode 'standard' needs alpha > 0, beta > 0 and alpha * beta > 0, "
+        "got alpha = 1e-170, beta = 1e-170, alpha * beta = 0.0")
 
 
 @pytest.mark.parametrize("efficiencies", [{"alpha": 0.0}, {"beta": 0.0}])
@@ -331,9 +340,15 @@ def test_cold_highs_instances_per_task(monkeypatch, run, task, cold):
 @pytest.mark.parametrize("workers", [0, -5, True, False, 1.0, "2"])
 def test_bad_workers_argument_rejected(workers):
     # the rule of ENERGYCOOP_WORKERS: an integer >= 1, and a bool is not
-    with pytest.raises(ValueError, match=f"workers={workers!r}: want an "
-                                         "integer >= 1"):
+    with pytest.raises(ValueError) as exc:
         run_experiment(small_spec("saving-vs-theta"), workers=workers)
+    assert str(exc.value) == f"workers={workers!r}: want an integer >= 1"
+
+
+def test_numpy_integer_workers_taken():
+    spec = small_spec("saving-vs-theta")
+    assert (run_experiment(spec, workers=np.int64(1))
+            == run_experiment(spec, workers=1))
 
 
 def test_result_csv_round_trip(tmp_path):

@@ -247,8 +247,18 @@ class TestRollout:
         with pytest.raises(ValueError) as exc:
             stepper(mode, 1e-170, 1e-170)
         assert str(exc.value) == (
-            f"mode {mode!r} needs alpha * beta > 0, got alpha * beta = 0.0 "
-            "(alpha = 1e-170, beta = 1e-170)")
+            f"mode {mode!r} needs alpha > 0, beta > 0 and alpha * beta > 0, "
+            "got alpha = 1e-170, beta = 1e-170, alpha * beta = 0.0")
+
+    @pytest.mark.parametrize("mode", ["standard", "force_case_2a"])
+    def test_negative_efficiencies_rejected_despite_positive_product(
+            self, mode):
+        # a test of the product alone would take this pair
+        with pytest.raises(ValueError) as exc:
+            stepper(mode, -0.5, -0.5)
+        assert str(exc.value) == (
+            f"mode {mode!r} needs alpha > 0, beta > 0 and alpha * beta > 0, "
+            "got alpha = -0.5, beta = -0.5, alpha * beta = 0.25")
 
     @pytest.mark.parametrize("mode", ["no_storage", "no_transfer"])
     def test_boundary_modes_roll_out_with_underflowing_product(self, mode):
@@ -268,8 +278,10 @@ class TestRollout:
             f"unknown mode 'bogus'; expected one of {MODES}")
         with pytest.raises(ValueError) as exc:
             run_greedy(SystemParams(0.9, 0.0, 1.0, 1), prof, "force_case_2a")
-        assert str(exc.value) == ("mode 'force_case_2a' needs alpha > 0 and "
-                                  "beta > 0, got alpha = 0.9, beta = 0.0")
+        assert str(exc.value) == (
+            "mode 'force_case_2a' needs alpha > 0, beta > 0 and "
+            "alpha * beta > 0, got alpha = 0.9, beta = 0.0, "
+            "alpha * beta = 0.0")
 
     @pytest.mark.parametrize("mode, alpha, beta", [
         *((mode, None, None) for mode in MODES),

@@ -356,8 +356,11 @@ class TestRunHybrid:
         monkeypatch.setattr("energycoop.hybrid.plan_offline", no_plan)
         params = SystemParams(alpha, beta, 1.0, 24)
         det = sinusoid(3.0, OMEGA, 1.0, 24)
-        with pytest.raises(ValueError, match="needs alpha > 0 and beta > 0"):
+        with pytest.raises(ValueError) as exc:
             run_hybrid_stream(params, det, zip(det.e1, det.e2))
+        assert str(exc.value) == (
+            "mode 'standard' needs alpha > 0, beta > 0 and alpha * beta > 0, "
+            f"got alpha = {alpha}, beta = {beta}, alpha * beta = 0.0")
 
     def test_underflowing_efficiency_product_rejected_before_planning(
             self, monkeypatch):
@@ -367,8 +370,11 @@ class TestRunHybrid:
         monkeypatch.setattr("energycoop.hybrid.plan_offline", no_plan)
         params = SystemParams(1e-170, 1e-170, 1.0, 24)
         det = sinusoid(3.0, OMEGA, 1.0, 24)
-        with pytest.raises(ValueError, match=r"needs alpha \* beta > 0"):
+        with pytest.raises(ValueError) as exc:
             run_hybrid_stream(params, det, zip(det.e1, det.e2))
+        assert str(exc.value) == (
+            "mode 'standard' needs alpha > 0, beta > 0 and alpha * beta > 0, "
+            "got alpha = 1e-170, beta = 1e-170, alpha * beta = 0.0")
 
     def test_decomposed_validation(self):
         with pytest.raises(LengthMismatch):

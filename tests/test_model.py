@@ -59,13 +59,16 @@ class TestParams:
             SystemParams(0.9, 0.8, 1.0, 0)
         with pytest.raises(ValueError):
             SystemParams(0.9, 0.8, 1.0, 1, (0.0, 2.0))
-        with pytest.raises(ValueError, match="n_slots must be an integer"):
+        with pytest.raises(ValueError) as exc:
             SystemParams(0.9, 0.8, 1.0, 2.5)
+        assert str(exc.value) == "n_slots=2.5: want an integer >= 1"
 
-    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None, 0,
+                                     -1])
     def test_non_integer_slot_count_rejected(self, bad):
-        with pytest.raises(ValueError, match="n_slots must be an integer"):
+        with pytest.raises(ValueError) as exc:
             SystemParams(0.9, 0.8, 1.0, bad)
+        assert str(exc.value) == f"n_slots={bad!r}: want an integer >= 1"
 
     def test_numpy_integer_slot_count_accepted(self):
         assert SystemParams(0.9, 0.8, 1.0, np.int64(3)).n_slots == 3
@@ -118,6 +121,13 @@ class TestParams:
         assert all(type(v) is float
                    for v in (p.alpha, p.beta, p.s_max, *p.s_init))
         assert hash(p) == hash(SystemParams(0.9, 0.5, 2.0, 3, (1.0, 0.0)))
+        # a -0.0 initial storage is kept as 0.0, so no rollout starts at -0.0
+        p = SystemParams(0.9, 0.8, 1.0, 1, (-0.0, 0.0))
+        assert [float.hex(s) for s in p.s_init] == ["0x0.0p+0"] * 2
+        traj = run_greedy(SystemParams(0.9, 0.95, 1.0, 1, (0.5, -0.0)),
+                          NetEnergyProfile(e1=(0.3,), e2=(-1.0,)))
+        assert [float.hex(traj.actions[0].d2), float.hex(traj.states[0].s2)
+                ] == ["0x0.0p+0"] * 2
 
     def test_profile_values_are_floats(self):
         prof = NetEnergyProfile(e1=[1, "2.5"], e2=(np.float64(3.0), -0.0))
