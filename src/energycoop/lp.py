@@ -12,15 +12,17 @@ no ``HighsLp`` copy, to the array ``passModel`` of the HiGHS solver scipy
 bundles (its private binding ``scipy.optimize._highspy._core``, loaded
 from its file to skip importing scipy.optimize, a third of start-up),
 with the options (1e-10 feasibility tolerances) that
-``linprog(method="highs")`` would pass; the ``*_match_public_linprog``
-tests in ``tests/test_lp.py`` pin that, so a scipy release that changes
-the binding fails there instead of silently moving a plan; a session
-re-solves edits of its last program warm.  Every point is then
-re-checked against every constraint at 1e-9 times max(1, largest finite
-|row bound|), so a plan does not depend on the energy unit, and only that
-certified optimum is returned; everything else raises: ``LpInfeasible``
-for an infeasible program, ``SolverError`` for an unbounded one, any other
-backend failure and a point that fails the re-check.
+``linprog(method="highs")`` would pass, and presolve off in a session
+made with ``presolve=False``, as ``linprog`` with ``"presolve": False``;
+the ``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin both,
+so a scipy release that changes the binding fails there instead of
+silently moving a plan; a session re-solves edits of its last program
+warm.  Every point is then re-checked against every constraint at 1e-9
+times max(1, largest finite |row bound|), so a plan does not depend on the
+energy unit, and only that certified optimum is returned; everything else
+raises: ``LpInfeasible`` for an infeasible program, ``SolverError`` for an
+unbounded one, any other backend failure and a point that fails the
+re-check.
 """
 
 from __future__ import annotations
@@ -213,9 +215,14 @@ class LpSession:
     """One HiGHS instance.  A program whose ``a`` is the very object of the
     last one solved is pushed as the costs and bounds that differ and
     re-solved from its optimal basis; any other, and any after a failed
-    solve, is passed cold to a fresh instance."""
+    solve, is passed cold to a fresh instance, with ``_OPTIONS`` and, if
+    ``presolve`` is false, HiGHS presolve off.  A warm re-solve never
+    presolves, so the flag acts on cold solves only."""
 
     _highs = _last = None  # the instance and the last program it solved
+
+    def __init__(self, presolve: bool = True) -> None:
+        self.presolve = presolve
 
     def solve(self, problem: LpProblem) -> LpSolution:
         """Certified minimizer of ``problem``; raises as ``lp_solve``."""
@@ -242,7 +249,9 @@ class LpSession:
                 problem.objective, problem.lower, problem.upper,
                 problem.row_lower, problem.row_upper,
                 a.indptr, a.indices, a.data, np.zeros(n, np.int32))]
-        if HighsStatus.kError in done:  # HiGHS rejected the model or an edit
+            if not self.presolve:
+                done.append(highs.setOptionValue("presolve", "off"))
+        if HighsStatus.kError in done:  # HiGHS refused the setup or an edit
             raise SolverError("LP backend failed: HiGHS status kModelError")
         ran = highs.run() != HighsStatus.kError
         status = highs.getModelStatus()

@@ -105,8 +105,10 @@ def enumerate_lp_optimum(c, eq, ub, bounds):
     return ("Optimal", best)
 
 
-def linprog_reference(problem):
-    """Public ``linprog(method="highs")`` on a program's fields.
+def linprog_reference(problem, **options):
+    """Public ``linprog(method="highs")`` on a program's fields, with the
+    engine's options updated by ``options`` (``presolve=False`` for a
+    session made with ``presolve=False``).
 
     ``problem`` is anything with the ``LpProblem`` fields.  Its rows with
     a ``-inf`` lower bound become ``A_ub``; every other row must be an
@@ -125,7 +127,7 @@ def linprog_reference(problem):
                    A_ub=a[ub], b_ub=problem.row_upper[ub],
                    A_eq=a[eq], b_eq=problem.row_upper[eq],
                    bounds=np.column_stack((problem.lower, problem.upper)),
-                   method="highs", options=_HIGHS_OPTIONS)
+                   method="highs", options={**_HIGHS_OPTIONS, **options})
 
 
 def normalize_action_ref(action, alpha):

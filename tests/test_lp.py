@@ -794,22 +794,26 @@ def _random_programs():
 
 
 def test_matches_public_linprog():
-    # lp_solve calls HiGHS through scipy's private binding; public linprog
+    # a session calls HiGHS through scipy's private binding; public linprog
     # with the same options is the reference, so a scipy release that
-    # changes the binding fails here instead of silently moving a plan
+    # changes the binding fails here instead of silently moving a plan;
+    # lp_solve presolves, stage 1's cold solves do not
     checked = 0
-    for problem in (*_random_programs(), *_planning_programs()):
-        res = linprog_reference(problem)
-        if res.status == 2:
-            with pytest.raises(LpInfeasible):
-                lp_solve(problem)
-            continue
-        assert res.status == 0
-        sol = lp_solve(problem)
-        assert np.array_equal(sol.x, res.x)
-        assert sol.iterations == res.nit
-        checked += 1
-    assert checked >= 20
+    for presolve, solve in (
+            (True, lp_solve),
+            (False, lambda problem: LpSession(presolve=False).solve(problem))):
+        for problem in (*_random_programs(), *_planning_programs()):
+            res = linprog_reference(problem, presolve=presolve)
+            if res.status == 2:
+                with pytest.raises(LpInfeasible):
+                    solve(problem)
+                continue
+            assert res.status == 0
+            sol = solve(problem)
+            assert np.array_equal(sol.x, res.x)
+            assert sol.iterations == res.nit
+            checked += 1
+    assert checked >= 40
 
 
 def test_options_match_public_linprog(monkeypatch):

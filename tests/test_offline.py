@@ -27,7 +27,7 @@ from energycoop import (
     total_cost,
 )
 from energycoop.experiments import DEFAULT_SEEDS, NOISE_SCALE, default_spec
-from energycoop.lp import FEAS_TOL, LpInfeasible
+from energycoop.lp import FEAS_TOL, LpInfeasible, LpSession
 from energycoop.offline import (
     EPS_LEX_FACTOR,
     Stage2Infeasible,
@@ -268,9 +268,9 @@ class TestExtraction:
 
     def test_plan_offline_states_are_certified_storage(self):
         for p, prof in self.instances():
-            stage1 = build_stage1(p, prof)
-            v1 = lp_solve(stage1).objective_value
-            x = lp_solve(build_stage2(stage1, v1)).x
+            # v1 as the plan takes it: stage 1 solved without presolve
+            v1 = offline_cost(p, prof)
+            x = lp_solve(build_stage2(build_stage1(p, prof), v1)).x
             traj = plan_offline(p, prof)
             self.assert_is_point(p, traj, x)
             assert check_feasible(p, prof, traj).ok
@@ -433,9 +433,20 @@ class TestOfflineCosts:
         assert len(warm) == len(DEFAULT_SEEDS) == 20
         for profile, cost in zip(realized, warm):
             cold = offline_cost(params, profile)
-            assert cold == lp_solve(build_stage1(params, profile)
-                                    ).objective_value
+            assert cold == LpSession(presolve=False).solve(
+                build_stage1(params, profile)).objective_value
             assert abs(cost - cold) <= 1e-9 * abs(cold)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48))
+    @settings(max_examples=100, deadline=None)
+    def test_cost_without_presolve_is_the_presolved_optimum(self, seed, n):
+        # stage 1 skips HiGHS presolve; its optimal value is unique, so the
+        # presolved cold solve lp_solve makes reaches it to rounding
+        rng = np.random.default_rng(seed)
+        p, prof = rand_params(rng, n), rand_profile(rng, n)
+        cost = offline_cost(p, prof)
+        want = lp_solve(build_stage1(p, prof)).objective_value
+        assert abs(cost - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_first_cost_is_the_cold_one(self):
         rng = np.random.default_rng(17)
@@ -445,7 +456,8 @@ class TestOfflineCosts:
         first = build_stage1(p, profiles[0])  # priced by an independent solve
         for name in ("objective", "row_lower", "row_upper", "lower", "upper"):
             assert np.array_equal(getattr(stage1, name), getattr(first, name))
-        assert costs[0] == lp_solve(first).objective_value
+        assert costs[0] == LpSession(presolve=False).solve(
+            first).objective_value
         for profile, cost in zip(profiles, costs):
             cold = lp_solve(build_stage1(p, profile)).objective_value
             assert abs(cost - cold) <= 1e-9 * max(1.0, abs(cold))
