@@ -12,12 +12,13 @@ no ``HighsLp`` copy, to the array ``passModel`` of the HiGHS solver scipy
 bundles (its private binding ``scipy.optimize._highspy._core``, loaded
 from its file to skip importing scipy.optimize, a third of start-up),
 with the options (1e-10 feasibility tolerances) that
-``linprog(method="highs")`` would pass, and presolve off in a session
-made with ``presolve=False``, as ``linprog`` with ``"presolve": False``;
-the ``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin both,
-so a scipy release that changes the binding fails there instead of
-silently moving a plan; a session re-solves edits of its last program
-warm.  Every point is then re-checked against every constraint at 1e-9
+``linprog(method="highs")`` would pass, and in a session made with
+``value_only=True`` presolve off and Devex dual pricing, as ``linprog``
+with ``presolve=False, simplex_dual_edge_weight_strategy="devex"``; the
+``*_match_public_linprog`` tests in ``tests/test_lp.py`` pin both, so a
+scipy release that changes the binding fails there instead of silently
+moving a plan; a session re-solves edits of its last program warm.
+Every point is then re-checked against every constraint at 1e-9
 times max(1, largest finite |row bound|), so a plan does not depend on the
 energy unit, and only that certified optimum is returned; everything else
 raises: ``LpInfeasible`` for an infeasible program, ``SolverError`` for an
@@ -58,16 +59,19 @@ if _loaded:  # else it hides _core from its package; a later import loads
 
 FEAS_TOL = 1e-9
 
-# the options linprog(method="highs") sets for these tolerances
-_OPTIONS = HighsOptions()
-_OPTIONS.presolve = "on"
-_OPTIONS.simplex_strategy = (
-    simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_OPTIONS.primal_feasibility_tolerance = 1e-10
-_OPTIONS.dual_feasibility_tolerance = 1e-10
-_OPTIONS.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
-_OPTIONS.output_flag = False
-_OPTIONS.log_to_console = False
+# the options linprog(method="highs") sets for these tolerances, and for a
+# value-only session those with presolve off and Devex dual pricing
+_OPTIONS, _VALUE_ONLY_OPTIONS = HighsOptions(), HighsOptions()
+for _options in (_OPTIONS, _VALUE_ONLY_OPTIONS):
+    _options.simplex_strategy = (
+        simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    _options.primal_feasibility_tolerance = 1e-10
+    _options.dual_feasibility_tolerance = 1e-10
+    _options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    _options.output_flag = False
+    _options.log_to_console = False
+_OPTIONS.presolve, _VALUE_ONLY_OPTIONS.presolve = "on", "off"
+_VALUE_ONLY_OPTIONS.simplex_dual_edge_weight_strategy = 1  # Devex
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,14 +219,16 @@ class LpSession:
     """One HiGHS instance.  A program whose ``a`` is the very object of the
     last one solved is pushed as the costs and bounds that differ and
     re-solved from its optimal basis; any other, and any after a failed
-    solve, is passed cold to a fresh instance, with ``_OPTIONS`` and, if
-    ``presolve`` is false, HiGHS presolve off.  A warm re-solve never
-    presolves, so the flag acts on cold solves only."""
+    solve, is passed cold to a fresh instance with ``_OPTIONS``, or with
+    ``_VALUE_ONLY_OPTIONS`` (presolve off, Devex pricing) if ``value_only``
+    is true: the caller then uses only each optimal value, which is unique,
+    so the session may end at any optimal vertex.  A warm re-solve runs in
+    the same instance, so it prices as the cold solve did."""
 
     _highs = _last = None  # the instance and the last program it solved
 
-    def __init__(self, presolve: bool = True) -> None:
-        self.presolve = presolve
+    def __init__(self, value_only: bool = False) -> None:
+        self.options = _VALUE_ONLY_OPTIONS if value_only else _OPTIONS
 
     def solve(self, problem: LpProblem) -> LpSolution:
         """Certified minimizer of ``problem``; raises as ``lp_solve``."""
@@ -243,14 +249,12 @@ class LpSession:
         else:
             a, n = problem.a, problem.n_vars
             highs = self._highs = _Highs()
-            highs.passOptions(_OPTIONS)
+            highs.passOptions(self.options)
             done = [highs.passModel(  # minimize (1), all continuous (0)
                 n, a.shape[0], a.nnz, int(MatrixFormat.kRowwise), 1, 0.0,
                 problem.objective, problem.lower, problem.upper,
                 problem.row_lower, problem.row_upper,
                 a.indptr, a.indices, a.data, np.zeros(n, np.int32))]
-            if not self.presolve:
-                done.append(highs.setOptionValue("presolve", "off"))
         if HighsStatus.kError in done:  # HiGHS refused the setup or an edit
             raise SolverError("LP backend failed: HiGHS status kModelError")
         ran = highs.run() != HighsStatus.kError

@@ -13,13 +13,14 @@ optimum or raises; an infeasible stage 2 raises ``Stage2Infeasible``.  A
 plan is its certified point: the action columns normalized in one array
 pass and the storage columns clipped onto [0, s_max].  Every stage-1
 cost is priced by ``stage1_costs``, the first profile cold and the rest
-warm in its session; stage 2 is solved cold.  Stage 1 is solved without
-HiGHS presolve, which removed only 6 rows and 6 columns at N = 240 to
-8760 yet took 19-36% of the cold solve; only stage 1's optimal value is
-used, and it is unique, so skipping presolve moves it in its last digits
-only.  Stage 2 keeps presolve: its optimum is tied, and which vertex
-HiGHS returns depends on the solve path.  The single-station savings
-baseline is no LP but a greedy rollout.
+warm in its session; stage 2 is solved cold.  Only stage 1's unique
+optimal value is used, so its session is value-only: no HiGHS presolve
+(it removed 6 rows and 6 columns yet took 19-36% of the cold solve) and
+Devex dual pricing, cheaper per iteration than steepest edge; both move
+the value in its last digits only.  Stage 2 keeps presolve and steepest
+edge: its optimum is tied, and the vertex HiGHS returns depends on the
+solve path.  The single-station savings baseline is no LP but a greedy
+rollout.
 """
 
 from __future__ import annotations
@@ -174,11 +175,11 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
 def stage1_costs(params: SystemParams, profiles: Sequence[NetEnergyProfile],
                  ) -> tuple[LpProblem, list[float]]:
     """The stage-1 program of ``profiles[0]`` and the ``offline_cost`` of
-    each profile: the first solved cold, without presolve, in a new
-    session, each later one re-solved warm in it with only its neutral-row
-    upper bounds changed."""
+    each profile: the first solved cold in a new value-only session
+    (presolve off, Devex pricing), each later one re-solved warm in it
+    with only its neutral-row upper bounds changed."""
     stage1 = build_stage1(params, profiles[0])
-    session = LpSession(presolve=False)
+    session = LpSession(value_only=True)
     return stage1, [session.solve(replace(
         stage1, row_upper=_row_upper(params, p))).objective_value
         for p in profiles]

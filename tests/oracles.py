@@ -107,8 +107,9 @@ def enumerate_lp_optimum(c, eq, ub, bounds):
 
 def linprog_reference(problem, **options):
     """Public ``linprog(method="highs")`` on a program's fields, with the
-    engine's options updated by ``options`` (``presolve=False`` for a
-    session made with ``presolve=False``).
+    engine's options updated by ``options`` (``presolve=False`` and
+    ``simplex_dual_edge_weight_strategy="devex"`` for a session made with
+    ``value_only=True``).
 
     ``problem`` is anything with the ``LpProblem`` fields.  Its rows with
     a ``-inf`` lower bound become ``A_ub``; every other row must be an

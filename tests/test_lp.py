@@ -303,14 +303,15 @@ def _assert_feasible(problem, x):
                   & (x <= problem.upper + FEAS_TOL))
 
 
-def test_session_warm_resolves_match_cold():
+@pytest.mark.parametrize("value_only", [False, True])
+def test_session_warm_resolves_match_cold(value_only):
     # random edits of right-hand sides, bounds and costs re-solve warm;
     # each point is certified and attains the cold optimum
     rng = np.random.default_rng(5)
     warm_solves = 0
     for _ in range(30):
         problem = _feasible_program(rng)
-        session = LpSession()
+        session = LpSession(value_only)
         session.solve(problem)
         for _ in range(5):
             edited = _random_edit(problem, rng)
@@ -440,20 +441,24 @@ def test_session_new_matrices_solve_cold():
             assert sol.iterations == ref.iterations
 
 
-def test_session_warm_infeasible_edit_raises():
+@pytest.mark.parametrize("value_only", [False, True])
+def test_session_warm_infeasible_edit_raises(value_only):
     # x1 + x2 <= b with both in [0.5, 1]: b = 0.5 cannot be met
     problem = make_problem([-1.0, -1.0], ub=[(np.array([1.0, 1.0]), 1.5)],
                            bounds=[(0.5, 1.0), (0.5, 1.0)])
-    session = LpSession()
+    session = LpSession(value_only)
     assert session.solve(problem).objective_value == pytest.approx(-1.5)
     highs = session._highs
     with pytest.raises(LpInfeasible):
         session.solve(replace(problem, row_upper=np.array([0.5])))
     assert session._highs is highs  # the infeasible solve ran warm
-    # after a failure the next program is passed cold
+    # after a failure the next program is passed cold, with the options of
+    # a fresh session of the same kind
     again = session.solve(problem)
     assert session._highs is not highs
-    assert np.array_equal(again.x, lp_solve(problem).x)
+    fresh = LpSession(value_only).solve(problem)
+    assert np.array_equal(again.x, fresh.x)
+    assert again.iterations == fresh.iterations
 
 
 def test_rejected_model_or_edit_raises(monkeypatch):
@@ -793,17 +798,22 @@ def _random_programs():
         yield make_problem(*random_program(rng))
 
 
+# the linprog options of a value-only session: presolve off, Devex pricing
+_VALUE_ONLY = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
+
+
 def test_matches_public_linprog():
     # a session calls HiGHS through scipy's private binding; public linprog
     # with the same options is the reference, so a scipy release that
     # changes the binding fails here instead of silently moving a plan;
-    # lp_solve presolves, stage 1's cold solves do not
+    # lp_solve keeps linprog's defaults, stage 1's value-only session not
     checked = 0
-    for presolve, solve in (
-            (True, lp_solve),
-            (False, lambda problem: LpSession(presolve=False).solve(problem))):
+    for options, solve in (
+            ({}, lp_solve),
+            (_VALUE_ONLY,
+             lambda problem: LpSession(value_only=True).solve(problem))):
         for problem in (*_random_programs(), *_planning_programs()):
-            res = linprog_reference(problem, presolve=presolve)
+            res = linprog_reference(problem, **options)
             if res.status == 2:
                 with pytest.raises(LpInfeasible):
                     solve(problem)
@@ -826,13 +836,24 @@ def test_options_match_public_linprog(monkeypatch):
         return wrapper(*args)
 
     monkeypatch.setattr(_linprog_highs, "_highs_wrapper", spy)
-    linprog_reference(make_problem([1.0]))
-    set_options = {key: value for key, value in seen.items()
-                   if value is not None and key != "sense"}
-    assert set_options.pop("presolve") is True
-    assert lp._OPTIONS.presolve == "on"
-    for key, value in set_options.items():
-        assert getattr(lp._OPTIONS, key) == getattr(value, "value", value), key
+    for options, engine in (({}, lp._OPTIONS),
+                            (_VALUE_ONLY, lp._VALUE_ONLY_OPTIONS)):
+        seen.clear()
+        linprog_reference(make_problem([1.0]), **options)
+        set_options = {key: value for key, value in seen.items()
+                       if value is not None and key != "sense"}
+        # and the engine moves no option off its HiGHS default that
+        # linprog leaves there
+        fresh = lp.HighsOptions()
+        assert {key for key in dir(fresh) if not key.startswith("_")
+                and not callable(getattr(fresh, key))
+                and getattr(engine, key) != getattr(fresh, key)
+                } <= set_options.keys()
+        presolve = set_options.pop("presolve")
+        assert presolve is options.get("presolve", True)
+        assert engine.presolve == ("on" if presolve else "off")
+        for key, value in set_options.items():
+            assert getattr(engine, key) == getattr(value, "value", value), key
 
 
 @pytest.mark.parametrize("problem, status, error", [

@@ -433,17 +433,23 @@ class TestOfflineCosts:
         assert len(warm) == len(DEFAULT_SEEDS) == 20
         for profile, cost in zip(realized, warm):
             cold = offline_cost(params, profile)
-            assert cold == LpSession(presolve=False).solve(
+            assert cold == LpSession(value_only=True).solve(
                 build_stage1(params, profile)).objective_value
             assert abs(cost - cold) <= 1e-9 * abs(cold)
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48),
+           s_max=st.sampled_from([None, math.inf]), lossless=st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_cost_without_presolve_is_the_presolved_optimum(self, seed, n):
-        # stage 1 skips HiGHS presolve; its optimal value is unique, so the
-        # presolved cold solve lp_solve makes reaches it to rounding
+    def test_cost_without_presolve_is_the_presolved_optimum(
+            self, seed, n, s_max, lossless):
+        # stage 1 skips HiGHS presolve and prices with Devex; its optimal
+        # value is unique, so the presolved steepest-edge cold solve
+        # lp_solve makes reaches it to rounding, also with unbounded
+        # storage and a lossless system, where ties are most common
         rng = np.random.default_rng(seed)
-        p, prof = rand_params(rng, n), rand_profile(rng, n)
+        efficiency = 1.0 if lossless else None
+        p = rand_params(rng, n, efficiency, efficiency, s_max)
+        prof = rand_profile(rng, n)
         cost = offline_cost(p, prof)
         want = lp_solve(build_stage1(p, prof)).objective_value
         assert abs(cost - want) <= 1e-12 * max(1.0, abs(want))
@@ -456,7 +462,7 @@ class TestOfflineCosts:
         first = build_stage1(p, profiles[0])  # priced by an independent solve
         for name in ("objective", "row_lower", "row_upper", "lower", "upper"):
             assert np.array_equal(getattr(stage1, name), getattr(first, name))
-        assert costs[0] == LpSession(presolve=False).solve(
+        assert costs[0] == LpSession(value_only=True).solve(
             first).objective_value
         for profile, cost in zip(profiles, costs):
             cold = lp_solve(build_stage1(p, profile)).objective_value
