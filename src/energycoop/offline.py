@@ -7,8 +7,10 @@ offline program derives from the stage-1 program: one sparse matrix with
 about 22 non-zeros per slot and a lower and upper bound on each row,
 assembled once per plan from one table of (row, column, value) entries
 written as arrays over the slots, in time and memory linear in the
-horizon.  Cost re-solves edit its row bounds and share its matrix; stage
-2 inserts one ``cost_budget`` row.  ``lp_solve`` returns a certified
+horizon.  Stage 2 inserts one ``cost_budget`` row; costs are priced on
+the program without the 2N rows that bound discharge by storage, which
+never change the optimal value (``_priced_program``), and re-solves edit
+its row bounds and share its matrix.  ``lp_solve`` returns a certified
 optimum or raises; an infeasible stage 2 raises ``Stage2Infeasible``.  A
 plan is its certified point: the action columns normalized in one array
 pass and the storage columns clipped onto [0, s_max].  Every stage-1
@@ -16,11 +18,11 @@ cost is priced by ``stage1_costs``, the first profile cold and the rest
 warm in its session; stage 2 is solved cold.  Only stage 1's unique
 optimal value is used, so its session is value-only: no HiGHS presolve
 (it removed 6 rows and 6 columns yet took 19-36% of the cold solve) and
-Devex dual pricing, cheaper per iteration than steepest edge; both move
-the value in its last digits only.  Stage 2 keeps presolve and steepest
-edge: its optimum is tied, and the vertex HiGHS returns depends on the
-solve path.  The single-station savings baseline is no LP but a greedy
-rollout.
+Devex dual pricing, cheaper per iteration than steepest edge; all three
+move the value in its last digits only.  Stage 2 keeps presolve and
+steepest edge: its optimum is tied, and the vertex HiGHS returns depends
+on the solve path.  The single-station savings baseline is no LP but a
+greedy rollout.
 """
 
 from __future__ import annotations
@@ -172,22 +174,46 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
         tuple([new(StorageState, row) for row in states.tolist()]))
 
 
+def _priced_program(stage1: LpProblem) -> tuple[LpProblem, np.ndarray]:
+    """``stage1`` without its d_le_s rows, and the stage-1 indices of the
+    rows it keeps: neutral1[t], neutral2[t] at 2t + k, then the equalities.
+
+    The rows never change the optimal value.  Cancelling a slot's charge
+    and discharge overlap m = min(alpha c, d), as ``normalize_actions``
+    does, keeps w and the storage columns and widens the neutral slack by
+    m / alpha - alpha m >= 0; then c = 0 or d = 0, so the dynamics row and
+    s[t + 1] >= 0 already give d <= s[t] (at alpha = 0, c is pinned to 0).
+    """
+    a, m = stage1.a, len(stage1.row_upper)
+    row = np.arange(m)
+    kept = (row % 4 < 2) | (row >= 4 * (m // 6))  # 6N + 2 rows
+    keep, entries = np.flatnonzero(kept), kept[a.rows]
+    matrix = Csr(
+        np.concatenate(([0], np.cumsum(np.diff(a.indptr)[keep])),
+                       dtype=np.int32),
+        a.indices[entries], a.data[entries], (len(keep), a.shape[1]))
+    return replace(stage1, a=matrix, row_lower=stage1.row_lower[keep],
+                   row_upper=stage1.row_upper[keep]), keep
+
+
 def stage1_costs(params: SystemParams, profiles: Sequence[NetEnergyProfile],
                  ) -> tuple[LpProblem, list[float]]:
     """The stage-1 program of ``profiles[0]`` and the ``offline_cost`` of
-    each profile: the first solved cold in a new value-only session
-    (presolve off, Devex pricing), each later one re-solved warm in it
-    with only its neutral-row upper bounds changed."""
+    each profile, priced on ``_priced_program``, which has the same
+    optimal value and 2N rows fewer: the first solved cold in a new
+    value-only session (presolve off, Devex pricing), each later one
+    re-solved warm in it with only its neutral-row upper bounds changed."""
     stage1 = build_stage1(params, profiles[0])
+    priced, keep = _priced_program(stage1)
     session = LpSession(value_only=True)
     return stage1, [session.solve(replace(
-        stage1, row_upper=_row_upper(params, p))).objective_value
+        priced, row_upper=_row_upper(params, p)[keep])).objective_value
         for p in profiles]
 
 
 def offline_cost(params: SystemParams, profile: NetEnergyProfile) -> float:
-    """Certified minimum total grid draw (the stage-1 optimum), exact;
-    ``plan_offline`` realizes it up to the eps_lex budget slack."""
+    """Certified minimum total grid draw (the stage-1 optimum, priced by
+    ``stage1_costs``); ``plan_offline`` realizes it up to eps_lex slack."""
     return stage1_costs(params, [profile])[1][0]
 
 

@@ -774,8 +774,9 @@ def test_cold_pass_holds_the_programs_arrays():
 
 def test_each_csr_checked_once(monkeypatch):
     # a matrix is checked when made and a program that shares it checks
-    # only its own arrays: the plan makes two, stage 1's serving four cost
-    # solves and stage 2's, with its budget row, one more
+    # only its own arrays: the plan makes three, stage 1's, its priced
+    # form's serving four cost solves, 2N rows fewer, and stage 2's, with
+    # its budget row, one more than stage 1's
     checked = []
     check = lp.Csr.__post_init__
 
@@ -788,8 +789,9 @@ def test_each_csr_checked_once(monkeypatch):
     profile = sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 48)
     plan_and_price(params, profile, [add_gaussian_noise(profile, 0.125, k)
                                      for k in range(3)])
-    assert len(checked) == 2
-    assert checked[0].shape[0] + 1 == checked[1].shape[0]  # the budget row
+    assert len(checked) == 3
+    assert checked[1].shape[0] == checked[0].shape[0] - 2 * 48
+    assert checked[0].shape[0] + 1 == checked[2].shape[0]  # the budget row
 
 
 def _random_programs():

@@ -3,6 +3,7 @@
 import math
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from energycoop.offline import (
     EPS_LEX_FACTOR,
     Stage2Infeasible,
     _extract_trajectory,
+    _priced_program,
     _stage1_entries,
     build_stage1,
     build_stage2,
@@ -48,6 +50,7 @@ from helpers import hex_fields, rand_params, rand_profile
 from oracles import (
     dp_pair_cost,
     dp_single_cost,
+    linprog_reference,
     normalize_action_ref,
     reference_planning_program,
     single_bs_optimum,
@@ -433,26 +436,54 @@ class TestOfflineCosts:
         assert len(warm) == len(DEFAULT_SEEDS) == 20
         for profile, cost in zip(realized, warm):
             cold = offline_cost(params, profile)
-            assert cold == LpSession(value_only=True).solve(
-                build_stage1(params, profile)).objective_value
+            assert cold == LpSession(value_only=True).solve(_priced_program(
+                build_stage1(params, profile))[0]).objective_value
             assert abs(cost - cold) <= 1e-9 * abs(cold)
+            full = lp_solve(build_stage1(params, profile)).objective_value
+            assert abs(cold - full) <= 1e-9 * abs(full)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48),
            s_max=st.sampled_from([None, math.inf]), lossless=st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_cost_without_presolve_is_the_presolved_optimum(
             self, seed, n, s_max, lossless):
-        # stage 1 skips HiGHS presolve and prices with Devex; its optimal
-        # value is unique, so the presolved steepest-edge cold solve
-        # lp_solve makes reaches it to rounding, also with unbounded
-        # storage and a lossless system, where ties are most common
+        # stage 1 is priced without its d_le_s rows and HiGHS presolve,
+        # with Devex; its optimal value is unique, so the presolved
+        # steepest-edge cold solve of the full program that lp_solve makes
+        # reaches it to HiGHS's tolerances (its 1e-10 dual tolerance is the
+        # least it accepts), also with unbounded storage and a lossless
+        # system, where ties are most common
         rng = np.random.default_rng(seed)
         efficiency = 1.0 if lossless else None
         p = rand_params(rng, n, efficiency, efficiency, s_max)
         prof = rand_profile(rng, n)
         cost = offline_cost(p, prof)
         want = lp_solve(build_stage1(p, prof)).objective_value
-        assert abs(cost - want) <= 1e-12 * max(1.0, abs(want))
+        assert abs(cost - want) <= 1e-9 * max(1.0, abs(want))
+
+    @given(data=st.data(), n=st.integers(1, 48))
+    @settings(max_examples=100, deadline=None)
+    def test_priced_program_has_the_stage1_optimum(self, data, n):
+        # the priced program drops the d_le_s rows; at the edges of every
+        # efficiency and capacity, and with storage to start from, its
+        # value is the optimum of the oracle's full stage-1 program
+        alpha = data.draw(st.sampled_from([0.0, 1e-3, 1.0])
+                          | st.floats(1e-3, 1.0), label="alpha")
+        beta = data.draw(st.sampled_from([0.0, 1.0])
+                         | st.floats(1e-3, 1.0), label="beta")
+        s_max = data.draw(st.sampled_from([0.0, math.inf])
+                          | st.floats(0.0, 4.0), label="s_max")
+        share = st.floats(0.125, 1.0)
+        s_init = tuple(data.draw(share, label="s_init") * min(s_max, 3.0)
+                       for _ in range(2))
+        e = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)
+        e1, e2 = data.draw(e, label="e1"), data.draw(e, label="e2")
+        p = SystemParams(alpha, beta, s_max, n, s_init)
+        cost = stage1_costs(p, [NetEnergyProfile(e1=e1, e2=e2)])[1][0]
+        ref = linprog_reference(SimpleNamespace(
+            **reference_planning_program(p, e1, e2, "stage1")))
+        assert ref.status == 0, ref.message
+        assert abs(cost - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
 
     def test_first_cost_is_the_cold_one(self):
         rng = np.random.default_rng(17)
@@ -463,7 +494,7 @@ class TestOfflineCosts:
         for name in ("objective", "row_lower", "row_upper", "lower", "upper"):
             assert np.array_equal(getattr(stage1, name), getattr(first, name))
         assert costs[0] == LpSession(value_only=True).solve(
-            first).objective_value
+            _priced_program(first)[0]).objective_value
         for profile, cost in zip(profiles, costs):
             cold = lp_solve(build_stage1(p, profile)).objective_value
             assert abs(cost - cold) <= 1e-9 * max(1.0, abs(cold))
@@ -491,6 +522,11 @@ class TestCsrMatchesScipy:
         want = csr_matrix((data, (rows, cols)), shape=stage1.a.shape)
         want.eliminate_zeros()
         self.assert_same_csr(stage1.a, want)
+        # priced without the d_le_s rows 4t + 2, 4t + 3
+        keep = [r for r in range(6 * n + 2) if r % 4 < 2 or r >= 4 * n]
+        priced, got_keep = _priced_program(stage1)
+        assert got_keep.tolist() == keep
+        self.assert_same_csr(priced.a, want[keep])
         budget = csr_matrix(stage1.objective)
         self.assert_same_csr(build_stage2(stage1, 17.5).a, vstack(
             (want[:4 * n], budget, want[4 * n:]), format="csr"))
