@@ -122,7 +122,11 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and kept,
+    so later calls do not pay about 1 ms each to build it again; parsing
+    leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="energycoop", allow_abbrev=False,
         description="Energy cooperation planners for two base stations")
@@ -179,7 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` by default) and return its exit
+    code.  Calls in one process share the parser and the stage-1 matrices
+    of the last systems planned (``offline._matrices``), so a second study
+    pays only for its own solves; its CSV bytes are those of a fresh
+    process."""
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "experiment" and args.out is None:
         parser.error("experiment requires --out")

@@ -20,10 +20,14 @@ scipy release that changes the binding fails there instead of silently
 moving a plan; a session re-solves edits of its last program warm.
 Every point is then re-checked against every constraint at 1e-9
 times max(1, largest finite |row bound|), so a plan does not depend on the
-energy unit, and only that certified optimum is returned; everything else
-raises: ``LpInfeasible`` for an infeasible program, ``SolverError`` for an
+energy unit, and only that certified optimum is returned, with HiGHS's
+row duals and the reduced costs they imply; everything else raises:
+``LpInfeasible`` for an infeasible program, ``SolverError`` for an
 unbounded one, any other backend failure and a point that fails the
-re-check.
+re-check.  A value-only solve must also close the weak-duality gap of its
+duals, or it is re-solved cold with ``linprog``'s options: without
+presolve, HiGHS can call a point optimal that is infeasible or up to
+1e-9 worse than the optimum when an efficiency is as small as 1e-3.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ if _loaded:  # else it hides _core from its package; a later import loads
     del sys.modules[_loaded]  # it there, sharing the cached extension
 
 FEAS_TOL = 1e-9
+# weak-duality tolerance of a value-only solve: benchmark sinusoids met it
+# to 7e-16, the points HiGHS could not back missed it by 6e-11 or more
+DUAL_TOL = 1e-12
 
 # the options linprog(method="highs") sets for these tolerances, and for a
 # value-only session those with presolve off and Devex dual pricing
@@ -183,11 +190,15 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """A certified minimizer, its objective value and HiGHS's iterations."""
+    """A certified minimizer, its objective value, HiGHS's iterations, its
+    row duals y (> 0 at a row's lower bound, < 0 at its upper) and the
+    reduced costs r = objective - a^T y (> 0 at a column's lower bound)."""
 
     x: np.ndarray
     objective_value: float
     iterations: int
+    row_dual: np.ndarray
+    reduced_cost: np.ndarray
 
 
 def _certify(problem: LpProblem, x: np.ndarray) -> None:
@@ -215,6 +226,55 @@ def _certify(problem: LpProblem, x: np.ndarray) -> None:
                                   f"{tol:.3e}) after solve")
 
 
+def _certify_dual(problem: LpProblem, solution: LpSolution) -> None:
+    """Raise SolverError unless the duals prove ``solution`` optimal by weak
+    duality within DUAL_TOL.  Each dual selects the bound its sign names,
+    as in ``LpSolution``; on a finite one it adds dual * bound to L, on an
+    infinite one it must be 0 within DUAL_TOL.  r = objective - a^T y by
+    construction, so objective . x >= L for every x in the program, and
+    the gap objective . x - L, relative to max(1, |objective . x|), must
+    be at most DUAL_TOL."""
+    low, value = 0.0, solution.objective_value
+    for kind, dual, lower, upper in (
+            ("row", solution.row_dual, problem.row_lower, problem.row_upper),
+            ("column", solution.reduced_cost, problem.lower, problem.upper)):
+        bound = np.where(dual > 0.0, lower, upper)
+        infinite = np.isinf(bound)
+        if (worst := np.abs(dual, where=infinite, out=np.zeros_like(dual))
+                ).max(initial=0.0) > DUAL_TOL:
+            k = int(np.argmax(worst))
+            raise SolverError(f"{kind} {k} has dual {dual[k]:.3e} on an "
+                              "infinite bound after solve")
+        low += np.dot(dual, np.where(infinite, 0.0, bound))
+    if not (gap := (value - low) / max(1.0, abs(value))) <= DUAL_TOL:
+        raise SolverError(f"duality gap {gap:.3e} (tolerance "
+                          f"{DUAL_TOL:.0e}) after solve")
+
+
+def _run(highs: _Highs, problem: LpProblem, done: list) -> LpSolution:
+    """Run HiGHS on ``problem`` once the statuses ``done`` of setting it up
+    passed, and read its point and duals; raises as ``lp_solve`` for a
+    failure that HiGHS reports, not yet for the point."""
+    if HighsStatus.kError in done:  # HiGHS refused the setup or an edit
+        raise SolverError("LP backend failed: HiGHS status kModelError")
+    ran = highs.run() != HighsStatus.kError
+    status = highs.getModelStatus()
+    if status == HighsModelStatus.kInfeasible:
+        raise LpInfeasible(f"LP infeasible: HiGHS status {status.name}")
+    if status == HighsModelStatus.kUnbounded:
+        raise SolverError(f"LP unbounded: HiGHS status {status.name}")
+    if not ran or status != HighsModelStatus.kOptimal:
+        raise SolverError(f"LP backend failed: HiGHS status {status.name}")
+    point, a = highs.getSolution(), problem.a
+    x = np.fromiter(point.col_value, float, problem.n_vars)
+    y = np.fromiter(point.row_dual, float, a.shape[0])
+    return LpSolution(
+        x, float(np.dot(problem.objective, x)),
+        highs.getInfo().simplex_iteration_count, y,
+        problem.objective - np.bincount(a.indices, a.data * y[a.rows],
+                                        a.shape[1]))
+
+
 class LpSession:
     """One HiGHS instance.  A program whose ``a`` is the very object of the
     last one solved is pushed as the costs and bounds that differ and
@@ -223,7 +283,16 @@ class LpSession:
     ``_VALUE_ONLY_OPTIONS`` (presolve off, Devex pricing) if ``value_only``
     is true: the caller then uses only each optimal value, which is unique,
     so the session may end at any optimal vertex.  A warm re-solve runs in
-    the same instance, so it prices as the cold solve did."""
+    the same instance, so it prices as the cold solve did.  The stage-1
+    programs of one system share one matrix (``offline._matrices``), so a
+    session re-solves any of them warm after another, whatever its profile,
+    capacity or initial storage.
+
+    A value-only point must also pass ``_certify_dual``.  A value-only
+    solve that fails either certificate, or ends in any failure but
+    infeasibility, is re-solved cold in a fresh instance with
+    ``_OPTIONS``, which is certified as ``lp_solve``'s is, and the session
+    goes on warm from there: presolve then removes what misled HiGHS."""
 
     _highs = _last = None  # the instance and the last program it solved
 
@@ -255,21 +324,19 @@ class LpSession:
                 problem.objective, problem.lower, problem.upper,
                 problem.row_lower, problem.row_upper,
                 a.indptr, a.indices, a.data, np.zeros(n, np.int32))]
-        if HighsStatus.kError in done:  # HiGHS refused the setup or an edit
-            raise SolverError("LP backend failed: HiGHS status kModelError")
-        ran = highs.run() != HighsStatus.kError
-        status = highs.getModelStatus()
-        if status == HighsModelStatus.kInfeasible:
-            raise LpInfeasible(f"LP infeasible: HiGHS status {status.name}")
-        if status == HighsModelStatus.kUnbounded:
-            raise SolverError(f"LP unbounded: HiGHS status {status.name}")
-        if not ran or status != HighsModelStatus.kOptimal:
-            raise SolverError(f"LP backend failed: HiGHS status {status.name}")
-        x = np.array(highs.getSolution().col_value)
-        _certify(problem, x)
+        value_only = self.options is _VALUE_ONLY_OPTIONS
+        try:
+            solution = _run(highs, problem, done)
+            _certify(problem, solution.x)
+            if value_only:
+                _certify_dual(problem, solution)
+        except SolverError as exc:
+            if not value_only or isinstance(exc, LpInfeasible):
+                raise
+            retry = LpSession()  # lp_solve's: cold, with _OPTIONS
+            solution, self._highs = retry.solve(problem), retry._highs
         self._last = problem
-        return LpSolution(x, float(np.dot(problem.objective, x)),
-                          highs.getInfo().simplex_iteration_count)
+        return solution
 
 
 def lp_solve(problem: LpProblem) -> LpSolution:

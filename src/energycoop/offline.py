@@ -5,21 +5,26 @@ re-solves with the stage-1 cost as a budget and maximizes the terminal
 storage sum, so leftover flexibility is banked for later horizons.  Every
 offline program derives from the stage-1 program: one sparse matrix with
 about 22 non-zeros per slot and a lower and upper bound on each row,
-assembled once per plan from one table of (row, column, value) entries
-written as arrays over the slots, in time and memory linear in the
-horizon.  Stage 2 inserts one ``cost_budget`` row; costs are priced on
-the program without the 2N rows that bound discharge by storage, which
-never change the optimal value (``_priced_program``), and re-solves edit
-its row bounds and share its matrix.  ``lp_solve`` returns a certified
-optimum or raises; an infeasible stage 2 raises ``Stage2Infeasible``.  A
-plan is its certified point: the action columns normalized in one array
-pass and the storage columns clipped onto [0, s_max].  Every stage-1
-cost is priced by ``stage1_costs``, the first profile cold and the rest
-warm in its session; stage 2 is solved cold.  Only stage 1's unique
-optimal value is used, so its session is value-only: no HiGHS presolve
-(it removed 6 rows and 6 columns yet took 19-36% of the cold solve) and
-Devex dual pricing, cheaper per iteration than steepest edge; all three
-move the value in its last digits only.  Stage 2 keeps presolve and
+assembled from one table of (row, column, value) entries written as
+arrays over the slots, in time and memory linear in the horizon.  The
+matrix depends only on N, alpha and beta, so ``_matrices`` assembles it
+once per process for each such system, with the priced program's
+matrix beside it, and every program of that system shares both; a
+profile, a capacity or an initial storage changes only bounds.  Stage 2
+inserts one ``cost_budget`` row; costs are priced on the program
+without the 2N rows that bound discharge by storage, which never change
+the optimal value, and re-solves edit its row bounds.  ``lp_solve``
+returns a certified optimum or raises; an infeasible stage 2 raises
+``Stage2Infeasible``.  A plan is its certified point: the action columns
+normalized in one array pass and the storage columns clipped onto
+[0, s_max].  Every stage-1 cost is priced by ``stage1_costs``, the first
+profile cold and the rest warm in its session; stage 2 is solved cold.
+Only stage 1's unique optimal value is used, so its session is
+value-only: no HiGHS presolve (it removed 6 rows and 6 columns yet took
+19-36% of the cold solve) and Devex dual pricing, cheaper per iteration
+than steepest edge; all three move the value in its last digits only, and
+a price whose duals do not back it is re-solved cold with presolve (see
+``lp.LpSession``).  Stage 2 keeps presolve and
 steepest edge: its optimum is tied, and the vertex HiGHS returns depends
 on the solve path.  The single-station savings baseline is no LP but a
 greedy rollout.
@@ -27,6 +32,7 @@ greedy rollout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from typing import Sequence
@@ -53,6 +59,7 @@ from .model import (
 EPS_LEX_FACTOR = 1e-9
 
 _N_ACTION = 8  # w1 w2 c1 c2 d1 d2 x12 x21 per slot
+_SYSTEMS_KEPT = 4  # (N, alpha, beta) whose matrices a process keeps
 
 
 def eps_lex(v1: float) -> float:
@@ -73,12 +80,12 @@ def _row_upper(params: SystemParams, profile: NetEnergyProfile,
     return np.concatenate((neutral.ravel(), params.s_init, np.zeros(2 * n)))
 
 
-def _stage1_entries(params: SystemParams) -> tuple[np.ndarray, ...]:
-    """Rows, columns and values of the stage-1 matrix's entries: a table
-    whose rows and columns are arrays over t, written once per station k,
-    which sends on column 8t + 6 + k and receives on 8t + 7 - k.  No
-    (row, column) pair repeats; a zero efficiency writes explicit zeros."""
-    n, a, b = params.n_slots, params.alpha, params.beta
+def _stage1_entries(n: int, a: float, b: float) -> tuple[np.ndarray, ...]:
+    """Rows, columns and values of the stage-1 matrix's entries for N = n,
+    alpha = a and beta = b: a table whose rows and columns are arrays over
+    t, written once per station k, which sends on column 8t + 6 + k and
+    receives on 8t + 7 - k.  No (row, column) pair repeats; a zero
+    efficiency writes explicit zeros."""
     s0 = _N_ACTION * n
     t, bs = np.arange(n), np.arange(2)
     act, s, ub, dyn = _N_ACTION * t, s0 + 2 * t, 4 * t, 4 * n + 2 + 2 * t
@@ -100,6 +107,43 @@ def _stage1_entries(params: SystemParams) -> tuple[np.ndarray, ...]:
             np.concatenate([np.full(len(r), v) for r, v in zip(rows, values)]))
 
 
+@functools.lru_cache(maxsize=_SYSTEMS_KEPT)
+def _matrices(n: int, alpha: float, beta: float,
+              ) -> tuple[Csr, Csr, np.ndarray]:
+    """The stage-1 matrix of every N-slot system with these efficiencies,
+    the priced program's matrix and the stage-1 indices of the rows it
+    keeps, made once per process for the last ``_SYSTEMS_KEPT`` systems.
+
+    The stage-1 matrix is the ``_stage1_entries`` table in CSR form,
+    sorted by row, then column, with int32 indices, as scipy would
+    assemble it.  The priced program drops its d_le_s rows and keeps
+    neutral1[t], neutral2[t] at 2t + k, then the equalities.  Those rows
+    never change the optimal value.  Cancelling a slot's charge and
+    discharge overlap m = min(alpha c, d), as ``normalize_actions`` does,
+    keeps w and the storage columns and widens the neutral slack by
+    m / alpha - alpha m >= 0; then c = 0 or d = 0, so the dynamics row and
+    s[t + 1] >= 0 already give d <= s[t] (at alpha = 0, c is pinned to 0).
+    Every array is read-only, so the programs of one system share them.
+    """
+    n_vars, m = _N_ACTION * n + 2 * (n + 1), 6 * n + 2
+    rows, cols, data = _stage1_entries(n, alpha, beta)
+    order = np.argsort(rows * n_vars + cols)
+    # explicit zeros are dropped: the backend sees only structural non-zeros
+    order = order[data[order] != 0.0]
+    counts = np.bincount(rows[order], minlength=m)
+    stage1 = Csr(np.concatenate(([0], np.cumsum(counts)), dtype=np.int32),
+                 cols[order].astype(np.int32), data[order], (m, n_vars))
+    row = np.arange(m)
+    kept = (row % 4 < 2) | (row >= 4 * n)
+    keep, entries = np.flatnonzero(kept), kept[stage1.rows]
+    priced = Csr(np.concatenate(([0], np.cumsum(counts[keep])),
+                                dtype=np.int32),
+                 stage1.indices[entries], stage1.data[entries],
+                 (len(keep), n_vars))
+    keep.flags.writeable = False
+    return stage1, priced, keep
+
+
 def build_stage1(params: SystemParams, profile: NetEnergyProfile,
                  ) -> LpProblem:
     """Cost-minimizing program: min total grid draw over the horizon.
@@ -108,21 +152,14 @@ def build_stage1(params: SystemParams, profile: NetEnergyProfile,
     then the storage levels s1[t], s2[t] at 8N + 2t + bs for t = 0 .. N.
     Rows, the ``<=`` rows first: neutral1[t], neutral2[t], d1_le_s1[t],
     d2_le_s2[t] at 4t + k; then the equalities init_s1, init_s2 at 4N,
-    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  The matrix is the
-    ``_stage1_entries`` table in CSR form, the caller's to keep: sorted
-    by row, then column, with int32 indices, as scipy would assemble it.
+    4N + 1 and dyn1[t], dyn2[t] at 4N + 2 + 2t + bs.  The matrix is
+    ``_matrices``' stage-1 matrix, shared by every program of the same
+    N, alpha and beta: the profile, s_max and s_init enter only bounds.
     """
     n = params.n_slots
     row_upper = _row_upper(params, profile)
-    s0 = _N_ACTION * n
-    n_vars, m = s0 + 2 * (n + 1), len(row_upper)
-    rows, cols, data = _stage1_entries(params)
-    order = np.argsort(rows * n_vars + cols)
-    # explicit zeros are dropped: the backend sees only structural non-zeros
-    order = order[data[order] != 0.0]
-    counts = np.bincount(rows[order], minlength=m)
-    matrix = Csr(np.concatenate(([0], np.cumsum(counts)), dtype=np.int32),
-                 cols[order].astype(np.int32), data[order], (m, n_vars))
+    matrix = _matrices(n, params.alpha, params.beta)[0]
+    s0, n_vars = _N_ACTION * n, matrix.shape[1]
     row_lower = np.append(np.full(4 * n, -math.inf), row_upper[4 * n:])
 
     upper = np.full(n_vars, math.inf)
@@ -174,37 +211,17 @@ def _extract_trajectory(params: SystemParams, x: np.ndarray) -> Trajectory:
         tuple([new(StorageState, row) for row in states.tolist()]))
 
 
-def _priced_program(stage1: LpProblem) -> tuple[LpProblem, np.ndarray]:
-    """``stage1`` without its d_le_s rows, and the stage-1 indices of the
-    rows it keeps: neutral1[t], neutral2[t] at 2t + k, then the equalities.
-
-    The rows never change the optimal value.  Cancelling a slot's charge
-    and discharge overlap m = min(alpha c, d), as ``normalize_actions``
-    does, keeps w and the storage columns and widens the neutral slack by
-    m / alpha - alpha m >= 0; then c = 0 or d = 0, so the dynamics row and
-    s[t + 1] >= 0 already give d <= s[t] (at alpha = 0, c is pinned to 0).
-    """
-    a, m = stage1.a, len(stage1.row_upper)
-    row = np.arange(m)
-    kept = (row % 4 < 2) | (row >= 4 * (m // 6))  # 6N + 2 rows
-    keep, entries = np.flatnonzero(kept), kept[a.rows]
-    matrix = Csr(
-        np.concatenate(([0], np.cumsum(np.diff(a.indptr)[keep])),
-                       dtype=np.int32),
-        a.indices[entries], a.data[entries], (len(keep), a.shape[1]))
-    return replace(stage1, a=matrix, row_lower=stage1.row_lower[keep],
-                   row_upper=stage1.row_upper[keep]), keep
-
-
 def stage1_costs(params: SystemParams, profiles: Sequence[NetEnergyProfile],
                  ) -> tuple[LpProblem, list[float]]:
     """The stage-1 program of ``profiles[0]`` and the ``offline_cost`` of
-    each profile, priced on ``_priced_program``, which has the same
-    optimal value and 2N rows fewer: the first solved cold in a new
-    value-only session (presolve off, Devex pricing), each later one
+    each profile, priced on the priced program of ``_matrices``, which
+    has the same optimal value and 2N rows fewer: the first solved cold in
+    a new value-only session (presolve off, Devex pricing), each later one
     re-solved warm in it with only its neutral-row upper bounds changed."""
     stage1 = build_stage1(params, profiles[0])
-    priced, keep = _priced_program(stage1)
+    _, matrix, keep = _matrices(params.n_slots, params.alpha, params.beta)
+    priced = replace(stage1, a=matrix, row_lower=stage1.row_lower[keep],
+                     row_upper=stage1.row_upper[keep])
     session = LpSession(value_only=True)
     return stage1, [session.solve(replace(
         priced, row_upper=_row_upper(params, p)[keep])).objective_value

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,29 @@ def test_experiment_subcommand(tmp_path):
     text = out.read_text()
     assert text.startswith("# experiment: saving-vs-theta\n")
     assert "saving_pct" in text
+
+
+def test_study_after_other_systems_writes_fresh_process_bytes(tmp_path):
+    # stage-1 matrices outlive a command: after studies of more systems
+    # than the cache keeps, one of them this study's own at another s_max,
+    # a study writes the bytes of the same command in a new interpreter
+    argv = ["experiment", "hybrid-vs-greedy", "--n", "24", "--thetas",
+            "0.0,1.5", "--smax-grid", "1.0,3.5", "--seeds", "0,1",
+            "--serial", "--out"]
+    other = str(tmp_path / "other.csv")
+    for alpha, beta in ((0.5, 0.8), (0.9, 0.5), (0.7, 0.7), (0.6, 0.9),
+                        (0.8, 0.6), (0.9, 0.8)):
+        assert main(["experiment", "cost-vs-storage", "--n", "24",
+                     "--thetas", "1.0", "--smax-grid", "0.5", "--alpha",
+                     str(alpha), "--beta", str(beta), "--serial",
+                     "--out", other]) == 0
+    here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+    assert main(argv + [str(here)]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-m", "energycoop.cli", *argv,
+                    str(fresh)], env=env, check=True, capture_output=True,
+                   timeout=300)
+    assert here.read_bytes() == fresh.read_bytes()
 
 
 def test_experiment_smax_flag_sets_grid(tmp_path):

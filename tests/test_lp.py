@@ -22,7 +22,8 @@ from scipy.optimize._highspy._core import (
     HighsModelStatus, HighsStatus, HighsVarType, ObjSense, _Highs)
 from scipy.sparse import csr_matrix
 
-from energycoop import SystemParams, add_gaussian_noise, lp, sinusoid
+from energycoop import (SystemParams, add_gaussian_noise, lp, offline,
+                        sinusoid)
 from energycoop.lp import (
     FEAS_TOL, LpInfeasible, LpProblem, LpSession, SolverError, lp_solve)
 from energycoop.offline import build_stage1, build_stage2, plan_and_price
@@ -170,8 +171,9 @@ def _mutated_backend(monkeypatch, status=None, x=None):
             return self.real.getModelStatus()
 
         def getSolution(self):
-            if armed and x is not None:
-                return SimpleNamespace(col_value=x)
+            if armed and x is not None:  # HiGHS's duals, another point
+                return SimpleNamespace(
+                    col_value=x, row_dual=self.real.getSolution().row_dual)
             return self.real.getSolution()
 
     monkeypatch.setattr(lp, "_Highs", Mutated)
@@ -231,6 +233,70 @@ def test_point_below_a_ge_row_not_certified(monkeypatch):
     armed.append(True)
     with pytest.raises(SolverError, match="row 0 violated by 5.000e-01"):
         lp_solve(problem)
+
+
+@pytest.mark.parametrize("status, point", [
+    (None, [0.5, 0.5]), (HighsModelStatus.kUnknown, None)])
+def test_value_only_solve_highs_cannot_back_is_resolved(monkeypatch, status,
+                                                        point):
+    # min x1 + 2 x2 with x1 + x2 >= 1 and x in [0, 1]^2 has the optimum
+    # (1, 0); the first instance calls the feasible (0.5, 0.5) optimal, 0.5
+    # worse, beside HiGHS's own duals, which prove 1, or reports no
+    # verdict; the session re-solves it cold with lp_solve's options and
+    # goes on warm in that instance
+    problem = replace(make_problem([1.0, 2.0], bounds=[(0.0, 1.0)] * 2),
+                      a=dense_csr(np.ones((1, 2))), row_lower=np.ones(1),
+                      row_upper=np.full(1, math.inf))
+    created = []
+
+    class FirstMisleads:
+        def __init__(self):
+            self.real = _Highs()
+            created.append(self)
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+        def getModelStatus(self):
+            if self is created[0] and status is not None:
+                return status
+            return self.real.getModelStatus()
+
+        def getSolution(self):
+            real = self.real.getSolution()
+            if self is created[0] and point is not None:
+                return SimpleNamespace(col_value=point,
+                                       row_dual=real.row_dual)
+            return real
+
+    monkeypatch.setattr(lp, "_Highs", FirstMisleads)
+    session = LpSession(value_only=True)
+    sol = session.solve(problem)
+    assert sol.x.tolist() == [1.0, 0.0] and sol.objective_value == 1.0
+    assert len(created) == 2 and session._highs is created[1]
+    assert created[1].getOptions().presolve == "on"
+    edited = replace(problem, row_lower=np.full(1, 0.5))
+    assert session.solve(edited).objective_value == 0.5
+    assert len(created) == 2  # warm in the instance of the re-solve
+
+
+def test_dual_certificate_rejects_what_the_primal_one_passes():
+    # a stage-1 price is certified by its duals; a sign-flipped dual, or a
+    # value 1e-9 above the bound the duals prove, fails, as in the prices
+    # HiGHS gave without presolve at alpha = 1e-3
+    params = SystemParams(0.9, 0.8, 1.0, 24)
+    stage1 = build_stage1(params, sinusoid(3.0, 2 * math.pi / 24,
+                                           math.pi / 2, 24))
+    sol = LpSession(value_only=True).solve(stage1)
+    lp._certify_dual(stage1, sol)
+    v = sol.objective_value
+    lp._certify_dual(stage1, replace(sol, objective_value=v * (1 + 1e-14)))
+    with pytest.raises(SolverError, match=r"^duality gap 1\.0\d*e-09 "):
+        lp._certify_dual(stage1, replace(sol, objective_value=v * (1 + 1e-9)))
+    flipped = replace(sol, row_dual=-sol.row_dual,
+                      reduced_cost=2 * stage1.objective - sol.reduced_cost)
+    with pytest.raises(SolverError, match="on an infinite bound"):
+        lp._certify_dual(stage1, flipped)
 
 
 @pytest.mark.parametrize("status, error, match", [
@@ -774,9 +840,10 @@ def test_cold_pass_holds_the_programs_arrays():
 
 def test_each_csr_checked_once(monkeypatch):
     # a matrix is checked when made and a program that shares it checks
-    # only its own arrays: the plan makes three, stage 1's, its priced
-    # form's serving four cost solves, 2N rows fewer, and stage 2's, with
-    # its budget row, one more than stage 1's
+    # only its own arrays: a system's first plan makes three, stage 1's,
+    # its priced form's serving four cost solves, 2N rows fewer, and stage
+    # 2's, with its budget row, one more than stage 1's; its next plan, of
+    # another profile, shares the first two and makes only stage 2's
     checked = []
     check = lp.Csr.__post_init__
 
@@ -785,13 +852,16 @@ def test_each_csr_checked_once(monkeypatch):
         check(a)
 
     monkeypatch.setattr(lp.Csr, "__post_init__", spy)
+    offline._matrices.cache_clear()
     params = SystemParams(0.9, 0.8, 1.0, 48)
-    profile = sinusoid(3.0, 2 * math.pi / 24, math.pi / 2, 48)
-    plan_and_price(params, profile, [add_gaussian_noise(profile, 0.125, k)
-                                     for k in range(3)])
-    assert len(checked) == 3
+    for theta in (math.pi / 2, math.pi):
+        profile = sinusoid(3.0, 2 * math.pi / 24, theta, 48)
+        plan_and_price(params, profile, [
+            add_gaussian_noise(profile, 0.125, k) for k in range(3)])
+    assert len(checked) == 4
     assert checked[1].shape[0] == checked[0].shape[0] - 2 * 48
     assert checked[0].shape[0] + 1 == checked[2].shape[0]  # the budget row
+    assert checked[3].shape == checked[2].shape
 
 
 def _random_programs():
